@@ -233,38 +233,37 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
         raise ValueError(f"recorded target {transition.target} disagrees with the "
                          f"rebuilt controller's successor {controller.target_cell()}")
 
-    # global cell assignment per trial, consistent with the verified action
-    assignment = np.empty((trials, count), dtype=object)
+    # global cell assignment per trial, consistent with the verified action,
+    # as integer cells shaped (trials, N, n)
+    assignment = np.empty((trials, count, n), dtype=np.int64)
     fixed = {i: transition.source}
     for k, j in enumerate(net.neighbors[i]):
         fixed[j] = transition.action[k + 1]
+    window_cells = np.array(cells, dtype=np.int64)
     for j in range(count):
         if j in fixed:
-            assignment[:, j] = [fixed[j]] * trials
+            assignment[:, j] = fixed[j]
         else:
-            picks = rng.integers(0, len(cells), size=trials)
-            assignment[:, j] = [cells[p] for p in picks]
+            assignment[:, j] = window_cells[rng.integers(0, len(cells), size=trials)]
+
+    def sample_cells(z):
+        # uniform points in the integer cells z (..., n), drawn in C order
+        lo = grid.cell_lo(z)
+        return rng.uniform(lo, lo + grid.side)
 
     controllers = []
     for j in range(count):
         if j == i:
             controllers.append(controller)
             continue
-        configs = []
-        for b in range(trials):
-            configs.append(tuple(project_configuration(
-                net, tuple(assignment[b]), j).cells))
-        refs = np.empty((trials, net.degree(j) + 1, n))
-        for b, cfg in enumerate(configs):
-            for k, z in enumerate(cfg):
-                refs[b, k] = grid.sample_in_cell(z, rng, 1)[0]
-        controllers.append(ControllerBank(model, grid, params, j, configs,
-                                          reference_points=refs, substeps=substeps))
+        configs = assignment[:, [j, *net.neighbors[j]]]
+        controllers.append(ControllerBank(model, grid, params, j, configs.tolist(),
+                                          reference_points=sample_cells(configs),
+                                          substeps=substeps))
 
     x0 = np.empty((trials, count, n))
     for j in range(count):
-        for b in range(trials):
-            x0[b, j] = grid.sample_in_cell(assignment[b, j], rng, 1)[0]
+        x0[:, j] = sample_cells(assignment[:, j])
     corners = grid.cell_corners(transition.source, inset=1e-9 * grid.side)
     take = min(trials, len(corners))
     x0[:take, i] = corners[:take]
@@ -275,14 +274,15 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
     box = grid.cell_box(transition.target)
     margins = np.minimum((endpoints - box.lo).min(axis=-1),
                          (box.hi - endpoints).min(axis=-1))
-    for b in range(trials):
-        if grid.cell_of(endpoints[b]) != transition.target:
-            witness = {"trial": b, "initial": x0[b], "endpoint": endpoints[b],
-                       "landed": grid.cell_of(endpoints[b]),
-                       "declared": transition.target}
-            raise WellPosednessViolation(
-                f"trial {b}: agent {i} landed in {witness['landed']} instead of "
-                f"{transition.target}", witness)
+    missed = np.flatnonzero(np.any(grid.cell_indices(endpoints) != transition.target, axis=-1))
+    if missed.size:
+        b = int(missed[0])
+        witness = {"trial": b, "initial": x0[b], "endpoint": endpoints[b],
+                   "landed": grid.cell_of(endpoints[b]),
+                   "declared": transition.target}
+        raise WellPosednessViolation(
+            f"trial {b}: agent {i} landed in {witness['landed']} instead of "
+            f"{transition.target}", witness)
 
     counts, edges = np.histogram(margins, bins=10)
     ref_margin = min(float((controller.endpoint - box.lo).min()),
@@ -331,16 +331,17 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
     trajectory, reports = integrate_closed_loop_batch(model, controllers, x0,
                                                       substeps=substeps)
     endpoints = trajectory.states[-1]
-    for b in range(samples):
-        landed = tuple(grid.cell_of(endpoints[b, i]) for i in range(count))
-        if landed != target_cells:
-            bad = next(i for i in range(count) if landed[i] != target_cells[i])
-            witness = {"run": b, "agent": bad, "initial": x0[b],
-                       "endpoint": endpoints[b, bad], "landed": landed[bad],
-                       "declared": target_cells[bad]}
-            raise CompositionViolation(
-                f"run {b}: agent {bad} landed in {landed[bad]} instead of "
-                f"{target_cells[bad]}", witness)
+    missed = np.argwhere(np.any(grid.cell_indices(endpoints) != np.array(target_cells),
+                                axis=-1))
+    if len(missed):
+        b, bad = (int(v) for v in missed[0])
+        landed = grid.cell_of(endpoints[b, bad])
+        witness = {"run": b, "agent": bad, "initial": x0[b],
+                   "endpoint": endpoints[b, bad], "landed": landed,
+                   "declared": target_cells[bad]}
+        raise CompositionViolation(
+            f"run {b}: agent {bad} landed in {landed} instead of "
+            f"{target_cells[bad]}", witness)
     return controllers, MonitorReport.merge(reports)
 
 

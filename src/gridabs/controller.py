@@ -20,6 +20,8 @@ neighbors do inside their declared cells.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .geometry import CellConfiguration, box_distance
@@ -87,11 +89,11 @@ class ControllerBank:
                                  f"{n}), got {refs.shape}")
             if not np.all(np.isfinite(refs)):
                 raise ValueError("reference points have non-finite coordinates")
-            for b, cfg in enumerate(cells):
-                for k, z in enumerate(cfg):
-                    if grid.cell_of(refs[b, k]) != z:
-                        raise ValueError(f"reference point {refs[b, k].tolist()} is not "
-                                         f"inside its declared cell {z}")
+            outside = np.any(grid.cell_indices(refs) != self.cell_array, axis=-1)
+            if outside.any():
+                b, k = np.argwhere(outside)[0]
+                raise ValueError(f"reference point {refs[b, k].tolist()} is not "
+                                 f"inside its declared cell {cells[b][k]}")
         self.reference_points = refs
         self._own_ref = refs[:, 0, :]
         self._nbr_ref = refs[:, 1:, :]
@@ -100,6 +102,14 @@ class ControllerBank:
         times, states, derivs = rk4_path(lambda t, y: self.frozen_field(y),
                                          self._own_ref, 0.0, params.period, self.substeps)
         self.dense = DenseTrajectory(times, states, derivs)
+
+    @functools.cached_property
+    def cell_array(self) -> np.ndarray:
+        """The configurations as integer cells shaped (B, m+1, n)."""
+        cells = np.array(self.configurations, dtype=np.int64)
+        if cells.shape[2:] != (self.grid.dimension,):
+            raise ValueError(f"configuration cells need {self.grid.dimension} indices")
+        return cells
 
     @property
     def size(self) -> int:
@@ -135,30 +145,44 @@ class ControllerBank:
         # the feedback stays defined past the period by freezing at its end
         return np.minimum(t, self.period)
 
-    def coupling_cancellation(self, own, neighbor_states):
-        return -(self._evaluate(own, neighbor_states) - self._evaluate(own, self._nbr_ref))
+    def coupling_cancellation(self, own, neighbor_states, plant=None):
+        """``plant``, if given, is the field f(own, neighbor_states) already evaluated."""
+        if plant is None:
+            plant = self._evaluate(own, neighbor_states)
+        return -(plant - self._evaluate(own, self._nbr_ref))
 
     def offset_homing(self, own_start):
         return -(own_start - self._own_ref) / self.period
 
-    def drift_compensation(self, t, own_start):
+    def drift_compensation(self, t, own_start, reference=None, reference_field=None):
+        """``reference`` and ``reference_field``, if given, are ref(t) and f(ref(t), frozen)."""
         t = self._check_time(t)
         remain = 1.0 - t / self.period
         if np.ndim(t) > 0:
             remain = remain[:, None]
-        ref = self._reference_batch(t)
+        if reference is None:
+            reference = self._reference_batch(t)
         offset = remain * (own_start - self._own_ref)
-        return -(self._evaluate(ref + offset, self._nbr_ref) - self._evaluate(ref, self._nbr_ref))
+        shifted = self.frozen_field(reference + offset)
+        if reference_field is None:
+            reference_field = self.frozen_field(reference)
+        return -(shifted - reference_field)
 
-    def feedback(self, t, own, neighbor_states, own_start):
+    def feedback(self, t, own, neighbor_states, own_start, plant=None, homing=None,
+                 reference=None, reference_field=None):
         """Full feedback at time ``t``; batched over the leading axis.
 
         ``t`` is a scalar during integration; a vector of per-sample times is
-        accepted for a bank of size 1.
+        accepted for a bank of size 1. This is the one place the three terms
+        are summed. A caller that already holds some stage values passes them
+        instead of having them recomputed, and gets the same result bit for
+        bit: ``plant`` is f(own, neighbor_states), ``homing`` is
+        ``offset_homing(own_start)``, and ``reference``/``reference_field``
+        are ref(t) and f(ref(t), frozen neighbors).
         """
-        return (self.coupling_cancellation(own, neighbor_states)
-                + self.offset_homing(own_start)
-                + self.drift_compensation(t, own_start))
+        return (self.coupling_cancellation(own, neighbor_states, plant)
+                + (self.offset_homing(own_start) if homing is None else homing)
+                + self.drift_compensation(t, own_start, reference, reference_field))
 
     def target_cells(self):
         """Cell of each member's reference endpoint."""

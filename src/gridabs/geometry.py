@@ -104,6 +104,20 @@ class GridDecomposition:
         idx = np.floor((x - self.origin) / self.side)
         return tuple(int(c) for c in idx)
 
+    def cell_indices(self, x) -> np.ndarray:
+        """Cell indices of points shaped ``(..., n)``, as a float array.
+
+        The vectorized form of :meth:`cell_of`; it does not validate ``x``.
+        """
+        return np.floor((np.asarray(x, dtype=float) - self.origin) / self.side)
+
+    def cell_lo(self, z) -> np.ndarray:
+        """Lower corners of cells given as integer indices shaped ``(..., n)``.
+
+        The vectorized form of ``cell_box(z).lo``, equal to it bit for bit.
+        """
+        return self.origin + self.side * np.asarray(z, dtype=float)
+
     def cell_box(self, z) -> Box:
         z = _as_cell(z, self.dimension)
         lo = self.origin + self.side * np.asarray(z, dtype=float)

@@ -6,7 +6,15 @@ substep grid and logs, at every knot, each agent's applied input magnitude
 and whether it still lies in its declared cell inflated by the reach radius.
 
 The integration is fixed-step classical RK4: identical inputs and substep
-counts give bit-identical trajectories.
+counts give bit-identical trajectories. Each RK4 step has two distinct stage
+times, the half step and the next knot, so every agent's reference ref(t) and
+its frozen-neighbor field are computed once per distinct time: the half-step
+pair by one dense query, and the knot pair read from the stored dense output
+when the loop runs on the controllers' own knot grid (computed once per knot
+otherwise). The plant field f(own, neighbors) is evaluated once per stage and
+serves both the dynamics and the coupling cancellation, and the offset homing
+once per run. The results are bit-identical to evaluating the full feedback
+afresh at every stage.
 """
 
 from __future__ import annotations
@@ -92,6 +100,12 @@ def _member(values, b):
     return values[b if len(values) > 1 else 0]
 
 
+def _first(mask):
+    """Index tuple of the first True entry of ``mask`` in C order, or None."""
+    hits = np.argwhere(mask)
+    return tuple(int(v) for v in hits[0]) if len(hits) else None
+
+
 def _check_setup(model, banks, batch):
     net = model.network
     if len(banks) != net.agent_count:
@@ -111,15 +125,31 @@ def _check_setup(model, banks, batch):
                 or not np.array_equal(g.origin, grid.origin)):
             raise ValueError("controllers disagree on the grid")
     # the declared cells must project from one global configuration per run
-    for b in range(batch):
-        own = [_member(bank.configurations, b)[0] for bank in banks]
-        for i, bank in enumerate(banks):
-            declared = _member(bank.configurations, b)[1:]
-            expected = tuple(own[j] for j in net.neighbors[i])
-            if tuple(declared) != expected:
-                raise ValueError(f"agent {i} declares neighbor cells {tuple(declared)} "
-                                 f"but the shared configuration implies {expected}")
+    own = [bank.cell_array[:, 0] for bank in banks]
+    clash = np.zeros((batch, len(banks)), dtype=bool)
+    for i, bank in enumerate(banks):
+        for k, j in enumerate(net.neighbors[i]):
+            clash[:, i] |= np.any(bank.cell_array[:, k + 1] != own[j], axis=-1)
+    bad = _first(clash)
+    if bad is not None:
+        b, i = bad
+        declared = _member(banks[i].configurations, b)[1:]
+        expected = tuple(_member(banks[j].configurations, b)[0] for j in net.neighbors[i])
+        raise ValueError(f"agent {i} declares neighbor cells {declared} "
+                         f"but the shared configuration implies {expected}")
     return grid, period
+
+
+def _interpolation_deviation(bank, times, own_states):
+    """Worst knot residual per run of the linear-homing identity.
+
+    ``own_states`` is one agent's (K+1, B, n) block on the knots ``times``;
+    the identity is x(t) = ref(t) + (1 - t/period) * (x(0) - ref(0)).
+    """
+    remain = (1.0 - times / bank.period)[:, None, None]
+    offset = own_states[0] - bank._own_ref
+    resid = own_states - bank.dense.at(times) - remain * offset
+    return np.linalg.norm(resid, axis=-1).max(axis=0)
 
 
 def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEPS):
@@ -140,38 +170,52 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
     banks = [_as_bank(c) for c in controllers]
     grid, period = _check_setup(model, banks, batch)
 
-    for b in range(batch):
-        for i, bank in enumerate(banks):
-            cell = _member(bank.configurations, b)[0]
-            if grid.cell_of(x0[b, i]) != cell:
-                raise ValueError(f"run {b}: agent {i} starts at {x0[b, i].tolist()} "
-                                 f"outside its declared cell {cell}")
+    own_cells = [bank.cell_array[:, 0] for bank in banks]
+    outside = np.stack([np.any(grid.cell_indices(x0[:, i]) != own_cells[i], axis=-1)
+                        for i in range(count)], axis=1)
+    bad = _first(outside)
+    if bad is not None:
+        b, i = bad
+        raise ValueError(f"run {b}: agent {i} starts at {x0[b, i].tolist()} "
+                         f"outside its declared cell {_member(banks[i].configurations, b)[0]}")
 
     steps = int(substeps)
     times = np.linspace(0.0, period, steps + 1)
     neighbor_idx = [list(net.neighbors[i]) for i in range(count)]
     evaluators = [model.evaluator(i) for i in range(count)]
     starts = [np.ascontiguousarray(x0[:, i]) for i in range(count)]
+    homing = [bank.offset_homing(starts[i]) for i, bank in enumerate(banks)]
+    # a bank integrated on this very grid already stores ref and its field at every knot
+    stored = [np.array_equal(times, bank.dense.times) for bank in banks]
 
-    lo = np.empty((count, batch, dim))
-    hi = np.empty((count, batch, dim))
-    for i, bank in enumerate(banks):
-        for b in range(batch):
-            box = grid.cell_box(_member(bank.configurations, b)[0])
-            lo[i, b] = box.lo
-            hi[i, b] = box.hi
+    lo = np.stack([np.broadcast_to(grid.cell_lo(cells), (batch, dim)) for cells in own_cells])
+    hi = lo + grid.side
 
     states = np.empty((steps + 1, batch, count, dim))
     mags = np.empty((steps + 1, batch, count))
     contained = np.empty((steps + 1, batch, count), dtype=bool)
 
-    def apply(t, y, log=None):
+    def reference(t, knot=None):
+        # per agent: ref(t) and its frozen-neighbor field, read from the
+        # stored dense output when t is knot ``knot`` of the bank's own grid
+        out = []
+        for i, bank in enumerate(banks):
+            if knot is not None and stored[i]:
+                out.append((bank.dense.states[knot], bank.dense.derivs[knot]))
+            else:
+                ref = bank.dense.at(t)
+                out.append((ref, bank.frozen_field(ref)))
+        return out
+
+    def apply(t, y, refs, log=None):
         u = np.empty_like(y)
         for i in range(count):
             own = y[:, i]
             nbrs = y[:, neighbor_idx[i]]
-            k = banks[i].feedback(t, own, nbrs, starts[i])
-            u[:, i] = evaluators[i](own, nbrs) + k
+            plant = evaluators[i](own, nbrs)
+            k = banks[i].feedback(t, own, nbrs, starts[i], plant=plant, homing=homing[i],
+                                  reference=refs[i][0], reference_field=refs[i][1])
+            u[:, i] = plant + k
             if log is not None:
                 log[:, i] = np.linalg.norm(k, axis=-1)
         return u
@@ -184,28 +228,31 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
     y = x0.copy()
     states[0] = y
     monitor(0, y)
-    k1 = apply(times[0], y, log=mags[0])
+    knot_refs = reference(times[0], 0)
+    k1 = apply(times[0], y, knot_refs, log=mags[0])
     for m in range(steps):
         t = times[m]
-        h = times[m + 1] - t
-        k2 = apply(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = apply(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = apply(t + h, y + h * k3)
+        t_next = times[m + 1]
+        h = t_next - t
+        # the knots start at 0, so h is exact and t + h == t_next: k4 shares
+        # the next knot's reference values
+        half = t + 0.5 * h
+        half_refs = reference(half)
+        knot_refs = reference(t_next, m + 1)
+        k2 = apply(half, y + 0.5 * h * k1, half_refs)
+        k3 = apply(half, y + 0.5 * h * k2, half_refs)
+        k4 = apply(t_next, y + h * k3, knot_refs)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state after t = {times[m + 1]:.6g}")
+            raise IntegrationError(f"non-finite state after t = {t_next:.6g}")
         states[m + 1] = y
         monitor(m + 1, y)
-        k1 = apply(times[m + 1], y, log=mags[m + 1])
+        k1 = apply(t_next, y, knot_refs, log=mags[m + 1])
 
     endpoint_dev = np.empty((batch, count))
     interp_dev = np.empty((batch, count))
-    remain = (1.0 - times / period)[:, None, None]
     for i, bank in enumerate(banks):
-        ref = bank.dense.at(times)                      # (K+1, B_i, n)
-        offset = starts[i] - bank._own_ref              # (B?, n)
-        resid = states[:, :, i, :] - ref - remain * offset
-        interp_dev[:, i] = np.linalg.norm(resid, axis=-1).max(axis=0)
+        interp_dev[:, i] = _interpolation_deviation(bank, times, states[:, :, i, :])
         endpoint_dev[:, i] = np.linalg.norm(states[-1, :, i, :] - bank.endpoint, axis=-1)
 
     trajectory = Trajectory(times=times, states=states, input_magnitudes=mags,
@@ -241,19 +288,11 @@ def check_linear_interpolation(trajectory, controllers) -> np.ndarray:
     offset at every knot.
     """
     banks = [_as_bank(c) for c in controllers]
-    times = trajectory.times
     states = trajectory.states
     if states.ndim != 3:
         raise ValueError("expected a single-run trajectory")
-    period = banks[0].period
-    remain = (1.0 - times / period)[:, None]
-    out = np.empty(len(banks))
-    for i, bank in enumerate(banks):
-        ref = bank.dense.at(times)[:, 0, :]
-        offset = states[0, i] - bank._own_ref[0]
-        resid = states[:, i, :] - ref - remain * offset
-        out[i] = np.linalg.norm(resid, axis=-1).max()
-    return out
+    return np.array([_interpolation_deviation(bank, trajectory.times, states[:, None, i, :])[0]
+                     for i, bank in enumerate(banks)])
 
 
 def check_input_bound(trajectory, params) -> np.ndarray:

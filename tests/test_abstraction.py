@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import gridabs as ga
-from gridabs.abstraction import (EnumerationCap, Transition, Window,
+import gridabs.abstraction as abstraction
+from gridabs.abstraction import (CompositionViolation, EnumerationCap, Transition,
+                                 Window, WellPosednessViolation,
                                  agent_transition, build_transition_system,
                                  certify_window_input_bound, compose_plan,
                                  from_json, to_dot, to_json, verify_transition)
@@ -99,6 +101,53 @@ def test_verify_transition_rejects_tampered_target(ref_model, ref_grid, ref_para
     with pytest.raises(ValueError):
         verify_transition(ref_model, ref_grid, ref_params, tampered, ref_window,
                           trials=10, seed=0, substeps=32)
+
+
+def pushed_endpoints(monkeypatch, moves):
+    """Make the closed loop shift the final state of (run, agent) by a vector."""
+    integrate = abstraction.integrate_closed_loop_batch
+
+    def shifted(*args, **kwargs):
+        trajectory, reports = integrate(*args, **kwargs)
+        for (b, i), delta in moves.items():
+            trajectory.states[-1, b, i] += delta
+        return trajectory, reports
+
+    monkeypatch.setattr(abstraction, "integrate_closed_loop_batch", shifted)
+
+
+def test_verify_transition_reports_the_first_miss(ref_model, ref_grid, ref_params,
+                                                  ref_window, monkeypatch):
+    ts = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
+                                 substeps=16)
+    t = ts.transitions[300]
+    step = np.array([ref_grid.side, 0.0])
+    pushed_endpoints(monkeypatch, {(9, 1): step, (4, 1): -2.0 * step, (2, 0): step})
+    with pytest.raises(WellPosednessViolation, match="trial 4: agent 1") as info:
+        verify_transition(ref_model, ref_grid, ref_params, t, ref_window,
+                          trials=12, seed=3, substeps=16)
+    witness = info.value.witness
+    assert witness["trial"] == 4
+    assert witness["declared"] == t.target
+    assert witness["landed"] == (t.target[0] - 2, t.target[1])
+    assert witness["landed"] == ref_grid.cell_of(witness["endpoint"])
+
+
+def test_compose_plan_reports_the_first_miss(ref_model, ref_grid, ref_params,
+                                             monkeypatch):
+    source = ((0, 0), (1, 0), (0, 1))
+    targets = tuple(agent_transition(ref_model, ref_grid, ref_params,
+                                     project_configuration(ref_model.network, source, i),
+                                     substeps=16)[0] for i in range(3))
+    step = np.array([0.0, ref_grid.side])
+    pushed_endpoints(monkeypatch, {(5, 0): step, (3, 2): step, (3, 1): -step})
+    with pytest.raises(CompositionViolation, match="run 3: agent 1") as info:
+        compose_plan(ref_model, ref_grid, ref_params, source, targets, samples=8,
+                     seed=1, substeps=16)
+    witness = info.value.witness
+    assert (witness["run"], witness["agent"]) == (3, 1)
+    assert witness["landed"] == (targets[1][0], targets[1][1] - 1)
+    assert witness["declared"] == targets[1]
 
 
 def test_compose_plan_lands_all_agents(ref_model, ref_grid, ref_params):

@@ -47,6 +47,18 @@ def test_cell_box_round_trip():
             assert grid.cell_of(p) == z
 
 
+def test_vectorized_cells_match_cell_of_and_cell_box():
+    grid = GridDecomposition(2, 0.3, origin=[0.05, -1.0])
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(-2.0, 2.0, size=(4, 5, 2))
+    idx = grid.cell_indices(pts)
+    assert idx.shape == (4, 5, 2)
+    for p, z in zip(pts.reshape(-1, 2), idx.reshape(-1, 2)):
+        assert grid.cell_of(p) == tuple(int(c) for c in z)
+        np.testing.assert_array_equal(grid.cell_lo(z.astype(int)),
+                                      grid.cell_box(grid.cell_of(p)).lo)
+
+
 def test_box_distance_values():
     lo = np.zeros(2)
     hi = np.ones(2)

@@ -9,6 +9,7 @@ import gridabs as ga
 from gridabs.controller import ControllerBank
 from gridabs.dynamics import project_configuration
 from gridabs.geometry import CellConfiguration
+from gridabs.integrate import DenseTrajectory, rk4_path
 from gridabs.simulate import (InputBoundViolation, check_input_bound,
                               check_linear_interpolation, integrate_closed_loop,
                               integrate_closed_loop_batch)
@@ -64,6 +65,16 @@ def test_initial_state_must_match_declared_cell(joint_setup, ref_model):
         integrate_closed_loop(ref_model, controllers, shifted, substeps=16)
 
 
+def test_start_check_names_the_first_stray_run(joint_setup, ref_model):
+    cells, controllers, x0 = joint_setup
+    batch = np.repeat(x0[None], 4, axis=0)
+    batch[3, 0] += 10.0
+    batch[2, 2] += 10.0
+    batch[2, 1] += 10.0
+    with pytest.raises(ValueError, match=r"run 2: agent 1 starts at"):
+        integrate_closed_loop_batch(ref_model, controllers, batch, substeps=16)
+
+
 def test_neighbor_declarations_must_agree(ref_model, ref_grid, ref_params):
     cells = ((0, 0), (1, 0), (1, 1))
     controllers = make_controllers(ref_model, ref_grid, ref_params, cells)
@@ -113,21 +124,27 @@ def test_input_bound_checker_flags_tight_budget(joint_setup, ref_model, ref_para
     assert 0.0 <= info.value.time <= ref_params.period
 
 
-def test_batch_matches_single_runs(ref_model, ref_grid, ref_params):
-    rng = np.random.default_rng(15)
-    B = 6
+def random_banks(model, grid, params, runs, rng, substeps):
+    """Banks of ``runs`` random joint configurations and starts inside them."""
     cells = [tuple(tuple(int(v) for v in rng.integers(-1, 2, 2)) for _ in range(3))
-             for _ in range(B)]
+             for _ in range(runs)]
     banks = []
     for i in range(3):
-        member_cells = [project_configuration(ref_model.network, cells[b], i).cells
-                        for b in range(B)]
-        refs = np.array([[ref_grid.sample_in_cell(z, rng)[0] for z in mc]
+        member_cells = [project_configuration(model.network, cells[b], i).cells
+                        for b in range(runs)]
+        refs = np.array([[grid.sample_in_cell(z, rng)[0] for z in mc]
                          for mc in member_cells])
-        banks.append(ControllerBank(ref_model, ref_grid, ref_params, i,
-                                    member_cells, refs, substeps=32))
-    x0 = np.stack([np.stack([ref_grid.sample_in_cell(cells[b][i], rng)[0]
-                             for i in range(3)]) for b in range(B)])
+        banks.append(ControllerBank(model, grid, params, i, member_cells, refs,
+                                    substeps=substeps))
+    x0 = np.stack([np.stack([grid.sample_in_cell(cells[b][i], rng)[0]
+                             for i in range(3)]) for b in range(runs)])
+    return banks, x0
+
+
+def test_batch_matches_single_runs(ref_model, ref_grid, ref_params):
+    B = 6
+    banks, x0 = random_banks(ref_model, ref_grid, ref_params, B,
+                             np.random.default_rng(15), 32)
     batched, reports = integrate_closed_loop_batch(ref_model, banks, x0,
                                                    substeps=32)
     assert batched.states.shape == (33, B, 3, 2)
@@ -148,3 +165,77 @@ def test_closed_loop_is_deterministic(joint_setup, ref_model):
     b, _ = integrate_closed_loop(ref_model, controllers, x0, substeps=32)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.input_magnitudes, b.input_magnitudes)
+
+
+def plain_closed_loop(model, banks, x0, substeps):
+    """RK4 states with the full feedback evaluated afresh at every stage."""
+    net = model.network
+    starts = [x0[:, i].copy() for i in range(net.agent_count)]
+
+    def rate(t, y):
+        u = np.empty_like(y)
+        for i, bank in enumerate(banks):
+            own, nbrs = y[:, i], y[:, list(net.neighbors[i])]
+            u[:, i] = (model.evaluator(i)(own, nbrs)
+                       + bank.feedback(t, own, nbrs, starts[i]))
+        return u
+
+    return rk4_path(rate, x0, 0.0, banks[0].period, substeps)[1]
+
+
+@pytest.mark.parametrize("bank_substeps, loop_substeps", [(32, 32), (64, 32)])
+def test_stage_reuse_is_bit_identical(path_network, ref_grid, bank_substeps,
+                                      loop_substeps):
+    # nonlinear at cell scale, so a reference value taken at the wrong time
+    # would move the endpoint far beyond roundoff
+    model = ga.smooth_consensus(path_network, gain=0.001, input_bound=0.02, scale=20.0)
+    params = ga.check_discretization(model, ref_grid.diameter(), 0.02)
+    banks, x0 = random_banks(model, ref_grid, params, 4, np.random.default_rng(21),
+                             bank_substeps)
+    trajectory, reports = integrate_closed_loop_batch(model, banks, x0,
+                                                      substeps=loop_substeps)
+    np.testing.assert_array_equal(trajectory.states,
+                                  plain_closed_loop(model, banks, x0, loop_substeps))
+    assert max(r.endpoint_deviation.max() for r in reports) <= 1e-12
+
+
+def counted(model, calls):
+    """The same model with evaluators that count their calls."""
+    def wrap(evaluate):
+        def counting(own, nbrs):
+            calls["eval"] += 1
+            return evaluate(own, nbrs)
+        return counting
+    return ga.DynamicsModel(model.network, [wrap(e) for e in model.evaluators],
+                            model.feedback_bound, model.neighbor_lipschitz,
+                            model.self_lipschitz, model.input_bound)
+
+
+# per agent: evaluator calls and dense queries per RK4 step, then those of the
+# first knot (k1's three state-dependent evaluations, plus the knot reference
+# when it is not stored)
+@pytest.mark.parametrize("bank_substeps, evals, queries, first_evals, first_queries",
+                         [(32, 13, 1, 3, 0), (64, 14, 2, 4, 1)])
+def test_stage_values_are_evaluated_once(ref_model, ref_grid, ref_params, monkeypatch,
+                                         bank_substeps, evals, queries, first_evals,
+                                         first_queries):
+    """Per agent and RK4 step: 3 feedback-and-plant evaluations at each of the
+    four stages plus the half-step reference field, and one dense query. Off
+    the banks' knot grid the next knot's reference costs one more of each."""
+    steps = 32
+    calls = {"eval": 0, "at": 0}
+    model = counted(ref_model, calls)
+    banks, x0 = random_banks(model, ref_grid, ref_params, 5, np.random.default_rng(4),
+                             bank_substeps)
+    at = DenseTrajectory.at
+
+    def counting_at(self, t):
+        calls["at"] += 1
+        return at(self, t)
+
+    monkeypatch.setattr(DenseTrajectory, "at", counting_at)
+    calls.update(eval=0, at=0)
+    integrate_closed_loop_batch(model, banks, x0, substeps=steps)
+    # the residual check adds one query
+    assert calls["eval"] == 3 * (evals * steps + first_evals)
+    assert calls["at"] == 3 * (queries * steps + first_queries + 1)
