@@ -21,9 +21,9 @@ cells = ((0, 0), (1, 0), (1, 1))
 controllers = []
 for i in range(3):
     cfg = project_configuration(net, cells, i)
-    refs = np.array([grid.sample_in_cell(z, rng)[0] for z in cfg.cells])
-    controllers.append(ga.HybridController(model, grid, params, cfg,
-                                           reference_points=refs, substeps=512))
+    refs = np.array([[grid.sample_in_cell(z, rng)[0] for z in cfg.cells]])
+    controllers.append(ga.ControllerBank(model, grid, params, i, [cfg.cells],
+                                         reference_points=refs, substeps=512))
 
 x0 = np.stack([grid.sample_in_cell(z, rng)[0] for z in cells])
 trajectory, report = ga.integrate_closed_loop(model, controllers, x0,
@@ -32,7 +32,7 @@ trajectory, report = ga.integrate_closed_loop(model, controllers, x0,
 print("agent  start cell  ->  landed cell   (declared successor)")
 for i, c in enumerate(controllers):
     landed = grid.cell_of(trajectory.states[-1, i])
-    print(f"  {i}    {cells[i]}      ->  {landed}        {c.target_cell()}")
+    print(f"  {i}    {cells[i]}      ->  {landed}        {c.target_cells()[0]}")
 
 print("\nendpoint deviation from the reference endpoint, per agent:")
 for i, dev in enumerate(report.endpoint_deviation):

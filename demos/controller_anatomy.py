@@ -18,27 +18,31 @@ params = ga.check_discretization(model, grid.diameter(), 0.02)
 
 # agent 1 sits in the origin cell and sees its neighbors in adjacent cells
 config = ga.CellConfiguration(agent=1, cells=((0, 0), (1, 0), (-1, 1)))
-controller = ga.HybridController(model, grid, params, config, substeps=256)
+# the controller of one configuration is a size-1 bank
+controller = ga.ControllerBank(model, grid, params, config.agent, [config.cells],
+                               substeps=256)
+own_reference = controller.reference_points[0, 0]
 
-print(f"own reference point      = {controller.own_reference}")
-print(f"reference endpoint       = {controller.endpoint}")
-print(f"successor cell           = {controller.target_cell()}\n")
+print(f"own reference point      = {own_reference}")
+print(f"reference endpoint       = {controller.endpoint[0]}")
+print(f"successor cell           = {controller.target_cells()[0]}\n")
 
 rng = np.random.default_rng(1)
 start = grid.sample_in_cell((0, 0), rng)[0]
 print(f"initial state            = {start}")
-print(f"initial offset           = {start - controller.own_reference}\n")
+print(f"initial offset           = {start - own_reference}\n")
 
 # neighbors wander inside their declared cells; sample a frozen instant
 nbr_now = np.stack([grid.sample_in_cell(z, rng)[0]
-                    for z in config.neighbor_cells])
+                    for z in config.neighbor_cells])[None]
 
 print(f"{'t':>8} {'|coupling|':>12} {'|homing|':>12} {'|drift comp|':>14} {'|total|':>10}")
 for t in np.linspace(0.0, params.period, 9):
-    k1 = controller.coupling_cancellation(controller.reference(t), nbr_now)
+    ref = controller.dense.at(t)
+    k1 = controller.coupling_cancellation(ref, nbr_now)
     k2 = controller.offset_homing(start)
     k3 = controller.drift_compensation(t, start)
-    total = controller.feedback(t, controller.reference(t), nbr_now, start)
+    total = controller.feedback(t, ref, nbr_now, start)
     print(f"{t:8.4f} {np.linalg.norm(k1):12.3e} {np.linalg.norm(k2):12.3e} "
           f"{np.linalg.norm(k3):14.3e} {np.linalg.norm(total):10.3e}")
 

@@ -19,8 +19,7 @@ from .admissibility import (DiscretizationParams, FeasibilityError,
                             coupling_constants, diameter_upper_bound,
                             period_lower_bound)
 from .config import ConfigError, RunConfig, load_config
-from .controller import (DEFAULT_SUBSTEPS, ControllerBank, HybridController,
-                         frozen_neighbor_field, sample_feedback_bound,
+from .controller import (DEFAULT_SUBSTEPS, ControllerBank, sample_feedback_bound,
                          sample_inflated_cell)
 from .dynamics import (AgentNetwork, ConstantsViolation, DynamicsModel,
                        ValidationReport, project_configuration,
@@ -52,7 +51,6 @@ __all__ = [
     "EnumerationCap",
     "FeasibilityError",
     "GridDecomposition",
-    "HybridController",
     "InputBoundViolation",
     "IntegrationError",
     "MonitorReport",
@@ -75,7 +73,6 @@ __all__ = [
     "compose_plan",
     "coupling_constants",
     "diameter_upper_bound",
-    "frozen_neighbor_field",
     "from_json",
     "integrate_closed_loop",
     "integrate_closed_loop_batch",

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admissibility import FeasibilityError
-from .controller import (DEFAULT_SUBSTEPS, ControllerBank, HybridController,
-                         sample_feedback_bound)
+from .controller import DEFAULT_SUBSTEPS, ControllerBank, sample_feedback_bound
 from .dynamics import project_configuration
 from .geometry import CellConfiguration, CellIndex
 from .simulate import INPUT_ATOL, MonitorReport, integrate_closed_loop_batch
@@ -157,14 +156,31 @@ def agent_transition(model, grid, params, config: CellConfiguration,
                      reference_points=None, substeps=DEFAULT_SUBSTEPS):
     """Constructive successor cell for one action; returns (target, controller).
 
-    Requires an admissible discretization; the successor is where the
-    controller's reference trajectory ends after one period.
+    The controller is a size-1 ControllerBank. Requires an admissible
+    discretization; the successor is where the controller's reference
+    trajectory ends after one period.
     """
     if not params.admissible:
         raise FeasibilityError(f"discretization is not admissible: {params.reason}")
-    controller = HybridController(model, grid, params, config,
-                                  reference_points=reference_points, substeps=substeps)
-    return controller.target_cell(), controller
+    refs = None if reference_points is None else np.asarray(reference_points, dtype=float)[None]
+    controller = ControllerBank(model, grid, params, config.agent, [config.cells], refs,
+                                substeps)
+    return controller.target_cells()[0], controller
+
+
+def enumerate_configurations(window, degree, cap=MAX_ACTIONS):
+    """Every configuration (own cell plus ``degree`` neighbor cells) over the window.
+
+    Returns a lazy iterator over the |window|^(degree+1) configurations in
+    itertools.product order; raises EnumerationCap when their count exceeds
+    ``cap``.
+    """
+    cells = window.cells()
+    total = len(cells) ** (degree + 1)
+    if total > cap:
+        raise EnumerationCap(f"window of {len(cells)} cells gives {total} configurations "
+                             f"of {degree + 1} cells (cap {cap})")
+    return itertools.product(cells, repeat=degree + 1)
 
 
 def build_transition_system(model, grid, params, agent, window,
@@ -176,13 +192,7 @@ def build_transition_system(model, grid, params, agent, window,
     """
     if not params.admissible:
         raise FeasibilityError(f"discretization is not admissible: {params.reason}")
-    cells = window.cells()
-    m = model.network.degree(agent)
-    total = len(cells) ** (m + 1)
-    if total > max_actions:
-        raise EnumerationCap(f"window of {len(cells)} cells gives {total} actions "
-                             f"for agent {agent} (cap {max_actions})")
-    configs = list(itertools.product(cells, repeat=m + 1))
+    configs = list(enumerate_configurations(window, model.network.degree(agent), max_actions))
     bank = ControllerBank(model, grid, params, agent, configs, substeps=substeps)
     targets = bank.target_cells()
     transitions = tuple(
@@ -225,13 +235,13 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
     count = net.agent_count
     cells = window.cells()
 
-    controller = HybridController(
-        model, grid, params, CellConfiguration(agent=i, cells=transition.action),
-        reference_points=np.asarray(transition.reference_points, dtype=float),
-        substeps=substeps)
-    if controller.target_cell() != transition.target:
+    controller = ControllerBank(model, grid, params, i, [transition.action],
+                                np.asarray(transition.reference_points, dtype=float)[None],
+                                substeps)
+    target = controller.target_cells()[0]
+    if target != transition.target:
         raise ValueError(f"recorded target {transition.target} disagrees with the "
-                         f"rebuilt controller's successor {controller.target_cell()}")
+                         f"rebuilt controller's successor {target}")
 
     # global cell assignment per trial, consistent with the verified action,
     # as integer cells shaped (trials, N, n)
@@ -284,9 +294,16 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
             f"trial {b}: agent {i} landed in {witness['landed']} instead of "
             f"{transition.target}", witness)
 
-    counts, edges = np.histogram(margins, bins=10)
-    ref_margin = min(float((controller.endpoint - box.lo).min()),
-                     float((box.hi - controller.endpoint).min()))
+    try:
+        counts, edges = np.histogram(margins, bins=10)
+    except ValueError:
+        # the margins agree to a few ulps, too close for ten distinct bin
+        # edges; keep the ten bins, some of them empty and zero-width
+        edges = np.linspace(margins.min(), margins.max(), 11)
+        counts = np.bincount(np.searchsorted(edges[1:-1], margins, side="right"),
+                             minlength=10)
+    endpoint = controller.endpoint[0]
+    ref_margin = min(float((endpoint - box.lo).min()), float((box.hi - endpoint).min()))
     return TransitionCheck(trials=trials,
                            min_margin=float(margins.min()),
                            max_margin=float(margins.max()),
@@ -317,10 +334,11 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
     controllers = []
     for i in range(count):
         config = project_configuration(net, source_cells, i)
-        controller = HybridController(model, grid, params, config, substeps=substeps)
-        if controller.target_cell() != target_cells[i]:
+        controller = ControllerBank(model, grid, params, i, [config.cells], None, substeps)
+        target = controller.target_cells()[0]
+        if target != target_cells[i]:
             raise ValueError(f"agent {i}: declared target {target_cells[i]} is not the "
-                             f"constructive successor {controller.target_cell()}")
+                             f"constructive successor {target}")
         controllers.append(controller)
 
     rng = np.random.default_rng(seed)
@@ -379,26 +397,20 @@ def certify_window_input_bound(model, grid, params, agent, window, samples=10000
     rng = np.random.default_rng(seed)
     m = model.network.degree(agent)
     n = model.network.dimension
-    cells = window.cells()
-    total = len(cells) ** (m + 1)
-    if total > MAX_ACTIONS:
-        raise EnumerationCap(f"window of {len(cells)} cells gives {total} "
-                             f"configurations for agent {agent} (cap {MAX_ACTIONS})")
+    configs = enumerate_configurations(window, m)
 
     best = -1.0
     worst_cfg = None
     worst_witness = None
     violations = []
     checked = 0
-    for cfg in itertools.product(cells, repeat=m + 1):
+    for cfg in configs:
         refs = None
         if reference_policy == "random":
-            refs = np.empty((m + 1, n))
+            refs = np.empty((1, m + 1, n))
             for k, z in enumerate(cfg):
-                refs[k] = grid.sample_in_cell(z, rng, 1)[0]
-        controller = HybridController(model, grid, params,
-                                      CellConfiguration(agent=agent, cells=cfg),
-                                      reference_points=refs, substeps=substeps)
+                refs[0, k] = grid.sample_in_cell(z, rng, 1)[0]
+        controller = ControllerBank(model, grid, params, agent, [cfg], refs, substeps)
         magnitude, witness = sample_feedback_bound(
             controller, samples=samples, seed=int(rng.integers(2**31)))
         checked += 1

@@ -27,7 +27,7 @@ from .abstraction import (CompositionViolation, EnumerationCap, WellPosednessVio
 from .admissibility import (FeasibilityError, admissible_period_interval,
                             coupling_constants, diameter_upper_bound)
 from .config import ConfigError, load_config
-from .controller import HybridController
+from .controller import ControllerBank
 from .dynamics import ConstantsViolation, project_configuration, validate_constants
 from .geometry import CellConfiguration
 from .simulate import InputBoundViolation, integrate_closed_loop
@@ -166,11 +166,12 @@ def cmd_simulate(cfg, args) -> int:
     controllers = []
     for i in range(count):
         config = project_configuration(cfg.network, source_cells, i)
-        controller = HybridController(cfg.model, cfg.grid, params, config,
-                                      substeps=cfg.substeps)
-        if controller.target_cell() != targets[i]:
+        controller = ControllerBank(cfg.model, cfg.grid, params, i, [config.cells],
+                                    substeps=cfg.substeps)
+        target = controller.target_cells()[0]
+        if target != targets[i]:
             raise ConfigError(f"agent {i}: declared target {targets[i]} is not the "
-                              f"constructive successor {controller.target_cell()}")
+                              f"constructive successor {target}")
         controllers.append(controller)
 
     trajectory, report = integrate_closed_loop(cfg.model, controllers, initial,
@@ -210,23 +211,24 @@ def cmd_controller_dump(cfg, args) -> int:
     block = cfg.controller_dump
     agent = block["agent"]
     config = CellConfiguration(agent=agent, cells=tuple(block["cells"]))
-    controller = HybridController(cfg.model, cfg.grid, params, config,
-                                  substeps=cfg.substeps)
+    controller = ControllerBank(cfg.model, cfg.grid, params, agent, [config.cells],
+                                substeps=cfg.substeps)
+    own_reference = controller.reference_points[0, 0]
     start = block["initial"]
     if start is None:
-        start = controller.own_reference
+        start = own_reference
     elif cfg.grid.cell_of(start) != config.own:
         raise ConfigError(f"controller_dump.initial lies in cell "
                           f"{cfg.grid.cell_of(start)}, not the declared {config.own}")
 
-    homing = controller.offset_homing(start)
-    offset = float(np.linalg.norm(start - controller.own_reference))
+    homing = controller.offset_homing(start)[0]
+    offset = float(np.linalg.norm(start - own_reference))
     n = cfg.network.dimension
     header = (["t"] + [f"ref_{d}" for d in range(n)]
               + [f"homing_{d}" for d in range(n)] + ["drift_bound"])
     rows = [",".join(header)]
-    times = controller.knots
-    refs = controller.reference(times)
+    times = controller.dense.times
+    refs = controller.dense.at(times)[:, 0]
     for k, t in enumerate(times):
         drift_bound = cfg.model.self_lipschitz * (1.0 - t / params.period) * offset
         rows.append(",".join([_fmt(t)] + [_fmt(v) for v in refs[k]]

@@ -24,7 +24,7 @@ import functools
 
 import numpy as np
 
-from .geometry import CellConfiguration, box_distance
+from .geometry import box_distance
 from .integrate import DenseTrajectory, rk4_path
 
 _TINY = np.finfo(float).tiny
@@ -32,28 +32,11 @@ _TINY = np.finfo(float).tiny
 DEFAULT_SUBSTEPS = 256
 
 
-def frozen_neighbor_field(model, agent, neighbor_points):
-    """The agent's field with neighbors frozen at the given points.
-
-    Returns a callable y -> f_agent(y, frozen neighbors) that broadcasts over
-    leading axes of y.
-    """
-    evaluate = model.evaluator(agent)
-    frozen = np.asarray(neighbor_points, dtype=float)
-    m = model.network.degree(agent)
-    if frozen.shape != (m, model.network.dimension):
-        raise ValueError(f"expected {m} neighbor points of dimension "
-                         f"{model.network.dimension}, got shape {frozen.shape}")
-
-    def field(y):
-        return evaluate(y, frozen)
-
-    return field
-
-
 class ControllerBank:
     """Controllers for one agent over a stack of cell configurations.
 
+    This is the package's one controller type: the controller of a single
+    configuration is a bank of size 1, built from ``[config.cells]``.
     All members share the network, grid, and period; reference points and the
     cached reference trajectories are stacked along a leading batch axis so
     construction and feedback evaluation vectorize. A bank of size 1
@@ -169,7 +152,7 @@ class ControllerBank:
         return -(shifted - reference_field)
 
     def feedback(self, t, own, neighbor_states, own_start, plant=None, homing=None,
-                 reference=None, reference_field=None):
+                 drift=None):
         """Full feedback at time ``t``; batched over the leading axis.
 
         ``t`` is a scalar during integration; a vector of per-sample times is
@@ -177,119 +160,17 @@ class ControllerBank:
         are summed. A caller that already holds some stage values passes them
         instead of having them recomputed, and gets the same result bit for
         bit: ``plant`` is f(own, neighbor_states), ``homing`` is
-        ``offset_homing(own_start)``, and ``reference``/``reference_field``
-        are ref(t) and f(ref(t), frozen neighbors).
+        ``offset_homing(own_start)``, and ``drift`` is
+        ``drift_compensation(t, own_start)``, which depends on the state only
+        through the start and so is shared by RK4 stages at the same time.
         """
         return (self.coupling_cancellation(own, neighbor_states, plant)
                 + (self.offset_homing(own_start) if homing is None else homing)
-                + self.drift_compensation(t, own_start, reference, reference_field))
+                + (self.drift_compensation(t, own_start) if drift is None else drift))
 
     def target_cells(self):
         """Cell of each member's reference endpoint."""
         return tuple(self.grid.cell_of(p) for p in self.endpoint)
-
-
-class HybridController:
-    """Feedback for a single agent and a single cell configuration.
-
-    Thin single-member view of :class:`ControllerBank`; query times must lie
-    in [0, period] for ``reference`` and are clamped above the period for the
-    feedback terms.
-    """
-
-    def __init__(self, model, grid, params, config: CellConfiguration,
-                 reference_points=None, substeps=DEFAULT_SUBSTEPS):
-        if not isinstance(config, CellConfiguration):
-            raise TypeError("config must be a CellConfiguration")
-        refs = None
-        if reference_points is not None:
-            refs = np.asarray(reference_points, dtype=float)[None]
-        self._bank = ControllerBank(model, grid, params, config.agent, [config.cells],
-                                    refs, substeps)
-        self.config = config
-
-    @property
-    def model(self):
-        return self._bank.model
-
-    @property
-    def grid(self):
-        return self._bank.grid
-
-    @property
-    def params(self):
-        return self._bank.params
-
-    @property
-    def agent(self) -> int:
-        return self._bank.agent
-
-    @property
-    def substeps(self) -> int:
-        return self._bank.substeps
-
-    @property
-    def period(self) -> float:
-        return self._bank.period
-
-    @property
-    def reference_points(self) -> np.ndarray:
-        """One point per configuration cell, shape (m+1, n)."""
-        return self._bank.reference_points[0]
-
-    @property
-    def own_reference(self) -> np.ndarray:
-        return self._bank._own_ref[0]
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        """Reference trajectory endpoint after one period."""
-        return self._bank.endpoint[0]
-
-    @property
-    def knots(self) -> np.ndarray:
-        """Integration grid of the stored reference trajectory."""
-        return self._bank.dense.times
-
-    def reference(self, t):
-        """Reference trajectory at time(s) ``t`` in [0, period]."""
-        out = self._bank.dense.at(t)
-        return out[0] if np.ndim(t) == 0 else out[:, 0, :]
-
-    def reference_field(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return self._bank.frozen_field(y[None])[0]
-        return self._bank.frozen_field(y)
-
-    def coupling_cancellation(self, x, neighbor_states):
-        x = np.asarray(x, dtype=float)
-        neighbor_states = np.asarray(neighbor_states, dtype=float)
-        return self._bank.coupling_cancellation(x[None], neighbor_states[None])[0]
-
-    def offset_homing(self, own_start):
-        return self._bank.offset_homing(np.asarray(own_start, dtype=float)[None])[0]
-
-    def drift_compensation(self, t, own_start):
-        return self._bank.drift_compensation(float(t),
-                                             np.asarray(own_start, dtype=float)[None])[0]
-
-    def feedback(self, t, x, neighbor_states, own_start):
-        x = np.asarray(x, dtype=float)
-        neighbor_states = np.asarray(neighbor_states, dtype=float)
-        own_start = np.asarray(own_start, dtype=float)
-        return self._bank.feedback(float(t), x[None], neighbor_states[None], own_start[None])[0]
-
-    def feedback_many(self, t, x, neighbor_states, own_start):
-        """Vectorized feedback over per-sample times and states."""
-        return self._bank.feedback(np.asarray(t, dtype=float),
-                                   np.asarray(x, dtype=float),
-                                   np.asarray(neighbor_states, dtype=float),
-                                   np.asarray(own_start, dtype=float))
-
-    def target_cell(self):
-        """Cell reached by the reference trajectory after one period."""
-        return self.grid.cell_of(self.endpoint)
 
 
 def sample_inflated_cell(grid, cell, radius, count, rng):
@@ -330,18 +211,21 @@ def sample_inflated_cell(grid, cell, radius, count, rng):
     return out
 
 
-def sample_feedback_bound(controller, samples=10000, seed=0):
-    """Sampled maximum of |feedback| over the controller's operating region.
+def sample_feedback_bound(bank, samples=10000, seed=0):
+    """Sampled maximum of |feedback| over a size-1 bank's operating region.
 
     The region is: own state in the own cell inflated by the reach radius,
     each neighbor in its cell inflated likewise, the initial state anywhere
     in the own cell (corners included), and time in [0, period]. Returns
     (max magnitude, witness dict at the argmax).
     """
+    if bank.size != 1:
+        raise ValueError(f"the feedback bound samples one configuration; "
+                         f"got a bank of size {bank.size}")
     rng = np.random.default_rng(seed)
-    grid = controller.grid
-    params = controller.params
-    cells = controller.config.cells
+    grid = bank.grid
+    params = bank.params
+    cells = bank.configurations[0]
     n = grid.dimension
     m = len(cells) - 1
     reach = params.reach_radius
@@ -361,7 +245,7 @@ def sample_feedback_bound(controller, samples=10000, seed=0):
     t[:tenth] = 0.0
     t[tenth:2 * tenth] = params.period
 
-    k = controller.feedback_many(t, x, nbrs, starts)
+    k = bank.feedback(t, x, nbrs, starts)
     mags = np.linalg.norm(k, axis=-1)
     top = int(np.argmax(mags))
     witness = {"time": float(t[top]), "state": x[top], "neighbors": nbrs[top],

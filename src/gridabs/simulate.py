@@ -7,14 +7,15 @@ and whether it still lies in its declared cell inflated by the reach radius.
 
 The integration is fixed-step classical RK4: identical inputs and substep
 counts give bit-identical trajectories. Each RK4 step has two distinct stage
-times, the half step and the next knot, so every agent's reference ref(t) and
-its frozen-neighbor field are computed once per distinct time: the half-step
-pair by one dense query, and the knot pair read from the stored dense output
-when the loop runs on the controllers' own knot grid (computed once per knot
-otherwise). The plant field f(own, neighbors) is evaluated once per stage and
-serves both the dynamics and the coupling cancellation, and the offset homing
-once per run. The results are bit-identical to evaluating the full feedback
-afresh at every stage.
+times, the half step and the next knot, so every agent's reference ref(t),
+its frozen-neighbor field and the drift compensation built from them are
+computed once per distinct time: the half-step pair by one dense query, and
+the knot pair read from the stored dense output when the loop runs on the
+controllers' own knot grid (computed once per knot otherwise). The plant
+field f(own, neighbors) is evaluated once per stage and serves both the
+dynamics and the coupling cancellation, and the offset homing once per run.
+The results are bit-identical to evaluating the full feedback afresh at
+every stage.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import ControllerBank, HybridController, DEFAULT_SUBSTEPS
+from .controller import ControllerBank, DEFAULT_SUBSTEPS
 from .geometry import box_distance, DISTANCE_ATOL
 
 # Slack on the input-magnitude certificate |k| <= input_bound.
@@ -87,14 +88,6 @@ class MonitorReport:
         )
 
 
-def _as_bank(controller) -> ControllerBank:
-    if isinstance(controller, HybridController):
-        return controller._bank
-    if isinstance(controller, ControllerBank):
-        return controller
-    raise TypeError(f"expected a controller, got {type(controller).__name__}")
-
-
 def _member(values, b):
     # bank arrays are stacked (B_i, ...); size-1 banks broadcast
     return values[b if len(values) > 1 else 0]
@@ -111,6 +104,9 @@ def _check_setup(model, banks, batch):
     if len(banks) != net.agent_count:
         raise ValueError(f"need one controller per agent ({net.agent_count}), "
                          f"got {len(banks)}")
+    for bank in banks:
+        if not isinstance(bank, ControllerBank):
+            raise TypeError(f"expected a ControllerBank, got {type(bank).__name__}")
     grid = banks[0].grid
     period = banks[0].period
     for i, bank in enumerate(banks):
@@ -155,9 +151,9 @@ def _interpolation_deviation(bank, times, own_states):
 def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEPS):
     """Integrate a batch of joint runs; x0 has shape (B, N, n).
 
-    All runs share the controllers (banks of size 1 broadcast; banks of size
-    B give run ``b`` its member ``b``). Returns a batched Trajectory and one
-    MonitorReport per run.
+    ``controllers`` holds one ControllerBank per agent, shared by all runs
+    (banks of size 1 broadcast; banks of size B give run ``b`` its member
+    ``b``). Returns a batched Trajectory and one MonitorReport per run.
     """
     x0 = np.asarray(x0, dtype=float)
     net = model.network
@@ -167,7 +163,7 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial states have non-finite entries")
     batch = x0.shape[0]
-    banks = [_as_bank(c) for c in controllers]
+    banks = list(controllers)
     grid, period = _check_setup(model, banks, batch)
 
     own_cells = [bank.cell_array[:, 0] for bank in banks]
@@ -195,26 +191,28 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
     mags = np.empty((steps + 1, batch, count))
     contained = np.empty((steps + 1, batch, count), dtype=bool)
 
-    def reference(t, knot=None):
-        # per agent: ref(t) and its frozen-neighbor field, read from the
-        # stored dense output when t is knot ``knot`` of the bank's own grid
+    def drifts(t, knot=None):
+        # per agent: the drift compensation at t from ref(t) and its
+        # frozen-neighbor field, read from the stored dense output when t is
+        # knot ``knot`` of the bank's own grid
         out = []
         for i, bank in enumerate(banks):
             if knot is not None and stored[i]:
-                out.append((bank.dense.states[knot], bank.dense.derivs[knot]))
+                ref, field = bank.dense.states[knot], bank.dense.derivs[knot]
             else:
                 ref = bank.dense.at(t)
-                out.append((ref, bank.frozen_field(ref)))
+                field = bank.frozen_field(ref)
+            out.append(bank.drift_compensation(t, starts[i], ref, field))
         return out
 
-    def apply(t, y, refs, log=None):
+    def apply(t, y, drift, log=None):
         u = np.empty_like(y)
         for i in range(count):
             own = y[:, i]
             nbrs = y[:, neighbor_idx[i]]
             plant = evaluators[i](own, nbrs)
             k = banks[i].feedback(t, own, nbrs, starts[i], plant=plant, homing=homing[i],
-                                  reference=refs[i][0], reference_field=refs[i][1])
+                                  drift=drift[i])
             u[:, i] = plant + k
             if log is not None:
                 log[:, i] = np.linalg.norm(k, axis=-1)
@@ -228,26 +226,26 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
     y = x0.copy()
     states[0] = y
     monitor(0, y)
-    knot_refs = reference(times[0], 0)
-    k1 = apply(times[0], y, knot_refs, log=mags[0])
+    knot_drift = drifts(times[0], 0)
+    k1 = apply(times[0], y, knot_drift, log=mags[0])
     for m in range(steps):
         t = times[m]
         t_next = times[m + 1]
         h = t_next - t
         # the knots start at 0, so h is exact and t + h == t_next: k4 shares
-        # the next knot's reference values
+        # the next knot's drift
         half = t + 0.5 * h
-        half_refs = reference(half)
-        knot_refs = reference(t_next, m + 1)
-        k2 = apply(half, y + 0.5 * h * k1, half_refs)
-        k3 = apply(half, y + 0.5 * h * k2, half_refs)
-        k4 = apply(t_next, y + h * k3, knot_refs)
+        half_drift = drifts(half)
+        knot_drift = drifts(t_next, m + 1)
+        k2 = apply(half, y + 0.5 * h * k1, half_drift)
+        k3 = apply(half, y + 0.5 * h * k2, half_drift)
+        k4 = apply(t_next, y + h * k3, knot_drift)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise IntegrationError(f"non-finite state after t = {t_next:.6g}")
         states[m + 1] = y
         monitor(m + 1, y)
-        k1 = apply(t_next, y, knot_refs, log=mags[m + 1])
+        k1 = apply(t_next, y, knot_drift, log=mags[m + 1])
 
     endpoint_dev = np.empty((batch, count))
     interp_dev = np.empty((batch, count))
@@ -287,12 +285,11 @@ def check_linear_interpolation(trajectory, controllers) -> np.ndarray:
     reference trajectory plus the linearly vanishing share of the initial
     offset at every knot.
     """
-    banks = [_as_bank(c) for c in controllers]
     states = trajectory.states
     if states.ndim != 3:
         raise ValueError("expected a single-run trajectory")
     return np.array([_interpolation_deviation(bank, trajectory.times, states[:, None, i, :])[0]
-                     for i, bank in enumerate(banks)])
+                     for i, bank in enumerate(controllers)])
 
 
 def check_input_bound(trajectory, params) -> np.ndarray:

@@ -11,6 +11,7 @@ from gridabs.abstraction import (CompositionViolation, EnumerationCap, Transitio
                                  Window, WellPosednessViolation,
                                  agent_transition, build_transition_system,
                                  certify_window_input_bound, compose_plan,
+                                 enumerate_configurations,
                                  from_json, to_dot, to_json, verify_transition)
 from gridabs.admissibility import FeasibilityError
 from gridabs.dynamics import project_configuration
@@ -33,8 +34,8 @@ def test_agent_transition_is_the_reference_endpoint(ref_model, ref_grid, ref_par
     config = CellConfiguration(agent=1, cells=((0, 0), (1, 1), (-1, 0)))
     target, controller = agent_transition(ref_model, ref_grid, ref_params, config,
                                           substeps=32)
-    assert target == ref_grid.cell_of(controller.endpoint)
-    assert controller.config is config
+    assert target == ref_grid.cell_of(controller.endpoint[0])
+    assert controller.agent == config.agent and controller.configurations == (config.cells,)
 
 
 def test_agent_transition_needs_admissible_params(ref_model, ref_grid):
@@ -76,6 +77,9 @@ def test_enumeration_cap(ref_model, ref_grid, ref_params, ref_window):
     with pytest.raises(EnumerationCap):
         build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
                                 substeps=16, max_actions=100)
+    assert len(list(enumerate_configurations(ref_window, 1, cap=81))) == 81
+    with pytest.raises(EnumerationCap):
+        enumerate_configurations(ref_window, 1, cap=80)
 
 
 def test_verify_transition_accepts_constructed_one(ref_model, ref_grid, ref_params,
@@ -89,6 +93,22 @@ def test_verify_transition_accepts_constructed_one(ref_model, ref_grid, ref_para
     assert check.min_margin > 0.0
     assert check.min_margin <= check.max_margin
     assert sum(check.histogram_counts) == check.trials
+
+
+def test_verify_transition_histogram_of_near_equal_margins(ref_model, ref_grid, ref_params,
+                                                          ref_window):
+    # every trial lands on the reference endpoint, so the margins agree to a
+    # few ulps: too narrow a range for numpy to cut ten distinct bins
+    ts = build_transition_system(ref_model, ref_grid, ref_params, 0, ref_window,
+                                 substeps=64)
+    check = verify_transition(ref_model, ref_grid, ref_params, ts.transitions[17],
+                              ref_window, trials=100, seed=17, substeps=64)
+    edges = np.array(check.histogram_edges)
+    assert sum(check.histogram_counts) == check.trials == 100
+    assert len(check.histogram_counts) == 10 and len(edges) == 11
+    assert np.all(np.diff(edges) >= 0.0)
+    assert edges[0] == check.min_margin
+    assert edges[-1] >= check.max_margin
 
 
 def test_verify_transition_rejects_tampered_target(ref_model, ref_grid, ref_params,

@@ -1,0 +1,21 @@
+"""Every demo script runs to completion."""
+
+import contextlib
+import io
+import pathlib
+import runpy
+import tempfile
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, tmp_path, monkeypatch):
+    # build_abstraction.py exports into a mkdtemp directory
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    assert out.getvalue()

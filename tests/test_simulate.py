@@ -21,9 +21,9 @@ def make_controllers(model, grid, params, cells, rng=None, substeps=64):
         cfg = project_configuration(model.network, cells, i)
         refs = None
         if rng is not None:
-            refs = np.array([grid.sample_in_cell(z, rng)[0] for z in cfg.cells])
-        out.append(ga.HybridController(model, grid, params, cfg,
-                                       reference_points=refs, substeps=substeps))
+            refs = np.array([[grid.sample_in_cell(z, rng)[0] for z in cfg.cells]])
+        out.append(ControllerBank(model, grid, params, cfg.agent, [cfg.cells],
+                                  reference_points=refs, substeps=substeps))
     return out
 
 
@@ -41,8 +41,8 @@ def test_endpoints_match_reference(joint_setup, ref_model, ref_grid):
     trajectory, report = integrate_closed_loop(ref_model, controllers, x0,
                                                substeps=64)
     for i, c in enumerate(controllers):
-        np.testing.assert_allclose(trajectory.states[-1, i], c.endpoint, atol=1e-12)
-        assert ref_grid.cell_of(trajectory.states[-1, i]) == c.target_cell()
+        np.testing.assert_allclose(trajectory.states[-1, i], c.endpoint[0], atol=1e-12)
+        assert ref_grid.cell_of(trajectory.states[-1, i]) == c.target_cells()[0]
     assert max(report.endpoint_deviation) <= 1e-12
     assert max(report.interpolation_deviation) <= 1e-12
     assert all(report.containment_ok)
@@ -80,11 +80,18 @@ def test_neighbor_declarations_must_agree(ref_model, ref_grid, ref_params):
     controllers = make_controllers(ref_model, ref_grid, ref_params, cells)
     # agent 0 declares a neighbor cell that agent 1 does not occupy
     wrong = CellConfiguration(agent=0, cells=((0, 0), (-1, -1)))
-    controllers[0] = ga.HybridController(ref_model, ref_grid, ref_params, wrong,
-                                         substeps=64)
+    controllers[0] = ControllerBank(ref_model, ref_grid, ref_params, wrong.agent,
+                                    [wrong.cells], substeps=64)
     rng = np.random.default_rng(8)
     x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
     with pytest.raises(ValueError):
+        integrate_closed_loop(ref_model, controllers, x0, substeps=16)
+
+
+def test_controllers_must_be_banks(joint_setup, ref_model):
+    cells, controllers, x0 = joint_setup
+    controllers[1] = object()
+    with pytest.raises(TypeError):
         integrate_closed_loop(ref_model, controllers, x0, substeps=16)
 
 
@@ -93,8 +100,8 @@ def test_controllers_must_share_the_period(ref_model, ref_grid, ref_params):
     controllers = make_controllers(ref_model, ref_grid, ref_params, cells)
     other = dataclasses.replace(ref_params, period=0.025)
     cfg = project_configuration(ref_model.network, cells, 2)
-    controllers[2] = ga.HybridController(ref_model, ref_grid, other, cfg,
-                                         substeps=64)
+    controllers[2] = ControllerBank(ref_model, ref_grid, other, cfg.agent, [cfg.cells],
+                                    substeps=64)
     rng = np.random.default_rng(8)
     x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
     with pytest.raises(ValueError):
@@ -150,10 +157,9 @@ def test_batch_matches_single_runs(ref_model, ref_grid, ref_params):
     assert batched.states.shape == (33, B, 3, 2)
     assert len(reports) == B
     for b in range(B):
-        singles = [ga.HybridController(
-            ref_model, ref_grid, ref_params,
-            CellConfiguration(i, tuple(banks[i].configurations[b])),
-            reference_points=banks[i].reference_points[b], substeps=32)
+        singles = [ControllerBank(
+            ref_model, ref_grid, ref_params, i, [banks[i].configurations[b]],
+            reference_points=banks[i].reference_points[b][None], substeps=32)
             for i in range(3)]
         single, _ = integrate_closed_loop(ref_model, singles, x0[b], substeps=32)
         np.testing.assert_allclose(batched.states[:, b], single.states, atol=1e-14)
@@ -215,13 +221,14 @@ def counted(model, calls):
 # first knot (k1's three state-dependent evaluations, plus the knot reference
 # when it is not stored)
 @pytest.mark.parametrize("bank_substeps, evals, queries, first_evals, first_queries",
-                         [(32, 13, 1, 3, 0), (64, 14, 2, 4, 1)])
+                         [(32, 11, 1, 3, 0), (64, 12, 2, 4, 1)])
 def test_stage_values_are_evaluated_once(ref_model, ref_grid, ref_params, monkeypatch,
                                          bank_substeps, evals, queries, first_evals,
                                          first_queries):
-    """Per agent and RK4 step: 3 feedback-and-plant evaluations at each of the
-    four stages plus the half-step reference field, and one dense query. Off
-    the banks' knot grid the next knot's reference costs one more of each."""
+    """Per agent and RK4 step: the plant and the coupling cancellation at each
+    of the four stages, the half-step reference field and the drift at both
+    distinct stage times, and one dense query. Off the banks' knot grid the
+    next knot's reference costs one more of each."""
     steps = 32
     calls = {"eval": 0, "at": 0}
     model = counted(ref_model, calls)
