@@ -6,8 +6,6 @@ always clears d/(M + v), which is exactly what makes the reach radius of one
 period cover the cell.
 """
 
-import numpy as np
-
 import gridabs as ga
 
 net = ga.AgentNetwork.from_edges(2, 3, [(0, 1), (1, 2)])

@@ -312,15 +312,34 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
                            marginal=ref_margin < MARGINAL_REL * grid.side)
 
 
+def plan_controllers(model, grid, params, source_cells, target_cells,
+                     substeps=DEFAULT_SUBSTEPS):
+    """Size-1 ControllerBanks for one synchronous step of a global cell plan.
+
+    Agent ``i`` gets the bank of the configuration projected from
+    ``source_cells``; its successor cell must equal ``target_cells[i]``,
+    else ValueError.
+    """
+    controllers = []
+    for i in range(model.network.agent_count):
+        config = project_configuration(model.network, source_cells, i)
+        controller = ControllerBank(model, grid, params, i, [config.cells], None, substeps)
+        target = controller.target_cells()[0]
+        if target != target_cells[i]:
+            raise ValueError(f"agent {i}: declared target {target_cells[i]} is not the "
+                             f"constructive successor {target}")
+        controllers.append(controller)
+    return controllers
+
+
 def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
                  seed=0, substeps=DEFAULT_SUBSTEPS):
     """Controllers realizing one synchronous step of a global cell plan.
 
-    Every agent gets its constructive controller for the projected
-    configuration; each declared target must equal that controller's
-    successor cell. The joint closed loop is then sampled from uniform
-    initial states in the source cells; every agent must land in its target
-    simultaneously. Returns (controllers, worst-case MonitorReport).
+    The controllers come from `plan_controllers`. The joint closed loop is
+    then sampled from uniform initial states in the source cells; every agent
+    must land in its target simultaneously. Returns (controllers, worst-case
+    MonitorReport).
     """
     if not params.admissible:
         raise FeasibilityError(f"discretization is not admissible: {params.reason}")
@@ -331,16 +350,7 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
     if len(source_cells) != count or len(target_cells) != count:
         raise ValueError(f"need {count} source and target cells")
 
-    controllers = []
-    for i in range(count):
-        config = project_configuration(net, source_cells, i)
-        controller = ControllerBank(model, grid, params, i, [config.cells], None, substeps)
-        target = controller.target_cells()[0]
-        if target != target_cells[i]:
-            raise ValueError(f"agent {i}: declared target {target_cells[i]} is not the "
-                             f"constructive successor {target}")
-        controllers.append(controller)
-
+    controllers = plan_controllers(model, grid, params, source_cells, target_cells, substeps)
     rng = np.random.default_rng(seed)
     x0 = np.empty((samples, count, net.dimension))
     for i in range(count):

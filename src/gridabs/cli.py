@@ -23,12 +23,13 @@ import sys
 import numpy as np
 
 from .abstraction import (CompositionViolation, EnumerationCap, WellPosednessViolation,
-                          build_transition_system, to_dot, to_json, verify_transition)
+                          build_transition_system, plan_controllers, to_dot, to_json,
+                          verify_transition)
 from .admissibility import (FeasibilityError, admissible_period_interval,
                             coupling_constants, diameter_upper_bound)
 from .config import ConfigError, load_config
 from .controller import ControllerBank
-from .dynamics import ConstantsViolation, project_configuration, validate_constants
+from .dynamics import ConstantsViolation, validate_constants
 from .geometry import CellConfiguration
 from .simulate import InputBoundViolation, integrate_closed_loop
 
@@ -163,17 +164,8 @@ def cmd_simulate(cfg, args) -> int:
     count = cfg.network.agent_count
 
     source_cells = tuple(cfg.grid.cell_of(initial[i]) for i in range(count))
-    controllers = []
-    for i in range(count):
-        config = project_configuration(cfg.network, source_cells, i)
-        controller = ControllerBank(cfg.model, cfg.grid, params, i, [config.cells],
-                                    substeps=cfg.substeps)
-        target = controller.target_cells()[0]
-        if target != targets[i]:
-            raise ConfigError(f"agent {i}: declared target {targets[i]} is not the "
-                              f"constructive successor {target}")
-        controllers.append(controller)
-
+    controllers = plan_controllers(cfg.model, cfg.grid, params, source_cells, targets,
+                                   cfg.substeps)
     trajectory, report = integrate_closed_loop(cfg.model, controllers, initial,
                                                substeps=cfg.substeps)
     out = _out_dir(args)

@@ -106,9 +106,6 @@ class ControllerBank:
     def endpoint(self) -> np.ndarray:
         return self.dense.endpoint
 
-    def own_cells(self):
-        return tuple(cfg[0] for cfg in self.configurations)
-
     def frozen_field(self, y):
         """Field with neighbors frozen at their reference points; batched."""
         return self._evaluate(y, self._nbr_ref)

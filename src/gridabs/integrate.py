@@ -13,6 +13,27 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def rk4_steps(field, y0, times):
+    """Classical RK4 for dy/dt = field(t, y) through the knots ``times``.
+
+    Yields (y, dy) at every knot, starting with (y0, field(times[0], y0)).
+    ``dy`` is the last ``field`` call before each yield, so a field that
+    keeps what it computed holds the values at the yielded knot. This is the
+    package's one RK4 loop.
+    """
+    y = np.asarray(y0, dtype=float)
+    dy = field(times[0], y)
+    yield y, dy
+    for t, t_next in zip(times[:-1], times[1:]):
+        h = t_next - t
+        k2 = field(t + 0.5 * h, y + 0.5 * h * dy)
+        k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = field(t + h, y + h * k3)
+        y = y + (h / 6.0) * (dy + 2.0 * k2 + 2.0 * k3 + k4)
+        dy = field(t_next, y)
+        yield y, dy
+
+
 def rk4_path(field, y0, t0, t1, steps):
     """Integrate dy/dt = field(t, y) on [t0, t1] with ``steps`` uniform RK4 steps.
 
@@ -22,22 +43,12 @@ def rk4_path(field, y0, t0, t1, steps):
     steps = int(steps)
     if steps < 1:
         raise ValueError("need at least one step")
-    y = np.asarray(y0, dtype=float)
     times = np.linspace(float(t0), float(t1), steps + 1)
-    states = np.empty((steps + 1,) + y.shape)
+    states = np.empty((steps + 1,) + np.shape(y0))
     derivs = np.empty_like(states)
-    states[0] = y
-    derivs[0] = field(times[0], y)
-    for m in range(steps):
-        t = times[m]
-        h = times[m + 1] - t
-        y = states[m]
-        k1 = derivs[m]
-        k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = field(t + h, y + h * k3)
-        states[m + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        derivs[m + 1] = field(times[m + 1], states[m + 1])
+    for m, (y, dy) in enumerate(rk4_steps(field, y0, times)):
+        states[m] = y
+        derivs[m] = dy
     return times, states, derivs
 
 

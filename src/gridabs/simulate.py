@@ -5,17 +5,17 @@ the true coupled dynamics (feedback term plus controller) on a fixed uniform
 substep grid and logs, at every knot, each agent's applied input magnitude
 and whether it still lies in its declared cell inflated by the reach radius.
 
-The integration is fixed-step classical RK4: identical inputs and substep
-counts give bit-identical trajectories. Each RK4 step has two distinct stage
-times, the half step and the next knot, so every agent's reference ref(t),
-its frozen-neighbor field and the drift compensation built from them are
-computed once per distinct time: the half-step pair by one dense query, and
-the knot pair read from the stored dense output when the loop runs on the
-controllers' own knot grid (computed once per knot otherwise). The plant
-field f(own, neighbors) is evaluated once per stage and serves both the
-dynamics and the coupling cancellation, and the offset homing once per run.
-The results are bit-identical to evaluating the full feedback afresh at
-every stage.
+One rate function of the coupled system steps through `integrate.rk4_steps`,
+the package's one RK4 loop, so identical inputs and substep counts give
+bit-identical trajectories; the monitors read the feedback the rate function
+computed at each knot, and no derivative array is kept. RK4 asks for each of
+a step's two stage times twice in a row, so every agent's drift compensation
+is computed once per distinct time from ref(t) and its frozen-neighbor
+field: one dense query at the half step, and at a knot the stored dense
+output when the loop runs on the controllers' own knot grid. The plant field
+f(own, neighbors) serves both the dynamics and the coupling cancellation,
+the offset homing is computed once per run, and the results are
+bit-identical to evaluating the full feedback afresh at every stage.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from .controller import ControllerBank, DEFAULT_SUBSTEPS
 from .geometry import box_distance, DISTANCE_ATOL
+from .integrate import rk4_steps
 
 # Slack on the input-magnitude certificate |k| <= input_bound.
 INPUT_ATOL = 1e-12
@@ -186,66 +187,53 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
 
     lo = np.stack([np.broadcast_to(grid.cell_lo(cells), (batch, dim)) for cells in own_cells])
     hi = lo + grid.side
+    knot_index = {t: m for m, t in enumerate(times)}
+    drift_memo = {}
+    feedback = [None] * count
 
-    states = np.empty((steps + 1, batch, count, dim))
-    mags = np.empty((steps + 1, batch, count))
-    contained = np.empty((steps + 1, batch, count), dtype=bool)
+    def drifts(t):
+        # per agent: the drift compensation at t, which depends only on t. RK4
+        # asks for each stage time twice in a row: k2 and k3 at the half step,
+        # then k4 and the knot at t + h == t_next (the knots start at 0, so h is
+        # exact). One memo entry is enough.
+        if t not in drift_memo:
+            knot = knot_index.get(t)
+            out = []
+            for i, bank in enumerate(banks):
+                if knot is not None and stored[i]:
+                    ref, field = bank.dense.states[knot], bank.dense.derivs[knot]
+                else:
+                    ref = bank.dense.at(t)
+                    field = bank.frozen_field(ref)
+                out.append(bank.drift_compensation(t, starts[i], ref, field))
+            drift_memo.clear()
+            drift_memo[t] = out
+        return drift_memo[t]
 
-    def drifts(t, knot=None):
-        # per agent: the drift compensation at t from ref(t) and its
-        # frozen-neighbor field, read from the stored dense output when t is
-        # knot ``knot`` of the bank's own grid
-        out = []
-        for i, bank in enumerate(banks):
-            if knot is not None and stored[i]:
-                ref, field = bank.dense.states[knot], bank.dense.derivs[knot]
-            else:
-                ref = bank.dense.at(t)
-                field = bank.frozen_field(ref)
-            out.append(bank.drift_compensation(t, starts[i], ref, field))
-        return out
-
-    def apply(t, y, drift, log=None):
+    def rate(t, y):
+        drift = drifts(t)
         u = np.empty_like(y)
         for i in range(count):
             own = y[:, i]
             nbrs = y[:, neighbor_idx[i]]
             plant = evaluators[i](own, nbrs)
-            k = banks[i].feedback(t, own, nbrs, starts[i], plant=plant, homing=homing[i],
-                                  drift=drift[i])
-            u[:, i] = plant + k
-            if log is not None:
-                log[:, i] = np.linalg.norm(k, axis=-1)
+            feedback[i] = banks[i].feedback(t, own, nbrs, starts[i], plant=plant,
+                                            homing=homing[i], drift=drift[i])
+            u[:, i] = plant + feedback[i]
         return u
 
-    def monitor(row, y):
-        for i in range(count):
-            contained[row, :, i] = (box_distance(lo[i], hi[i], y[:, i])
-                                    <= banks[i].params.reach_radius + DISTANCE_ATOL)
-
-    y = x0.copy()
-    states[0] = y
-    monitor(0, y)
-    knot_drift = drifts(times[0], 0)
-    k1 = apply(times[0], y, knot_drift, log=mags[0])
-    for m in range(steps):
-        t = times[m]
-        t_next = times[m + 1]
-        h = t_next - t
-        # the knots start at 0, so h is exact and t + h == t_next: k4 shares
-        # the next knot's drift
-        half = t + 0.5 * h
-        half_drift = drifts(half)
-        knot_drift = drifts(t_next, m + 1)
-        k2 = apply(half, y + 0.5 * h * k1, half_drift)
-        k3 = apply(half, y + 0.5 * h * k2, half_drift)
-        k4 = apply(t_next, y + h * k3, knot_drift)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    states = np.empty((steps + 1, batch, count, dim))
+    mags = np.empty((steps + 1, batch, count))
+    contained = np.empty((steps + 1, batch, count), dtype=bool)
+    # rate's last call was at the yielded knot: ``feedback`` holds its values there
+    for m, (y, _) in enumerate(rk4_steps(rate, x0, times)):
         if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state after t = {t_next:.6g}")
-        states[m + 1] = y
-        monitor(m + 1, y)
-        k1 = apply(t_next, y, knot_drift, log=mags[m + 1])
+            raise IntegrationError(f"non-finite state after t = {times[m]:.6g}")
+        states[m] = y
+        for i in range(count):
+            mags[m, :, i] = np.linalg.norm(feedback[i], axis=-1)
+            contained[m, :, i] = (box_distance(lo[i], hi[i], y[:, i])
+                                  <= banks[i].params.reach_radius + DISTANCE_ATOL)
 
     endpoint_dev = np.empty((batch, count))
     interp_dev = np.empty((batch, count))

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
-import json
 import subprocess
 import sys
 

@@ -1,6 +1,5 @@
 """YAML configuration loading and validation."""
 
-import numpy as np
 import pytest
 
 from gridabs.config import ConfigError, load_config

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridabs.integrate import DenseTrajectory, rk4_path
+from gridabs.integrate import DenseTrajectory, rk4_path, rk4_steps
 
 
 def exp_field(t, y):
@@ -29,6 +29,24 @@ def test_fourth_order_convergence():
         errs.append(abs(states[-1, 0] - exact))
     assert 8.0 < errs[0] / errs[1] < 32.0
     assert 8.0 < errs[1] / errs[2] < 32.0
+
+
+def test_steps_yield_after_the_knot_evaluation():
+    # the closed loop reads what its field computed at the knot just yielded
+    last = {}
+
+    def field(t, y):
+        last.update(t=t, y=y, dy=exp_field(t, y))
+        return last["dy"]
+
+    y0 = np.array([1.0, -2.0])
+    times = np.linspace(0.0, 1.0, 9)
+    knots = 0
+    for m, (y, dy) in enumerate(rk4_steps(field, y0, times)):
+        assert last["t"] == times[m] and last["y"] is y and last["dy"] is dy
+        knots += 1
+    assert knots == 9
+    assert y[0] == rk4_path(exp_field, y0, 0.0, 1.0, 8)[1][-1, 0]
 
 
 def test_batched_states():

@@ -8,9 +8,9 @@ import pytest
 import gridabs as ga
 from gridabs.controller import ControllerBank
 from gridabs.dynamics import project_configuration
-from gridabs.geometry import CellConfiguration
+from gridabs.geometry import DISTANCE_ATOL, CellConfiguration, box_distance
 from gridabs.integrate import DenseTrajectory, rk4_path
-from gridabs.simulate import (InputBoundViolation, check_input_bound,
+from gridabs.simulate import (InputBoundViolation, IntegrationError, check_input_bound,
                               check_linear_interpolation, integrate_closed_loop,
                               integrate_closed_loop_batch)
 
@@ -131,6 +131,31 @@ def test_input_bound_checker_flags_tight_budget(joint_setup, ref_model, ref_para
     assert 0.0 <= info.value.time <= ref_params.period
 
 
+def test_non_finite_state_raises_at_its_knot(ref_model, ref_grid, ref_params):
+    # the field is NaN unless every neighbor sits on its cell center: the
+    # frozen-neighbor references stay finite, the closed loop does not
+    cells = ((0, 0), (1, 0), (1, 1))
+    net = ref_model.network
+    centers = np.array([ref_grid.cell_center(z) for z in cells])
+
+    def evaluator(i):
+        frozen = centers[list(net.neighbors[i])]
+
+        def evaluate(own, nbrs):
+            at_centers = np.all(nbrs == frozen, axis=(-2, -1))
+            return np.where(at_centers[..., None], 0.0 * own, np.nan)
+        return evaluate
+
+    model = ga.DynamicsModel(net, [evaluator(i) for i in range(3)], ref_model.feedback_bound,
+                             ref_model.neighbor_lipschitz, ref_model.self_lipschitz,
+                             ref_model.input_bound)
+    controllers = make_controllers(model, ref_grid, ref_params, cells, substeps=16)
+    assert all(np.all(np.isfinite(c.dense.states)) for c in controllers)
+    x0 = centers + 0.1 * ref_grid.side
+    with pytest.raises(IntegrationError, match=r"^non-finite state after t = 0\.00125$"):
+        integrate_closed_loop(model, controllers, x0, substeps=16)
+
+
 def random_banks(model, grid, params, runs, rng, substeps):
     """Banks of ``runs`` random joint configurations and starts inside them."""
     cells = [tuple(tuple(int(v) for v in rng.integers(-1, 2, 2)) for _ in range(3))
@@ -200,9 +225,19 @@ def test_stage_reuse_is_bit_identical(path_network, ref_grid, bank_substeps,
                              bank_substeps)
     trajectory, reports = integrate_closed_loop_batch(model, banks, x0,
                                                       substeps=loop_substeps)
-    np.testing.assert_array_equal(trajectory.states,
-                                  plain_closed_loop(model, banks, x0, loop_substeps))
+    states = plain_closed_loop(model, banks, x0, loop_substeps)
+    np.testing.assert_array_equal(trajectory.states, states)
     assert max(r.endpoint_deviation.max() for r in reports) <= 1e-12
+    # the monitors log the full feedback at the knot states, not at a stage
+    for i, bank in enumerate(banks):
+        nbrs = list(path_network.neighbors[i])
+        mags = [np.linalg.norm(bank.feedback(t, y[:, i], y[:, nbrs], x0[:, i]), axis=-1)
+                for t, y in zip(trajectory.times, states)]
+        np.testing.assert_array_equal(trajectory.input_magnitudes[:, :, i], mags)
+        lo = ref_grid.cell_lo(bank.cell_array[:, 0])
+        inside = (box_distance(lo, lo + ref_grid.side, states[:, :, i])
+                  <= params.reach_radius + DISTANCE_ATOL)
+        np.testing.assert_array_equal(trajectory.contained[:, :, i], inside)
 
 
 def counted(model, calls):
