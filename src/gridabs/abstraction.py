@@ -24,6 +24,10 @@ from .simulate import INPUT_ATOL, MonitorReport, integrate_closed_loop_batch
 
 MAX_ACTIONS = 10**6
 
+# Configurations integrated together by certify_window_input_bound: one bank
+# of this many members keeps memory bounded up to MAX_ACTIONS.
+CERTIFY_CHUNK = 64
+
 # A reference endpoint this close to a cell face (relative to the side) marks
 # the transition as marginal.
 MARGINAL_REL = 1e-6
@@ -401,6 +405,12 @@ def certify_window_input_bound(model, grid, params, agent, window, samples=10000
     reference points uniformly inside the declared cells, exercising the
     whole constructive controller family. Violations collect configurations
     whose sampled maximum exceeds the input budget.
+
+    The configurations are integrated in banks of at most CERTIFY_CHUNK
+    members and sampled one member at a time, each from its own seed; the
+    draws from the outer generator keep their order (the reference points,
+    then the sampler seed, per configuration), so the certificate does not
+    depend on the chunk size.
     """
     if reference_policy not in ("center", "random"):
         raise ValueError("reference_policy must be 'center' or 'random'")
@@ -414,24 +424,31 @@ def certify_window_input_bound(model, grid, params, agent, window, samples=10000
     worst_witness = None
     violations = []
     checked = 0
-    for cfg in configs:
-        refs = None
-        if reference_policy == "random":
-            refs = np.empty((1, m + 1, n))
-            for k, z in enumerate(cfg):
-                refs[0, k] = grid.sample_in_cell(z, rng, 1)[0]
-        controller = ControllerBank(model, grid, params, agent, [cfg], refs, substeps)
-        magnitude, witness = sample_feedback_bound(
-            controller, samples=samples, seed=int(rng.integers(2**31)))
-        checked += 1
-        if magnitude > best:
-            best = magnitude
-            worst_cfg = cfg
-            worst_witness = witness
-        if magnitude > model.input_bound + INPUT_ATOL:
-            violations.append((cfg, magnitude))
-            if stop_on_violation:
-                break
+    while chunk := list(itertools.islice(configs, CERTIFY_CHUNK)):
+        refs = np.empty((len(chunk), m + 1, n)) if reference_policy == "random" else None
+        seeds = []
+        for b, cfg in enumerate(chunk):
+            if refs is not None:
+                for k, z in enumerate(cfg):
+                    refs[b, k] = grid.sample_in_cell(z, rng, 1)[0]
+            seeds.append(int(rng.integers(2**31)))
+        bank = ControllerBank(model, grid, params, agent, chunk, refs, substeps)
+        for b, cfg in enumerate(chunk):
+            magnitude, witness = sample_feedback_bound(bank.member(b), samples=samples,
+                                                       seed=seeds[b])
+            checked += 1
+            if magnitude > best:
+                best = magnitude
+                worst_cfg = cfg
+                worst_witness = witness
+            if magnitude > model.input_bound + INPUT_ATOL:
+                violations.append((cfg, magnitude))
+                if stop_on_violation:
+                    break
+        # free this chunk's dense output before the next chunk is integrated
+        del bank
+        if violations and stop_on_violation:
+            break
 
     return BoundCertificate(agent=agent,
                             configurations=checked,

@@ -20,11 +20,12 @@ neighbors do inside their declared cells.
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import numpy as np
 
-from .geometry import box_distance
+from .geometry import box_distance, row_norm
 from .integrate import DenseTrajectory, rk4_path
 
 _TINY = np.finfo(float).tiny
@@ -105,6 +106,25 @@ class ControllerBank:
     @property
     def endpoint(self) -> np.ndarray:
         return self.dense.endpoint
+
+    def member(self, b) -> ControllerBank:
+        """Member ``b`` as a size-1 bank that shares this bank's arrays.
+
+        The view slices the reference points and the stored dense output, so
+        nothing is integrated again; it behaves like a size-1 bank built from
+        the same configuration and reference points.
+        """
+        b = range(self.size)[b]
+        view = copy.copy(self)
+        view.__dict__.pop("cell_array", None)
+        view.configurations = self.configurations[b:b + 1]
+        view.reference_points = self.reference_points[b:b + 1]
+        view._own_ref = view.reference_points[:, 0, :]
+        view._nbr_ref = view.reference_points[:, 1:, :]
+        dense = self.dense
+        view.dense = DenseTrajectory(dense.times, dense.states[:, b:b + 1],
+                                     dense.derivs[:, b:b + 1])
+        return view
 
     def frozen_field(self, y):
         """Field with neighbors frozen at their reference points; batched."""
@@ -194,7 +214,7 @@ def sample_inflated_cell(grid, cell, radius, count, rng):
     hi_side = rng.integers(0, 2, size=rest).astype(bool)
     y[np.arange(rest), ax] = np.where(hi_side, box.hi[ax], box.lo[ax])
     u = rng.normal(size=(rest, n))
-    u /= np.maximum(np.linalg.norm(u, axis=-1, keepdims=True), _TINY)
+    u /= np.maximum(row_norm(u)[:, None], _TINY)
     reach = radius * rng.uniform(0.5, 1.0, size=(rest, 1))
     pts = y + reach * u
     # pin a few samples to the extreme corners of the inflated set
@@ -243,7 +263,7 @@ def sample_feedback_bound(bank, samples=10000, seed=0):
     t[tenth:2 * tenth] = params.period
 
     k = bank.feedback(t, x, nbrs, starts)
-    mags = np.linalg.norm(k, axis=-1)
+    mags = row_norm(k)
     top = int(np.argmax(mags))
     witness = {"time": float(t[top]), "state": x[top], "neighbors": nbrs[top],
                "start": starts[top], "magnitude": float(mags[top])}

@@ -12,6 +12,11 @@ CellIndex = tuple[int, ...]
 # Absolute slack for boundary-sensitive predicates.
 DISTANCE_ATOL = 1e-12
 
+# Rows up to this length are summed by adding their components in order,
+# which is what numpy's reduction does there too; numpy sums longer rows
+# pairwise, so those go through numpy itself.
+ORDERED_SUM_MAX = 7
+
 
 def _as_point(x, dimension):
     x = np.asarray(x, dtype=float)
@@ -29,10 +34,34 @@ def _as_cell(z, dimension):
     return z
 
 
+def sum_squares(x):
+    """Sum of squares over the last axis; equals ``np.sum(x*x, axis=-1)`` bit for bit.
+
+    Short rows add their squared components in order, which avoids numpy's
+    reduction machinery on a length-n axis.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    if not 0 < n <= ORDERED_SUM_MAX:
+        return np.sum(x * x, axis=-1)
+    total = x[..., 0] * x[..., 0]
+    for k in range(1, n):
+        total += x[..., k] * x[..., k]
+    return total
+
+
+def row_norm(x):
+    """Euclidean norm over the last axis; equals ``np.linalg.norm(x, axis=-1)`` bit for bit.
+
+    numpy computes that norm as the square root of the same sum of squares.
+    """
+    return np.sqrt(sum_squares(x))
+
+
 def box_distance(lo, hi, x):
     """Euclidean distance from ``x`` to the closed box [lo, hi]; broadcasts."""
     gap = np.maximum(np.maximum(lo - x, 0.0), x - hi)
-    return np.linalg.norm(gap, axis=-1)
+    return row_norm(gap)
 
 
 @dataclass(frozen=True)

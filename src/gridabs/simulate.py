@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import ControllerBank, DEFAULT_SUBSTEPS
-from .geometry import box_distance, DISTANCE_ATOL
+from .geometry import box_distance, DISTANCE_ATOL, row_norm
 from .integrate import rk4_steps
 
 # Slack on the input-magnitude certificate |k| <= input_bound.
@@ -146,7 +146,7 @@ def _interpolation_deviation(bank, times, own_states):
     remain = (1.0 - times / bank.period)[:, None, None]
     offset = own_states[0] - bank._own_ref
     resid = own_states - bank.dense.at(times) - remain * offset
-    return np.linalg.norm(resid, axis=-1).max(axis=0)
+    return row_norm(resid).max(axis=0)
 
 
 def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEPS):
@@ -231,7 +231,7 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
             raise IntegrationError(f"non-finite state after t = {times[m]:.6g}")
         states[m] = y
         for i in range(count):
-            mags[m, :, i] = np.linalg.norm(feedback[i], axis=-1)
+            mags[m, :, i] = row_norm(feedback[i])
             contained[m, :, i] = (box_distance(lo[i], hi[i], y[:, i])
                                   <= banks[i].params.reach_radius + DISTANCE_ATOL)
 
@@ -239,7 +239,7 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
     interp_dev = np.empty((batch, count))
     for i, bank in enumerate(banks):
         interp_dev[:, i] = _interpolation_deviation(bank, times, states[:, :, i, :])
-        endpoint_dev[:, i] = np.linalg.norm(states[-1, :, i, :] - bank.endpoint, axis=-1)
+        endpoint_dev[:, i] = row_norm(states[-1, :, i, :] - bank.endpoint)
 
     trajectory = Trajectory(times=times, states=states, input_magnitudes=mags,
                             contained=contained)

@@ -1,6 +1,8 @@
 """Transition-system construction, falsification, and export."""
 
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from gridabs.abstraction import (CompositionViolation, EnumerationCap, Transitio
                                  enumerate_configurations,
                                  from_json, to_dot, to_json, verify_transition)
 from gridabs.admissibility import FeasibilityError
+from gridabs.controller import ControllerBank, sample_feedback_bound
 from gridabs.dynamics import project_configuration
 from gridabs.geometry import CellConfiguration
+from gridabs.simulate import INPUT_ATOL
 
 
 def test_window_enumeration():
@@ -212,6 +216,91 @@ def test_certificate_fails_below_admissible_period(ref_model, ref_grid, ref_wind
                                       stop_on_violation=True)
     assert not cert.ok
     assert cert.max_magnitude > ref_model.input_bound
+
+
+def per_configuration_certificate(model, grid, params, agent, window, samples, seed,
+                                  reference_policy, substeps, stop_on_violation=False):
+    """The certificate as one size-1 bank per configuration, same draws in order."""
+    rng = np.random.default_rng(seed)
+    degree = model.network.degree(agent)
+    best, worst_cfg, worst_witness, violations, checked = -1.0, None, None, [], 0
+    for cfg in itertools.product(window.cells(), repeat=degree + 1):
+        refs = None
+        if reference_policy == "random":
+            refs = np.array([[grid.sample_in_cell(z, rng, 1)[0] for z in cfg]])
+        bank = ControllerBank(model, grid, params, agent, [cfg], refs, substeps)
+        magnitude, witness = sample_feedback_bound(bank, samples=samples,
+                                                   seed=int(rng.integers(2**31)))
+        checked += 1
+        if magnitude > best:
+            best, worst_cfg, worst_witness = magnitude, cfg, witness
+        if magnitude > model.input_bound + INPUT_ATOL:
+            violations.append((cfg, magnitude))
+            if stop_on_violation:
+                break
+    return checked, best, worst_cfg, worst_witness, tuple(violations)
+
+
+def assert_same_certificate(cert, expected):
+    checked, best, worst_cfg, worst_witness, violations = expected
+    assert cert.configurations == checked
+    assert cert.max_magnitude == best
+    assert cert.worst_configuration == worst_cfg
+    assert cert.worst_witness.keys() == worst_witness.keys()
+    for key, value in worst_witness.items():
+        np.testing.assert_array_equal(cert.worst_witness[key], value, strict=True)
+    assert cert.violations == violations
+
+
+@pytest.mark.parametrize("policy", ["center", "random"])
+def test_chunked_certificate_matches_per_configuration_loop(ref_model, ref_grid, ref_params,
+                                                            ref_window, policy):
+    # agent 1 has 729 configurations: twelve chunks, the last one partial
+    assert 729 % abstraction.CERTIFY_CHUNK != 0
+    cert = certify_window_input_bound(ref_model, ref_grid, ref_params, 1, ref_window,
+                                      samples=40, seed=3, reference_policy=policy,
+                                      substeps=8)
+    expected = per_configuration_certificate(ref_model, ref_grid, ref_params, 1,
+                                             ref_window, 40, 3, policy, 8)
+    assert_same_certificate(cert, expected)
+    assert cert.ok
+
+
+@pytest.mark.parametrize("period, samples, seed, substeps, stops_at", [
+    (0.005, 2000, 17, 32, 1),     # the acceptance suite's negative control
+    (0.0075, 100, 1, 8, 144),     # first violation in the third chunk
+])
+def test_chunked_certificate_stops_at_the_same_configuration(
+        ref_model, ref_grid, ref_window, period, samples, seed, substeps, stops_at):
+    bad = ga.check_discretization(ref_model, 0.004, period)
+    cert = certify_window_input_bound(ref_model, ref_grid, bad, 1, ref_window,
+                                      samples=samples, seed=seed,
+                                      reference_policy="random", substeps=substeps,
+                                      stop_on_violation=True)
+    expected = per_configuration_certificate(ref_model, ref_grid, bad, 1, ref_window,
+                                             samples, seed, "random", substeps,
+                                             stop_on_violation=True)
+    assert_same_certificate(cert, expected)
+    assert cert.configurations == stops_at
+    assert len(cert.violations) == 1
+
+
+def test_certification_memory_does_not_grow_with_the_window(ref_model, ref_grid,
+                                                            ref_params):
+    def peak(window):
+        tracemalloc.start()
+        try:
+            cert = certify_window_input_bound(ref_model, ref_grid, ref_params, 0, window,
+                                              samples=50, seed=0, substeps=256)
+            return cert.configurations, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(Window(((0, 0), (0, 0))))  # one-time allocations of a first call
+    small_count, small = peak(Window(((-1, 1), (-1, 1))))
+    large_count, large = peak(Window(((-2, 2), (-2, 2))))
+    assert (small_count, large_count) == (81, 625)
+    assert large <= 1.25 * small
 
 
 def test_json_round_trip(ref_model, ref_grid, ref_params, ref_window):

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gridabs
 from gridabs.abstraction import from_json
 from gridabs.cli import main
 
@@ -179,8 +182,12 @@ def test_enumeration_cap_exit_code(tmp_path, capsys):
 
 
 def test_console_entry_point(config_path):
+    # the child finds the same gridabs as this process, installed or not
+    src = str(Path(gridabs.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "gridabs.cli", "check",
                            "--config", config_path],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "admissible: yes" in proc.stdout

@@ -87,16 +87,21 @@ def test_target_cell_matches_endpoint(controller, ref_grid):
     assert controller.target_cells()[0] == ref_grid.cell_of(controller.endpoint[0])
 
 
-def test_bank_matches_individual_controllers(ref_model, ref_grid, ref_params,
-                                             path_network):
-    rng = np.random.default_rng(4)
+def seven_configurations(grid, rng):
+    """Seven random agent-1 configurations near the origin and their reference points."""
     configs = []
     refs = []
     for _ in range(7):
         cells = [tuple(int(v) for v in rng.integers(-1, 2, 2)) for _ in range(3)]
         configs.append(tuple(cells))
-        refs.append([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
-    refs = np.array(refs)
+        refs.append([grid.sample_in_cell(z, rng)[0] for z in cells])
+    return configs, np.array(refs)
+
+
+def test_bank_matches_individual_controllers(ref_model, ref_grid, ref_params,
+                                             path_network):
+    rng = np.random.default_rng(4)
+    configs, refs = seven_configurations(ref_grid, rng)
     bank = ControllerBank(ref_model, ref_grid, ref_params, 1, configs, refs,
                           substeps=32)
     assert bank.size == 7
@@ -115,6 +120,44 @@ def test_bank_matches_individual_controllers(ref_model, ref_grid, ref_params,
     stacked = np.stack([singles[b].feedback(t, x[b][None], nbrs[b][None], start[b][None])[0]
                         for b in range(7)])
     np.testing.assert_allclose(batched, stacked, atol=1e-15)
+
+
+def test_bank_members_match_size_one_banks(ref_model, ref_grid, ref_params):
+    rng = np.random.default_rng(4)
+    configs, refs = seven_configurations(ref_grid, rng)
+    bank = ControllerBank(ref_model, ref_grid, ref_params, 1, configs, refs,
+                          substeps=32)
+    S = 60
+    t = rng.uniform(0.0, bank.period, S)
+    for b in range(7):
+        member = bank.member(b)
+        single = ControllerBank(ref_model, ref_grid, ref_params, 1, [configs[b]],
+                                reference_points=refs[b][None], substeps=32)
+        assert member.size == 1
+        assert member.configurations == single.configurations
+        np.testing.assert_array_equal(member.reference_points, single.reference_points,
+                                      strict=True)
+        np.testing.assert_array_equal(member.endpoint, single.endpoint, strict=True)
+        assert member.target_cells() == single.target_cells()
+        assert np.shares_memory(member.dense.states, bank.dense.states)
+        assert np.shares_memory(member.dense.derivs, bank.dense.derivs)
+
+        x = refs[b, 0] + 1e-3 * rng.normal(size=(S, 2))
+        nbrs = refs[b, 1:] + 1e-3 * rng.normal(size=(S, 2, 2))
+        start = refs[b, 0] + 5e-4 * rng.normal(size=(S, 2))
+        np.testing.assert_array_equal(member.feedback(t, x, nbrs, start),
+                                      single.feedback(t, x, nbrs, start), strict=True)
+
+        worst, witness = sample_feedback_bound(member, samples=300, seed=b)
+        expected, expected_witness = sample_feedback_bound(single, samples=300, seed=b)
+        assert worst == expected
+        assert witness.keys() == expected_witness.keys()
+        for key, value in expected_witness.items():
+            np.testing.assert_array_equal(witness[key], value, strict=True)
+
+    assert bank.member(-1).configurations == (configs[-1],)
+    with pytest.raises(IndexError):
+        bank.member(7)
 
 
 def test_per_sample_times_match_scalar_loop(controller):

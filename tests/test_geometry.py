@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from gridabs.geometry import (DISTANCE_ATOL, Box, CellConfiguration,
-                              GridDecomposition, box_distance)
+from gridabs.geometry import (DISTANCE_ATOL, ORDERED_SUM_MAX, Box, CellConfiguration,
+                              GridDecomposition, box_distance, row_norm, sum_squares)
 
 
 def test_cell_of_floor_indexing():
@@ -140,3 +143,37 @@ def test_grid_rejects_bad_arguments():
         GridDecomposition(2, 0.0)
     with pytest.raises(ValueError):
         GridDecomposition(2, 1.0, origin=[0.0])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# subnormals through 1e150, both signs and both zeros
+COMPONENTS = st.one_of(st.sampled_from([-0.0, 0.0]),
+                       st.floats(min_value=-1e150, max_value=1e150, allow_nan=False,
+                                 allow_infinity=False, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, ORDERED_SUM_MAX))
+def test_row_norm_equals_numpy_bit_for_bit(data, n):
+    lead = data.draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6))
+    x = data.draw(arrays(np.float64, lead + (n,), elements=COMPONENTS))
+    assert same_bits(sum_squares(x), np.sum(x * x, axis=-1))
+    assert same_bits(row_norm(x), np.linalg.norm(x, axis=-1))
+
+
+@pytest.mark.parametrize("n", [ORDERED_SUM_MAX + 1, 9, 12])
+def test_long_rows_use_numpy(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(4000, n)) * 10.0 ** rng.uniform(-150, 150, size=(4000, n))
+    in_order = x[:, 0] * x[:, 0]
+    for k in range(1, n):
+        in_order = in_order + x[:, k] * x[:, k]
+    # numpy's pairwise order differs from adding in order on these rows ...
+    assert np.any(in_order != np.sum(x * x, axis=-1))
+    # ... and the helpers still return numpy's sums
+    assert same_bits(sum_squares(x), np.sum(x * x, axis=-1))
+    assert same_bits(row_norm(x), np.linalg.norm(x, axis=-1))
