@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admissibility import FeasibilityError
+from .admissibility import require_admissible
 from .controller import DEFAULT_SUBSTEPS, ControllerBank, sample_feedback_bound
 from .dynamics import project_configuration
 from .geometry import CellConfiguration, CellIndex
-from .simulate import INPUT_ATOL, MonitorReport, integrate_closed_loop_batch
+from .simulate import MonitorReport, exceeds_input_bound, integrate_closed_loop_batch
 
 MAX_ACTIONS = 10**6
 
@@ -125,18 +125,10 @@ class TransitionSystem:
     def __post_init__(self):
         self.transitions = tuple(self.transitions)
         for t in self.transitions:
-            self._check(t)
+            if t.agent != self.agent:
+                raise ValueError(f"transition for agent {t.agent} in a system for "
+                                 f"agent {self.agent}")
             self._index.setdefault((t.source, t.action), []).append(t)
-
-    def _check(self, t):
-        if t.agent != self.agent:
-            raise ValueError(f"transition for agent {t.agent} in a system for "
-                             f"agent {self.agent}")
-
-    def add(self, transition):
-        self._check(transition)
-        self.transitions = self.transitions + (transition,)
-        self._index.setdefault((transition.source, transition.action), []).append(transition)
 
     @property
     def states(self) -> tuple[CellIndex, ...]:
@@ -164,8 +156,7 @@ def agent_transition(model, grid, params, config: CellConfiguration,
     discretization; the successor is where the controller's reference
     trajectory ends after one period.
     """
-    if not params.admissible:
-        raise FeasibilityError(f"discretization is not admissible: {params.reason}")
+    require_admissible(params)
     refs = None if reference_points is None else np.asarray(reference_points, dtype=float)[None]
     controller = ControllerBank(model, grid, params, config.agent, [config.cells], refs,
                                 substeps)
@@ -194,8 +185,7 @@ def build_transition_system(model, grid, params, agent, window,
     The enumeration covers |window|^(m+1) actions for an agent with m
     neighbors and fails with EnumerationCap beyond ``max_actions``.
     """
-    if not params.admissible:
-        raise FeasibilityError(f"discretization is not admissible: {params.reason}")
+    require_admissible(params)
     configs = list(enumerate_configurations(window, model.network.degree(agent), max_actions))
     bank = ControllerBank(model, grid, params, agent, configs, substeps=substeps)
     targets = bank.target_cells()
@@ -230,8 +220,7 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
     the window, consistent with the verified action. A run whose endpoint
     leaves the declared target cell raises WellPosednessViolation.
     """
-    if not params.admissible:
-        raise FeasibilityError(f"discretization is not admissible: {params.reason}")
+    require_admissible(params)
     rng = np.random.default_rng(seed)
     net = model.network
     i = transition.agent
@@ -278,19 +267,16 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
     x0 = np.empty((trials, count, n))
     for j in range(count):
         x0[:, j] = sample_cells(assignment[:, j])
-    corners = grid.cell_corners(transition.source, inset=1e-9 * grid.side)
+    corners = grid.cell_corners(transition.source, inset=grid.corner_inset)
     take = min(trials, len(corners))
     x0[:take, i] = corners[:take]
 
     trajectory, _ = integrate_closed_loop_batch(model, controllers, x0, substeps=substeps)
     endpoints = trajectory.states[-1, :, i, :]
 
-    box = grid.cell_box(transition.target)
-    margins = np.minimum((endpoints - box.lo).min(axis=-1),
-                         (box.hi - endpoints).min(axis=-1))
-    missed = np.flatnonzero(np.any(grid.cell_indices(endpoints) != transition.target, axis=-1))
-    if missed.size:
-        b = int(missed[0])
+    missed = grid.first_outside(endpoints, transition.target)
+    if missed is not None:
+        b = missed[0]
         witness = {"trial": b, "initial": x0[b], "endpoint": endpoints[b],
                    "landed": grid.cell_of(endpoints[b]),
                    "declared": transition.target}
@@ -298,6 +284,8 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
             f"trial {b}: agent {i} landed in {witness['landed']} instead of "
             f"{transition.target}", witness)
 
+    box = grid.cell_box(transition.target)
+    margins = box.face_margin(endpoints)
     try:
         counts, edges = np.histogram(margins, bins=10)
     except ValueError:
@@ -306,8 +294,7 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
         edges = np.linspace(margins.min(), margins.max(), 11)
         counts = np.bincount(np.searchsorted(edges[1:-1], margins, side="right"),
                              minlength=10)
-    endpoint = controller.endpoint[0]
-    ref_margin = min(float((endpoint - box.lo).min()), float((box.hi - endpoint).min()))
+    ref_margin = float(box.face_margin(controller.endpoint[0]))
     return TransitionCheck(trials=trials,
                            min_margin=float(margins.min()),
                            max_margin=float(margins.max()),
@@ -324,6 +311,7 @@ def plan_controllers(model, grid, params, source_cells, target_cells,
     ``source_cells``; its successor cell must equal ``target_cells[i]``,
     else ValueError.
     """
+    require_admissible(params)
     controllers = []
     for i in range(model.network.agent_count):
         config = project_configuration(model.network, source_cells, i)
@@ -345,8 +333,6 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
     must land in its target simultaneously. Returns (controllers, worst-case
     MonitorReport).
     """
-    if not params.admissible:
-        raise FeasibilityError(f"discretization is not admissible: {params.reason}")
     net = model.network
     count = net.agent_count
     source_cells = tuple(tuple(int(c) for c in z) for z in source_cells)
@@ -363,10 +349,9 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
     trajectory, reports = integrate_closed_loop_batch(model, controllers, x0,
                                                       substeps=substeps)
     endpoints = trajectory.states[-1]
-    missed = np.argwhere(np.any(grid.cell_indices(endpoints) != np.array(target_cells),
-                                axis=-1))
-    if len(missed):
-        b, bad = (int(v) for v in missed[0])
+    missed = grid.first_outside(endpoints, target_cells)
+    if missed is not None:
+        b, bad = missed
         landed = grid.cell_of(endpoints[b, bad])
         witness = {"run": b, "agent": bad, "initial": x0[b],
                    "endpoint": endpoints[b, bad], "landed": landed,
@@ -441,7 +426,7 @@ def certify_window_input_bound(model, grid, params, agent, window, samples=10000
                 best = magnitude
                 worst_cfg = cfg
                 worst_witness = witness
-            if magnitude > model.input_bound + INPUT_ATOL:
+            if exceeds_input_bound(magnitude, model.input_bound):
                 violations.append((cfg, magnitude))
                 if stop_on_violation:
                     break

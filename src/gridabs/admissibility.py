@@ -139,3 +139,9 @@ def check_discretization(model, diameter, period) -> DiscretizationParams:
                                 reach_radius=reach,
                                 admissible=not reasons,
                                 reason="; ".join(reasons))
+
+
+def require_admissible(params):
+    """Raise FeasibilityError, with the recorded reason, unless ``params`` is admissible."""
+    if not params.admissible:
+        raise FeasibilityError(f"discretization is not admissible: {params.reason}")

@@ -75,8 +75,6 @@ def cmd_region(cfg, args) -> int:
     if not np.isfinite(bound):
         raise ConfigError("the model is decoupled; every diameter is admissible")
     rows = args.samples if args.samples is not None else 200
-    if rows < 1:
-        raise ConfigError("region needs at least one sample")
     v = cfg.model.input_bound
     m = cfg.model.feedback_bound
     lines = ["diameter,period_min,period_max,reach_line,input_line"]
@@ -94,13 +92,11 @@ def cmd_abstract(cfg, args) -> int:
     if cfg.window is None:
         raise ConfigError("abstract needs run.window in the config")
     params = cfg.params()
-    if not params.admissible:
-        raise FeasibilityError(f"discretization is not admissible: {params.reason}")
-    out = _out_dir(args)
     for i in range(cfg.network.agent_count):
         ts = build_transition_system(cfg.model, cfg.grid, params, i, cfg.window,
                                      substeps=cfg.substeps)
-        base = os.path.join(out, f"transitions_agent{i}")
+        # after the first build, so an inadmissible pair creates no directory
+        base = os.path.join(_out_dir(args), f"transitions_agent{i}")
         _write(base + ".json", to_json(ts))
         _write(base + ".dot", to_dot(ts))
         print(f"agent {i}: {len(ts.actions)} actions, {len(ts.transitions)} "
@@ -127,8 +123,6 @@ def cmd_verify(cfg, args) -> int:
     if cfg.window is None:
         raise ConfigError("verify needs run.window in the config")
     params = cfg.params()
-    if not params.admissible:
-        raise FeasibilityError(f"discretization is not admissible: {params.reason}")
     seed = args.seed if args.seed is not None else cfg.seed
     trials = args.trials if args.trials is not None else cfg.trials
     for agent, index in _parse_selector(args.selector, cfg.network.agent_count):
@@ -157,8 +151,6 @@ def cmd_simulate(cfg, args) -> int:
     if cfg.simulate is None:
         raise ConfigError("simulate needs a 'simulate' block in the config")
     params = cfg.params()
-    if not params.admissible:
-        raise FeasibilityError(f"discretization is not admissible: {params.reason}")
     initial = cfg.simulate["initial"]
     targets = cfg.simulate["targets"]
     count = cfg.network.agent_count
@@ -178,7 +170,7 @@ def cmd_simulate(cfg, args) -> int:
     _write(os.path.join(out, "trajectory.csv"), "\n".join(rows) + "\n")
 
     landed = tuple(cfg.grid.cell_of(trajectory.states[-1, i]) for i in range(count))
-    success = all(landed[i] == tuple(targets[i]) for i in range(count))
+    success = cfg.grid.first_outside(trajectory.states[-1], targets) is None
     lines = [f"agents: {count}",
              f"period: {_fmt(params.period)}",
              f"substeps: {cfg.substeps}",
@@ -209,7 +201,7 @@ def cmd_controller_dump(cfg, args) -> int:
     start = block["initial"]
     if start is None:
         start = own_reference
-    elif cfg.grid.cell_of(start) != config.own:
+    elif cfg.grid.first_outside(start, config.own) is not None:
         raise ConfigError(f"controller_dump.initial lies in cell "
                           f"{cfg.grid.cell_of(start)}, not the declared {config.own}")
 
@@ -255,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--substeps", type=int, default=None, help="override run.substeps")
         p.add_argument("--trials", type=int, default=None, help="override run.trials")
-        p.add_argument("--samples", type=int, default=None, help="override run.samples")
+        p.add_argument("--samples", type=int, default=None,
+                       help="rows of the region sweep (default 200)")
         p.add_argument("--out", default=None, help="output directory (default .)")
 
     p = sub.add_parser("check", help="admissibility arithmetic for the configured pair")
@@ -300,14 +293,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
+        for name in ("substeps", "trials", "samples", "limit"):
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{name} must be positive")
         if args.substeps is not None:
-            if args.substeps < 1:
-                raise ConfigError("--substeps must be positive")
             cfg.substeps = args.substeps
-        if args.trials is not None and args.trials < 1:
-            raise ConfigError("--trials must be positive")
-        if args.samples is not None and args.samples < 1:
-            raise ConfigError("--samples must be positive")
         return args.func(cfg, args)
     except EnumerationCap as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,9 +73,9 @@ class ControllerBank:
                                  f"{n}), got {refs.shape}")
             if not np.all(np.isfinite(refs)):
                 raise ValueError("reference points have non-finite coordinates")
-            outside = np.any(grid.cell_indices(refs) != self.cell_array, axis=-1)
-            if outside.any():
-                b, k = np.argwhere(outside)[0]
+            bad = grid.first_outside(refs, self.cell_array)
+            if bad is not None:
+                b, k = bad
                 raise ValueError(f"reference point {refs[b, k].tolist()} is not "
                                  f"inside its declared cell {cells[b][k]}")
         self.reference_points = refs
@@ -253,7 +253,7 @@ def sample_feedback_bound(bank, samples=10000, seed=0):
         nbrs[:, k, :] = sample_inflated_cell(grid, cells[k + 1], reach, samples, rng)
 
     starts = grid.sample_in_cell(cells[0], rng, samples)
-    corners = grid.cell_corners(cells[0], inset=1e-9 * grid.side)
+    corners = grid.cell_corners(cells[0], inset=grid.corner_inset)
     reps = min(samples, len(corners))
     starts[:reps] = corners[:reps]
 
@@ -265,6 +265,7 @@ def sample_feedback_bound(bank, samples=10000, seed=0):
     k = bank.feedback(t, x, nbrs, starts)
     mags = row_norm(k)
     top = int(np.argmax(mags))
-    witness = {"time": float(t[top]), "state": x[top], "neighbors": nbrs[top],
-               "start": starts[top], "magnitude": float(mags[top])}
+    # copies, so the witness does not keep every sample alive
+    witness = {"time": float(t[top]), "state": x[top].copy(), "neighbors": nbrs[top].copy(),
+               "start": starts[top].copy(), "magnitude": float(mags[top])}
     return float(mags[top]), witness

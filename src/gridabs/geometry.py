@@ -64,6 +64,12 @@ def box_distance(lo, hi, x):
     return row_norm(gap)
 
 
+def first_true(mask):
+    """Index tuple of the first True entry of ``mask`` in C order, or None."""
+    hits = np.argwhere(mask)
+    return tuple(int(v) for v in hits[0]) if len(hits) else None
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned half-open box [lo, hi); distances use its closure."""
@@ -77,6 +83,10 @@ class Box:
 
     def contains(self, x):
         return bool(np.all(x >= self.lo) and np.all(x < self.hi))
+
+    def face_margin(self, x):
+        """Distance from points ``x`` (..., n) to the nearest face; negative outside."""
+        return np.minimum((x - self.lo).min(axis=-1), (self.hi - x).min(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -140,16 +150,17 @@ class GridDecomposition:
         """
         return np.floor((np.asarray(x, dtype=float) - self.origin) / self.side)
 
-    def cell_lo(self, z) -> np.ndarray:
-        """Lower corners of cells given as integer indices shaped ``(..., n)``.
+    def first_outside(self, x, cells):
+        """Leading index (C order) of the first point of ``x`` (..., n) outside its
+        cell in ``cells`` (integer indices, broadcast), or None; ``()`` for one point."""
+        return first_true(np.any(self.cell_indices(x) != cells, axis=-1))
 
-        The vectorized form of ``cell_box(z).lo``, equal to it bit for bit.
-        """
+    def cell_lo(self, z) -> np.ndarray:
+        """Lower corners of cells given as integer indices shaped ``(..., n)``."""
         return self.origin + self.side * np.asarray(z, dtype=float)
 
     def cell_box(self, z) -> Box:
-        z = _as_cell(z, self.dimension)
-        lo = self.origin + self.side * np.asarray(z, dtype=float)
+        lo = self.cell_lo(_as_cell(z, self.dimension))
         return Box(lo=lo, hi=lo + self.side)
 
     def cell_center(self, z) -> np.ndarray:
@@ -163,21 +174,32 @@ class GridDecomposition:
     def distance_to_cell(self, z, x):
         """Euclidean distance from ``x`` to the closure of cell ``z`` (0 inside).
 
-        Accepts a single point or an array of points shaped ``(..., n)``.
+        ``z`` is one cell or integer cells shaped ``(..., n)``, as :meth:`cell_lo`
+        takes, broadcast against points ``x`` shaped ``(..., n)``; one cell and
+        one point give a float.
         """
-        box = self.cell_box(z)
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dimension,):
-            raise ValueError(f"expected points in R^{self.dimension}, got shape {x.shape}")
-        out = box_distance(box.lo, box.hi, x)
-        return float(out) if x.ndim == 1 else out
+        z, x = np.asarray(z), np.asarray(x, dtype=float)
+        if z.shape[-1:] != (self.dimension,) or x.shape[-1:] != (self.dimension,):
+            raise ValueError(f"expected cells and points in R^{self.dimension}, got "
+                             f"shapes {z.shape} and {x.shape}")
+        lo = self.cell_lo(z)
+        out = box_distance(lo, lo + self.side, x)
+        return float(out) if out.ndim == 0 else out
 
-    def inflated_contains(self, z, radius, x) -> bool:
-        """Whether ``x`` lies in cell ``z`` inflated by a ball of ``radius``."""
+    def inflated_contains(self, z, radius, x):
+        """Whether ``x`` lies in cell ``z`` inflated by a ball of ``radius``.
+
+        Takes cells and points as :meth:`distance_to_cell` does.
+        """
         radius = float(radius)
         if radius < 0.0:
             raise ValueError("inflation radius must be nonnegative")
         return self.distance_to_cell(z, x) <= radius + DISTANCE_ATOL
+
+    @property
+    def corner_inset(self) -> float:
+        """Inset of sampled cell corners; absolute, so it rounds away far from the origin."""
+        return 1e-9 * self.side
 
     def cell_corners(self, z, inset=0.0) -> np.ndarray:
         """The 2^n corner points of cell ``z``, pulled inward by ``inset``."""

@@ -34,17 +34,22 @@ def rk4_steps(field, y0, times):
         yield y, dy
 
 
+def knot_times(t0, t1, steps):
+    """The ``steps + 1`` uniform knots of [t0, t1]; needs at least one step."""
+    steps = int(steps)
+    if steps < 1:
+        raise ValueError("need at least one step")
+    return np.linspace(float(t0), float(t1), steps + 1)
+
+
 def rk4_path(field, y0, t0, t1, steps):
     """Integrate dy/dt = field(t, y) on [t0, t1] with ``steps`` uniform RK4 steps.
 
     Returns (times, states, derivs) with the field also evaluated at every
     knot; ``y0`` may have any shape as long as ``field`` preserves it.
     """
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("need at least one step")
-    times = np.linspace(float(t0), float(t1), steps + 1)
-    states = np.empty((steps + 1,) + np.shape(y0))
+    times = knot_times(t0, t1, steps)
+    states = np.empty(times.shape + np.shape(y0))
     derivs = np.empty_like(states)
     for m, (y, dy) in enumerate(rk4_steps(field, y0, times)):
         states[m] = y

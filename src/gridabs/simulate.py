@@ -8,14 +8,11 @@ and whether it still lies in its declared cell inflated by the reach radius.
 One rate function of the coupled system steps through `integrate.rk4_steps`,
 the package's one RK4 loop, so identical inputs and substep counts give
 bit-identical trajectories; the monitors read the feedback the rate function
-computed at each knot, and no derivative array is kept. RK4 asks for each of
-a step's two stage times twice in a row, so every agent's drift compensation
-is computed once per distinct time from ref(t) and its frozen-neighbor
-field: one dense query at the half step, and at a knot the stored dense
-output when the loop runs on the controllers' own knot grid. The plant field
-f(own, neighbors) serves both the dynamics and the coupling cancellation,
-the offset homing is computed once per run, and the results are
-bit-identical to evaluating the full feedback afresh at every stage.
+computed at each knot, and no derivative array is kept. The drift
+compensation (once per distinct stage time), the offset homing (once per
+run) and the plant field f(own, neighbors) are shared between the stages
+and terms that need them, bit-identical to evaluating the full feedback
+afresh at every stage.
 """
 
 from __future__ import annotations
@@ -25,11 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import ControllerBank, DEFAULT_SUBSTEPS
-from .geometry import box_distance, DISTANCE_ATOL, row_norm
-from .integrate import rk4_steps
+from .geometry import first_true, row_norm
+from .integrate import knot_times, rk4_steps
 
 # Slack on the input-magnitude certificate |k| <= input_bound.
 INPUT_ATOL = 1e-12
+
+
+def exceeds_input_bound(magnitude, bound):
+    """Whether an input magnitude breaks the budget ``|k| <= bound`` beyond INPUT_ATOL."""
+    return magnitude > bound + INPUT_ATOL
 
 
 class IntegrationError(RuntimeError):
@@ -94,12 +96,6 @@ def _member(values, b):
     return values[b if len(values) > 1 else 0]
 
 
-def _first(mask):
-    """Index tuple of the first True entry of ``mask`` in C order, or None."""
-    hits = np.argwhere(mask)
-    return tuple(int(v) for v in hits[0]) if len(hits) else None
-
-
 def _check_setup(model, banks, batch):
     net = model.network
     if len(banks) != net.agent_count:
@@ -109,32 +105,31 @@ def _check_setup(model, banks, batch):
         if not isinstance(bank, ControllerBank):
             raise TypeError(f"expected a ControllerBank, got {type(bank).__name__}")
     grid = banks[0].grid
-    period = banks[0].period
+    period, reach = banks[0].period, banks[0].params.reach_radius
     for i, bank in enumerate(banks):
         if bank.agent != i:
             raise ValueError(f"controller at position {i} is for agent {bank.agent}")
         if bank.size not in (1, batch):
             raise ValueError(f"agent {i} bank has size {bank.size}, expected 1 or {batch}")
-        if bank.period != period:
-            raise ValueError("controllers disagree on the period")
+        if (bank.period, bank.params.reach_radius) != (period, reach):
+            raise ValueError("controllers disagree on the period or the reach radius")
         g = bank.grid
         if (g.dimension != grid.dimension or g.side != grid.side
                 or not np.array_equal(g.origin, grid.origin)):
             raise ValueError("controllers disagree on the grid")
     # the declared cells must project from one global configuration per run
-    own = [bank.cell_array[:, 0] for bank in banks]
-    clash = np.zeros((batch, len(banks)), dtype=bool)
-    for i, bank in enumerate(banks):
-        for k, j in enumerate(net.neighbors[i]):
-            clash[:, i] |= np.any(bank.cell_array[:, k + 1] != own[j], axis=-1)
-    bad = _first(clash)
+    own = np.stack([np.broadcast_to(bank.cell_array[:, 0], (batch, grid.dimension))
+                    for bank in banks], axis=1)
+    clash = np.stack([np.any(bank.cell_array[:, 1:] != own[:, list(net.neighbors[i])],
+                             axis=(-2, -1)) for i, bank in enumerate(banks)], axis=1)
+    bad = first_true(clash)
     if bad is not None:
         b, i = bad
         declared = _member(banks[i].configurations, b)[1:]
         expected = tuple(_member(banks[j].configurations, b)[0] for j in net.neighbors[i])
         raise ValueError(f"agent {i} declares neighbor cells {declared} "
                          f"but the shared configuration implies {expected}")
-    return grid, period
+    return grid, period, reach, own
 
 
 def _interpolation_deviation(bank, times, own_states):
@@ -165,19 +160,14 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
         raise ValueError("initial states have non-finite entries")
     batch = x0.shape[0]
     banks = list(controllers)
-    grid, period = _check_setup(model, banks, batch)
-
-    own_cells = [bank.cell_array[:, 0] for bank in banks]
-    outside = np.stack([np.any(grid.cell_indices(x0[:, i]) != own_cells[i], axis=-1)
-                        for i in range(count)], axis=1)
-    bad = _first(outside)
+    grid, period, reach, own_cells = _check_setup(model, banks, batch)
+    bad = grid.first_outside(x0, own_cells)
     if bad is not None:
         b, i = bad
         raise ValueError(f"run {b}: agent {i} starts at {x0[b, i].tolist()} "
                          f"outside its declared cell {_member(banks[i].configurations, b)[0]}")
 
-    steps = int(substeps)
-    times = np.linspace(0.0, period, steps + 1)
+    times = knot_times(0.0, period, substeps)
     neighbor_idx = [list(net.neighbors[i]) for i in range(count)]
     evaluators = [model.evaluator(i) for i in range(count)]
     starts = [np.ascontiguousarray(x0[:, i]) for i in range(count)]
@@ -185,8 +175,6 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
     # a bank integrated on this very grid already stores ref and its field at every knot
     stored = [np.array_equal(times, bank.dense.times) for bank in banks]
 
-    lo = np.stack([np.broadcast_to(grid.cell_lo(cells), (batch, dim)) for cells in own_cells])
-    hi = lo + grid.side
     knot_index = {t: m for m, t in enumerate(times)}
     drift_memo = {}
     feedback = [None] * count
@@ -222,18 +210,17 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
             u[:, i] = plant + feedback[i]
         return u
 
-    states = np.empty((steps + 1, batch, count, dim))
-    mags = np.empty((steps + 1, batch, count))
-    contained = np.empty((steps + 1, batch, count), dtype=bool)
+    states = np.empty(times.shape + (batch, count, dim))
+    mags = np.empty(times.shape + (batch, count))
+    contained = np.empty(times.shape + (batch, count), dtype=bool)
     # rate's last call was at the yielded knot: ``feedback`` holds its values there
     for m, (y, _) in enumerate(rk4_steps(rate, x0, times)):
         if not np.all(np.isfinite(y)):
             raise IntegrationError(f"non-finite state after t = {times[m]:.6g}")
         states[m] = y
+        contained[m] = grid.inflated_contains(own_cells, reach, y)
         for i in range(count):
             mags[m, :, i] = row_norm(feedback[i])
-            contained[m, :, i] = (box_distance(lo[i], hi[i], y[:, i])
-                                  <= banks[i].params.reach_radius + DISTANCE_ATOL)
 
     endpoint_dev = np.empty((batch, count))
     interp_dev = np.empty((batch, count))
@@ -288,9 +275,7 @@ def check_input_bound(trajectory, params) -> np.ndarray:
     mags = trajectory.input_magnitudes
     maxima = mags.max(axis=0)
     worst = np.unravel_index(np.argmax(mags), mags.shape)
-    if mags[worst] > params.input_bound + INPUT_ATOL:
-        agent = worst[-1]
-        time = trajectory.times[worst[0]]
-        raise InputBoundViolation(agent, float(time), float(mags[worst]),
-                                  params.input_bound)
+    if exceeds_input_bound(mags[worst], params.input_bound):
+        raise InputBoundViolation(worst[-1], float(trajectory.times[worst[0]]),
+                                  float(mags[worst]), params.input_bound)
     return maxima

@@ -325,3 +325,10 @@ def test_dot_export_mentions_states_and_edges(ref_model, ref_grid, ref_params,
     t = ts.transitions[0]
     assert f'"{t.source}"' in dot
     assert "->" in dot
+
+
+def test_plan_controllers_need_admissible_params(ref_model, ref_grid):
+    bad = ga.check_discretization(ref_model, ref_grid.diameter(), 0.005)
+    cells = ((0, 0), (1, 0), (0, 1))
+    with pytest.raises(FeasibilityError, match="not admissible"):
+        abstraction.plan_controllers(ref_model, ref_grid, bad, cells, cells, substeps=16)

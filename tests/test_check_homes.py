@@ -1,0 +1,69 @@
+"""Each guarantee check of the package is defined in exactly one function.
+
+The checks are found in the parsed source of ``gridabs``: a reference to a
+tolerance constant, the corner-inset expression ``1e-9 * <grid>.side``, or a
+``FeasibilityError`` whose message says "not admissible". A second function
+holding one of them is a copy that a change to the check would have to find.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import gridabs
+
+SRC = Path(gridabs.__file__).parent
+
+
+def _homes(match):
+    """Scopes (``module.Class.function``) whose own code holds a node matching ``match``."""
+    homes = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if match(child):
+                homes.add(scope)
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return homes
+
+
+def _reads(name):
+    def match(node):
+        if isinstance(node, ast.Name):
+            return node.id == name and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Attribute) and node.attr == name
+    return match
+
+
+def _corner_inset(node):
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    operands = (node.left, node.right)
+    return (any(isinstance(o, ast.Constant) and o.value == 1e-9 for o in operands)
+            and any(isinstance(o, ast.Attribute) and o.attr == "side" for o in operands))
+
+
+def _not_admissible(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "FeasibilityError"
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and "not admissible" in c.value
+                    for arg in node.args for c in ast.walk(arg)))
+
+
+@pytest.mark.parametrize("match, home", [
+    (_reads("DISTANCE_ATOL"), "geometry.GridDecomposition.inflated_contains"),
+    (_reads("INPUT_ATOL"), "simulate.exceeds_input_bound"),
+    (_reads("MARGINAL_REL"), "abstraction.verify_transition"),
+    (_corner_inset, "geometry.GridDecomposition.corner_inset"),
+    (_not_admissible, "admissibility.require_admissible"),
+], ids=["distance", "input", "marginal", "corner-inset", "admissibility"])
+def test_each_check_has_one_home(match, home):
+    assert _homes(match) == {home}

@@ -191,3 +191,11 @@ def test_console_entry_point(config_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "admissible: yes" in proc.stdout
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_verify_rejects_a_limit_below_one(config_path, capsys, limit):
+    assert main(["verify", "--config", config_path, "0", "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--limit must be positive" in captured.err

@@ -201,3 +201,10 @@ def test_sampled_feedback_bound_needs_one_configuration(ref_model, ref_grid, ref
     bank = ControllerBank(ref_model, ref_grid, ref_params, 1, [cells, cells], substeps=16)
     with pytest.raises(ValueError, match="size 2"):
         sample_feedback_bound(bank, samples=10, seed=0)
+
+
+def test_bound_witness_owns_its_arrays(controller):
+    _, witness = sample_feedback_bound(controller, samples=1000, seed=5)
+    # a view would keep every sample of the call alive
+    for key in ("state", "neighbors", "start"):
+        assert witness[key].base is None, key

@@ -177,3 +177,26 @@ def test_long_rows_use_numpy(n):
     # ... and the helpers still return numpy's sums
     assert same_bits(sum_squares(x), np.sum(x * x, axis=-1))
     assert same_bits(row_norm(x), np.linalg.norm(x, axis=-1))
+
+
+def test_vectorized_cell_checks_match_the_scalar_ones():
+    grid = GridDecomposition(2, 0.3, origin=[0.05, -1.0])
+    rng = np.random.default_rng(3)
+    cells = rng.integers(-3, 4, size=(4, 5, 2))
+    pts = grid.cell_lo(cells) + rng.uniform(-0.2, 0.5, size=(4, 5, 2))
+    inside = [[grid.cell_of(p) == tuple(z) for p, z in zip(prow, zrow)]
+              for prow, zrow in zip(pts, cells)]
+    first = next(((a, b) for a in range(4) for b in range(5) if not inside[a][b]), None)
+    assert first is not None and grid.first_outside(pts, cells) == first
+    assert grid.first_outside(grid.cell_lo(cells) + 0.1, cells) is None
+    assert grid.first_outside(pts[first], cells[first]) == ()
+    radius = 0.1
+    contained = grid.inflated_contains(cells, radius, pts)
+    assert contained.shape == (4, 5)
+    for a in range(4):
+        for b in range(5):
+            z = tuple(int(c) for c in cells[a, b])
+            assert contained[a, b] == grid.inflated_contains(z, radius, pts[a, b])
+            box = grid.cell_box(z)
+            margin = min(float((pts[a, b] - box.lo).min()), float((box.hi - pts[a, b]).min()))
+            assert box.face_margin(pts[a, b]) == margin

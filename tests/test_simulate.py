@@ -281,3 +281,10 @@ def test_stage_values_are_evaluated_once(ref_model, ref_grid, ref_params, monkey
     # the residual check adds one query
     assert calls["eval"] == 3 * (evals * steps + first_evals)
     assert calls["at"] == 3 * (queries * steps + first_queries + 1)
+
+
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_closed_loop_needs_at_least_one_step(joint_setup, ref_model, substeps):
+    _, controllers, x0 = joint_setup
+    with pytest.raises(ValueError, match="at least one step"):
+        integrate_closed_loop(ref_model, controllers, x0, substeps=substeps)
