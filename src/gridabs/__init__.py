@@ -28,8 +28,8 @@ from .geometry import (DISTANCE_ATOL, Box, CellConfiguration, CellIndex,
                        GridDecomposition, box_distance)
 from .integrate import DenseTrajectory, rk4_path
 from .simulate import (InputBoundViolation, IntegrationError, MonitorReport,
-                       Trajectory, check_input_bound, check_linear_interpolation,
-                       integrate_closed_loop, integrate_closed_loop_batch)
+                       Trajectory, check_input_bound, integrate_closed_loop,
+                       integrate_closed_loop_batch)
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "certify_window_input_bound",
     "check_discretization",
     "check_input_bound",
-    "check_linear_interpolation",
     "compose_plan",
     "coupling_constants",
     "diameter_upper_bound",

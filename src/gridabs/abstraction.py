@@ -271,7 +271,7 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
     take = min(trials, len(corners))
     x0[:take, i] = corners[:take]
 
-    trajectory, _ = integrate_closed_loop_batch(model, controllers, x0, substeps=substeps)
+    trajectory, _ = integrate_closed_loop_batch(model, controllers, x0)
     endpoints = trajectory.states[-1, :, i, :]
 
     missed = grid.first_outside(endpoints, transition.target)
@@ -346,8 +346,7 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
     for i in range(count):
         x0[:, i, :] = grid.sample_in_cell(source_cells[i], rng, samples)
 
-    trajectory, reports = integrate_closed_loop_batch(model, controllers, x0,
-                                                      substeps=substeps)
+    trajectory, reports = integrate_closed_loop_batch(model, controllers, x0)
     endpoints = trajectory.states[-1]
     missed = grid.first_outside(endpoints, target_cells)
     if missed is not None:

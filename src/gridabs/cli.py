@@ -26,7 +26,7 @@ from .abstraction import (CompositionViolation, EnumerationCap, WellPosednessVio
                           build_transition_system, plan_controllers, to_dot, to_json,
                           verify_transition)
 from .admissibility import (FeasibilityError, admissible_period_interval,
-                            coupling_constants, diameter_upper_bound)
+                            coupling_constants, diameter_upper_bound, require_admissible)
 from .config import ConfigError, load_config
 from .controller import ControllerBank
 from .dynamics import ConstantsViolation, validate_constants
@@ -158,8 +158,7 @@ def cmd_simulate(cfg, args) -> int:
     source_cells = tuple(cfg.grid.cell_of(initial[i]) for i in range(count))
     controllers = plan_controllers(cfg.model, cfg.grid, params, source_cells, targets,
                                    cfg.substeps)
-    trajectory, report = integrate_closed_loop(cfg.model, controllers, initial,
-                                               substeps=cfg.substeps)
+    trajectory, report = integrate_closed_loop(cfg.model, controllers, initial)
     out = _out_dir(args)
     n = cfg.network.dimension
     header = ["t"] + [f"x{i}_{d}" for i in range(count) for d in range(n)]
@@ -192,6 +191,7 @@ def cmd_controller_dump(cfg, args) -> int:
     if cfg.controller_dump is None:
         raise ConfigError("controller-dump needs a 'controller_dump' block in the config")
     params = cfg.params()
+    require_admissible(params)
     block = cfg.controller_dump
     agent = block["agent"]
     config = CellConfiguration(agent=agent, cells=tuple(block["cells"]))
@@ -212,7 +212,7 @@ def cmd_controller_dump(cfg, args) -> int:
               + [f"homing_{d}" for d in range(n)] + ["drift_bound"])
     rows = [",".join(header)]
     times = controller.dense.times
-    refs = controller.dense.at(times)[:, 0]
+    refs = controller.dense.states[:, 0]
     for k, t in enumerate(times):
         drift_bound = cfg.model.self_lipschitz * (1.0 - t / params.period) * offset
         rows.append(",".join([_fmt(t)] + [_fmt(v) for v in refs[k]]
@@ -235,6 +235,18 @@ def cmd_validate_constants(cfg, args) -> int:
     return 0
 
 
+# the optional flags a subcommand may declare; each declares only those it reads
+FLAGS = {
+    "seed": dict(type=int, help="override run.seed"),
+    "substeps": dict(type=int, help="override run.substeps"),
+    "trials": dict(type=int, help="trial count (verify: default run.trials; "
+                                  "validate-constants: default 10000)"),
+    "samples": dict(type=int, help="rows of the region sweep (default 200)"),
+    "limit": dict(type=int, help="check at most this many transitions per agent"),
+    "out": dict(help="output directory (default .)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridabs",
@@ -242,47 +254,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "single-integrator agents on a uniform grid.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, flags, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="path to the YAML configuration")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
-        p.add_argument("--substeps", type=int, default=None, help="override run.substeps")
-        p.add_argument("--trials", type=int, default=None, help="override run.trials")
-        p.add_argument("--samples", type=int, default=None,
-                       help="rows of the region sweep (default 200)")
-        p.add_argument("--out", default=None, help="output directory (default .)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", default=None, **FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="admissibility arithmetic for the configured pair")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("region", help="CSV sweep of the admissible region")
-    common(p)
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("abstract", help="build and export transition systems")
-    common(p)
-    p.set_defaults(func=cmd_abstract)
-
-    p = sub.add_parser("verify", help="falsification sampling of recorded transitions")
-    common(p)
+    command("check", cmd_check, (), "admissibility arithmetic for the configured pair")
+    command("region", cmd_region, ("samples", "out"), "CSV sweep of the admissible region")
+    command("abstract", cmd_abstract, ("substeps", "out"),
+            "build and export transition systems")
+    p = command("verify", cmd_verify, ("seed", "trials", "substeps", "limit"),
+                "falsification sampling of recorded transitions")
     p.add_argument("selector", nargs="?", default="all",
                    help="'all', an agent index, or AGENT:INDEX")
-    p.add_argument("--limit", type=int, default=None,
-                   help="check at most this many transitions per agent")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("simulate", help="one joint closed-loop run")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("controller-dump", help="reference trajectory and terms as CSV")
-    common(p)
-    p.set_defaults(func=cmd_controller_dump)
-
-    p = sub.add_parser("validate-constants", help="sample-test declared constants")
-    common(p)
-    p.set_defaults(func=cmd_validate_constants)
-
+    command("simulate", cmd_simulate, ("substeps", "out"), "one joint closed-loop run")
+    command("controller-dump", cmd_controller_dump, ("substeps", "out"),
+            "reference trajectory and terms as CSV")
+    command("validate-constants", cmd_validate_constants, ("trials", "seed"),
+            "sample-test declared constants")
     return parser
 
 
@@ -291,13 +283,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
         for name in ("substeps", "trials", "samples", "limit"):
             value = getattr(args, name, None)
             if value is not None and value < 1:
                 raise ConfigError(f"--{name} must be positive")
-        if args.substeps is not None:
+        if getattr(args, "seed", None) is not None:
+            cfg.seed = args.seed
+        if getattr(args, "substeps", None) is not None:
             cfg.substeps = args.substeps
         return args.func(cfg, args)
     except EnumerationCap as exc:

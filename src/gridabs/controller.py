@@ -130,13 +130,28 @@ class ControllerBank:
         """Field with neighbors frozen at their reference points; batched."""
         return self._evaluate(y, self._nbr_ref)
 
-    def _reference_batch(self, t):
-        # scalar t -> (B, n); vector t (S,) needs a size-1 bank -> (S, n)
+    @functools.cached_property
+    def _knots(self) -> dict:
+        # knot time -> its index in the stored dense output
+        return {t: m for m, t in enumerate(self.dense.times.tolist())}
+
+    def _reference_and_field(self, t):
+        """ref(t) and its frozen field f(ref(t), frozen neighbors).
+
+        A scalar ``t`` gives (B, n) arrays, read from the stored dense output
+        when ``t`` is a knot of the bank's own grid; a vector of per-sample
+        times (S,) needs a size-1 bank and gives (S, n).
+        """
         if np.ndim(t) == 0:
-            return self.dense.at(t)
-        if self.size != 1:
+            knot = self._knots.get(t)
+            if knot is not None:
+                return self.dense.states[knot], self.dense.derivs[knot]
+            reference = self.dense.at(t)
+        elif self.size != 1:
             raise ValueError("per-sample times require a bank of size 1")
-        return self.dense.at(t)[:, 0, :]
+        else:
+            reference = self.dense.at(t)[:, 0, :]
+        return reference, self.frozen_field(reference)
 
     def _check_time(self, t):
         t = np.asarray(t, dtype=float)
@@ -154,19 +169,14 @@ class ControllerBank:
     def offset_homing(self, own_start):
         return -(own_start - self._own_ref) / self.period
 
-    def drift_compensation(self, t, own_start, reference=None, reference_field=None):
-        """``reference`` and ``reference_field``, if given, are ref(t) and f(ref(t), frozen)."""
+    def drift_compensation(self, t, own_start):
         t = self._check_time(t)
         remain = 1.0 - t / self.period
         if np.ndim(t) > 0:
             remain = remain[:, None]
-        if reference is None:
-            reference = self._reference_batch(t)
+        reference, reference_field = self._reference_and_field(t)
         offset = remain * (own_start - self._own_ref)
-        shifted = self.frozen_field(reference + offset)
-        if reference_field is None:
-            reference_field = self.frozen_field(reference)
-        return -(shifted - reference_field)
+        return -(self.frozen_field(reference + offset) - reference_field)
 
     def feedback(self, t, own, neighbor_states, own_start, plant=None, homing=None,
                  drift=None):

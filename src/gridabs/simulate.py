@@ -1,18 +1,19 @@
 """Closed-loop integration of all agents under their hybrid controllers.
 
 Every agent runs its own controller simultaneously; the integrator samples
-the true coupled dynamics (feedback term plus controller) on a fixed uniform
-substep grid and logs, at every knot, each agent's applied input magnitude
-and whether it still lies in its declared cell inflated by the reach radius.
+the true coupled dynamics (feedback term plus controller) on the knot grid
+its controller banks were integrated on, which they must share, and logs, at
+every knot, each agent's applied input magnitude and whether it still lies in
+its declared cell inflated by the reach radius.
 
 One rate function of the coupled system steps through `integrate.rk4_steps`,
-the package's one RK4 loop, so identical inputs and substep counts give
-bit-identical trajectories; the monitors read the feedback the rate function
-computed at each knot, and no derivative array is kept. The drift
-compensation (once per distinct stage time), the offset homing (once per
-run) and the plant field f(own, neighbors) are shared between the stages
-and terms that need them, bit-identical to evaluating the full feedback
-afresh at every stage.
+the package's one RK4 loop, so identical inputs give bit-identical
+trajectories; the monitors read the feedback the rate function computed at
+each knot, and no derivative array is kept. The drift compensation (once per
+distinct stage time, from the banks' stored reference at the knots), the
+offset homing (once per run) and the plant field f(own, neighbors) are
+shared between the stages and terms that need them, bit-identical to
+evaluating the full feedback afresh at every stage.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import ControllerBank, DEFAULT_SUBSTEPS
+from .controller import ControllerBank
 from .geometry import first_true, row_norm
-from .integrate import knot_times, rk4_steps
+from .integrate import rk4_steps
 
 # Slack on the input-magnitude certificate |k| <= input_bound.
 INPUT_ATOL = 1e-12
@@ -104,15 +105,16 @@ def _check_setup(model, banks, batch):
     for bank in banks:
         if not isinstance(bank, ControllerBank):
             raise TypeError(f"expected a ControllerBank, got {type(bank).__name__}")
-    grid = banks[0].grid
-    period, reach = banks[0].period, banks[0].params.reach_radius
+    grid, reach = banks[0].grid, banks[0].params.reach_radius
+    shared = (banks[0].period, reach, banks[0].substeps)
     for i, bank in enumerate(banks):
         if bank.agent != i:
             raise ValueError(f"controller at position {i} is for agent {bank.agent}")
         if bank.size not in (1, batch):
             raise ValueError(f"agent {i} bank has size {bank.size}, expected 1 or {batch}")
-        if (bank.period, bank.params.reach_radius) != (period, reach):
-            raise ValueError("controllers disagree on the period or the reach radius")
+        if (bank.period, bank.params.reach_radius, bank.substeps) != shared:
+            raise ValueError("controllers disagree on the period, the reach radius "
+                             "or the substeps")
         g = bank.grid
         if (g.dimension != grid.dimension or g.side != grid.side
                 or not np.array_equal(g.origin, grid.origin)):
@@ -129,27 +131,29 @@ def _check_setup(model, banks, batch):
         expected = tuple(_member(banks[j].configurations, b)[0] for j in net.neighbors[i])
         raise ValueError(f"agent {i} declares neighbor cells {declared} "
                          f"but the shared configuration implies {expected}")
-    return grid, period, reach, own
+    return grid, reach, own
 
 
-def _interpolation_deviation(bank, times, own_states):
+def _interpolation_deviation(bank, own_states):
     """Worst knot residual per run of the linear-homing identity.
 
-    ``own_states`` is one agent's (K+1, B, n) block on the knots ``times``;
-    the identity is x(t) = ref(t) + (1 - t/period) * (x(0) - ref(0)).
+    ``own_states`` is one agent's (K+1, B, n) block on the bank's knots; the
+    identity is x(t) = ref(t) + (1 - t/period) * (x(0) - ref(0)).
     """
-    remain = (1.0 - times / bank.period)[:, None, None]
+    dense = bank.dense
+    remain = (1.0 - dense.times / bank.period)[:, None, None]
     offset = own_states[0] - bank._own_ref
-    resid = own_states - bank.dense.at(times) - remain * offset
+    resid = own_states - dense.states - remain * offset
     return row_norm(resid).max(axis=0)
 
 
-def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEPS):
+def integrate_closed_loop_batch(model, controllers, x0):
     """Integrate a batch of joint runs; x0 has shape (B, N, n).
 
     ``controllers`` holds one ControllerBank per agent, shared by all runs
     (banks of size 1 broadcast; banks of size B give run ``b`` its member
-    ``b``). Returns a batched Trajectory and one MonitorReport per run.
+    ``b``). The runs step on the banks' knot grid. Returns a batched
+    Trajectory and one MonitorReport per run.
     """
     x0 = np.asarray(x0, dtype=float)
     net = model.network
@@ -160,22 +164,18 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
         raise ValueError("initial states have non-finite entries")
     batch = x0.shape[0]
     banks = list(controllers)
-    grid, period, reach, own_cells = _check_setup(model, banks, batch)
+    grid, reach, own_cells = _check_setup(model, banks, batch)
     bad = grid.first_outside(x0, own_cells)
     if bad is not None:
         b, i = bad
         raise ValueError(f"run {b}: agent {i} starts at {x0[b, i].tolist()} "
                          f"outside its declared cell {_member(banks[i].configurations, b)[0]}")
 
-    times = knot_times(0.0, period, substeps)
+    times = banks[0].dense.times
     neighbor_idx = [list(net.neighbors[i]) for i in range(count)]
     evaluators = [model.evaluator(i) for i in range(count)]
     starts = [np.ascontiguousarray(x0[:, i]) for i in range(count)]
     homing = [bank.offset_homing(starts[i]) for i, bank in enumerate(banks)]
-    # a bank integrated on this very grid already stores ref and its field at every knot
-    stored = [np.array_equal(times, bank.dense.times) for bank in banks]
-
-    knot_index = {t: m for m, t in enumerate(times)}
     drift_memo = {}
     feedback = [None] * count
 
@@ -185,17 +185,9 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
         # then k4 and the knot at t + h == t_next (the knots start at 0, so h is
         # exact). One memo entry is enough.
         if t not in drift_memo:
-            knot = knot_index.get(t)
-            out = []
-            for i, bank in enumerate(banks):
-                if knot is not None and stored[i]:
-                    ref, field = bank.dense.states[knot], bank.dense.derivs[knot]
-                else:
-                    ref = bank.dense.at(t)
-                    field = bank.frozen_field(ref)
-                out.append(bank.drift_compensation(t, starts[i], ref, field))
             drift_memo.clear()
-            drift_memo[t] = out
+            drift_memo[t] = [bank.drift_compensation(t, starts[i])
+                             for i, bank in enumerate(banks)]
         return drift_memo[t]
 
     def rate(t, y):
@@ -225,7 +217,7 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
     endpoint_dev = np.empty((batch, count))
     interp_dev = np.empty((batch, count))
     for i, bank in enumerate(banks):
-        interp_dev[:, i] = _interpolation_deviation(bank, times, states[:, :, i, :])
+        interp_dev[:, i] = _interpolation_deviation(bank, states[:, :, i, :])
         endpoint_dev[:, i] = row_norm(states[-1, :, i, :] - bank.endpoint)
 
     trajectory = Trajectory(times=times, states=states, input_magnitudes=mags,
@@ -238,33 +230,18 @@ def integrate_closed_loop_batch(model, controllers, x0, substeps=DEFAULT_SUBSTEP
     return trajectory, reports
 
 
-def integrate_closed_loop(model, controllers, x0, substeps=DEFAULT_SUBSTEPS):
+def integrate_closed_loop(model, controllers, x0):
     """Integrate one joint run from x0 shaped (N, n).
 
     Returns the Trajectory (states (K+1, N, n)) and its MonitorReport.
     """
     x0 = np.asarray(x0, dtype=float)
-    trajectory, reports = integrate_closed_loop_batch(model, controllers, x0[None],
-                                                      substeps=substeps)
+    trajectory, reports = integrate_closed_loop_batch(model, controllers, x0[None])
     single = Trajectory(times=trajectory.times,
                         states=trajectory.states[:, 0],
                         input_magnitudes=trajectory.input_magnitudes[:, 0],
                         contained=trajectory.contained[:, 0])
     return single, reports[0]
-
-
-def check_linear_interpolation(trajectory, controllers) -> np.ndarray:
-    """Worst knot residual per agent of the linear-homing identity.
-
-    Recomputed from the stored states: the realized state must equal the
-    reference trajectory plus the linearly vanishing share of the initial
-    offset at every knot.
-    """
-    states = trajectory.states
-    if states.ndim != 3:
-        raise ValueError("expected a single-run trajectory")
-    return np.array([_interpolation_deviation(bank, trajectory.times, states[:, None, i, :])[0]
-                     for i, bank in enumerate(controllers)])
 
 
 def check_input_bound(trajectory, params) -> np.ndarray:

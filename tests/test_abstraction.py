@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridabs as ga
 import gridabs.abstraction as abstraction
@@ -314,6 +316,37 @@ def test_json_round_trip(ref_model, ref_grid, ref_params, ref_window):
     back = from_json(text)
     assert back == ts
     assert to_json(back) == text
+
+
+@st.composite
+def transition_systems(draw):
+    """Small windows of one or two axes with a few arbitrary transitions."""
+    dim = draw(st.integers(1, 2))
+    ranges = []
+    for _ in range(dim):
+        lo = draw(st.integers(-3, 3))
+        ranges.append((lo, lo + draw(st.integers(0, 2))))
+    window = Window(tuple(ranges))
+    agent = draw(st.integers(0, 5))
+    any_cell = st.tuples(*[st.integers(-5, 5)] * dim)
+    point = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * dim)
+    degree = draw(st.integers(0, 2))
+    transitions = []
+    for _ in range(draw(st.integers(0, 6))):
+        source = draw(st.sampled_from(window.cells()))
+        action = (source, *draw(st.lists(any_cell, min_size=degree, max_size=degree)))
+        transitions.append(Transition(
+            agent=agent, source=source, action=action, target=draw(any_cell),
+            reference_points=draw(st.lists(point, min_size=degree + 1,
+                                           max_size=degree + 1))))
+    return abstraction.TransitionSystem(agent=agent, window=window,
+                                        transitions=transitions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ts=transition_systems())
+def test_json_round_trip_of_any_small_system(ts):
+    assert from_json(to_json(ts)) == ts
 
 
 def test_dot_export_mentions_states_and_edges(ref_model, ref_grid, ref_params,

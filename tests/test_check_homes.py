@@ -4,6 +4,8 @@ The checks are found in the parsed source of ``gridabs``: a reference to a
 tolerance constant, the corner-inset expression ``1e-9 * <grid>.side``, or a
 ``FeasibilityError`` whose message says "not admissible". A second function
 holding one of them is a copy that a change to the check would have to find.
+Likewise only ``rk4_path`` builds a knot grid: the closed loop steps on its
+controller banks' grid instead of building its own.
 """
 
 import ast
@@ -67,3 +69,11 @@ def _not_admissible(node):
 ], ids=["distance", "input", "marginal", "corner-inset", "admissibility"])
 def test_each_check_has_one_home(match, home):
     assert _homes(match) == {home}
+
+
+def _calls_knot_times(node):
+    return isinstance(node, ast.Call) and _reads("knot_times")(node.func)
+
+
+def test_knot_grid_is_built_in_one_place():
+    assert _homes(_calls_knot_times) == {"integrate.rk4_path"}

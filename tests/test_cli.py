@@ -166,6 +166,36 @@ def test_controller_dump_columns(config_path, tmp_path, capsys):
     assert float(last[-1]) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_controller_dump_inadmissible_period_exits_one(bad_period_path, tmp_path,
+                                                       capsys):
+    assert main(["simulate", "--config", bad_period_path, "--out", str(tmp_path)]) == 1
+    simulate_err = capsys.readouterr().err
+    out = tmp_path / "dump"
+    assert main(["controller-dump", "--config", bad_period_path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == simulate_err
+    assert "not admissible" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("check", ["--trials", "3", "--samples", "9", "--seed", "4", "--substeps", "2"]),
+    ("check", ["--out", "x"]),
+    ("region", ["--seed", "4"]),
+    ("abstract", ["--trials", "3"]),
+    ("verify", ["--samples", "9"]),
+    ("verify", ["--out", "x"]),
+    ("simulate", ["--trials", "3"]),
+    ("controller-dump", ["--seed", "4"]),
+    ("validate-constants", ["--substeps", "2"]),
+])
+def test_flags_a_subcommand_ignores_are_input_errors(config_path, capsys, command, flags):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", config_path, *flags])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_validate_constants_passes(config_path, capsys):
     assert main(["validate-constants", "--config", config_path,
                  "--trials", "300"]) == 0

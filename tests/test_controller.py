@@ -5,6 +5,7 @@ import pytest
 
 from gridabs.controller import ControllerBank, sample_feedback_bound, sample_inflated_cell
 from gridabs.geometry import CellConfiguration
+from gridabs.integrate import DenseTrajectory
 
 
 @pytest.fixture()
@@ -120,6 +121,35 @@ def test_bank_matches_individual_controllers(ref_model, ref_grid, ref_params,
     stacked = np.stack([singles[b].feedback(t, x[b][None], nbrs[b][None], start[b][None])[0]
                         for b in range(7)])
     np.testing.assert_allclose(batched, stacked, atol=1e-15)
+
+
+def test_drift_compensation_reads_the_stored_knots(ref_model, ref_grid, ref_params,
+                                                  monkeypatch):
+    rng = np.random.default_rng(6)
+    configs, refs = seven_configurations(ref_grid, rng)
+    bank = ControllerBank(ref_model, ref_grid, ref_params, 1, configs, refs, substeps=32)
+    start = refs[:, 0, :] + 5e-4 * rng.normal(size=(7, 2))
+    queries = []
+    at = DenseTrajectory.at
+
+    def counting_at(self, t):
+        queries.append(t)
+        return at(self, t)
+
+    for view, own_start in ((bank, start), (bank.member(3), start[3:4])):
+        for t in view.dense.times:
+            monkeypatch.setattr(DenseTrajectory, "at", counting_at)
+            drift = view.drift_compensation(t, own_start)
+            monkeypatch.setattr(DenseTrajectory, "at", at)
+            ref = view.dense.at(t)
+            offset = (1.0 - t / view.period) * (own_start - view.reference_points[:, 0])
+            expected = -(view.frozen_field(ref + offset) - view.frozen_field(ref))
+            np.testing.assert_array_equal(drift, expected, strict=True)
+    # a knot's reference and its field are the stored dense output
+    assert queries == []
+    monkeypatch.setattr(DenseTrajectory, "at", counting_at)
+    bank.drift_compensation(0.5 * bank.dense.times[1], start)
+    assert len(queries) == 1
 
 
 def test_bank_members_match_size_one_banks(ref_model, ref_grid, ref_params):

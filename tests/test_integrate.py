@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from gridabs.integrate import DenseTrajectory, rk4_path, rk4_steps
+from gridabs.integrate import DenseTrajectory, knot_times, rk4_path, rk4_steps
 
 
 def exp_field(t, y):
@@ -116,3 +119,31 @@ def test_integration_is_bit_reproducible():
 def test_rejects_bad_step_count():
     with pytest.raises(ValueError):
         rk4_path(exp_field, np.array([1.0]), 0.0, 1.0, 0)
+
+
+KNOT_VALUES = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False,
+                        allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), steps=st.integers(1, 48),
+       t0=st.floats(-1e3, 1e3), span=st.floats(1e-3, 1e3))
+def test_dense_output_is_exact_at_every_knot(data, steps, t0, span):
+    # the closed loop and its residual check read the stored knots in place
+    # of querying them, which this makes the same thing
+    times = knot_times(t0, t0 + span, steps)
+    shape = times.shape + data.draw(array_shapes(min_dims=0, max_dims=3, max_side=4))
+    states = data.draw(arrays(np.float64, shape, elements=KNOT_VALUES))
+    derivs = data.draw(arrays(np.float64, shape, elements=KNOT_VALUES))
+    dense = DenseTrajectory(times, states, derivs)
+    nonzero = states != 0.0
+
+    def exact(got, m=slice(None)):
+        # bit for bit, except that a zero may come back with the other sign
+        want = np.asarray(states[m])
+        return (np.array_equal(got, want)
+                and got[nonzero[m]].tobytes() == want[nonzero[m]].tobytes())
+
+    for m, t in enumerate(times):
+        assert exact(np.asarray(dense.at(t)), m)
+    assert exact(dense.at(times))

@@ -11,8 +11,7 @@ from gridabs.dynamics import project_configuration
 from gridabs.geometry import DISTANCE_ATOL, CellConfiguration, box_distance
 from gridabs.integrate import DenseTrajectory, rk4_path
 from gridabs.simulate import (InputBoundViolation, IntegrationError, check_input_bound,
-                              check_linear_interpolation, integrate_closed_loop,
-                              integrate_closed_loop_batch)
+                              integrate_closed_loop, integrate_closed_loop_batch)
 
 
 def make_controllers(model, grid, params, cells, rng=None, substeps=64):
@@ -38,8 +37,7 @@ def joint_setup(ref_model, ref_grid, ref_params):
 
 def test_endpoints_match_reference(joint_setup, ref_model, ref_grid):
     cells, controllers, x0 = joint_setup
-    trajectory, report = integrate_closed_loop(ref_model, controllers, x0,
-                                               substeps=64)
+    trajectory, report = integrate_closed_loop(ref_model, controllers, x0)
     for i, c in enumerate(controllers):
         np.testing.assert_allclose(trajectory.states[-1, i], c.endpoint[0], atol=1e-12)
         assert ref_grid.cell_of(trajectory.states[-1, i]) == c.target_cells()[0]
@@ -51,8 +49,8 @@ def test_endpoints_match_reference(joint_setup, ref_model, ref_grid):
 
 def test_interpolation_identity_holds_along_the_run(joint_setup, ref_model):
     cells, controllers, x0 = joint_setup
-    trajectory, _ = integrate_closed_loop(ref_model, controllers, x0, substeps=64)
-    residuals = check_linear_interpolation(trajectory, controllers)
+    _, report = integrate_closed_loop(ref_model, controllers, x0)
+    residuals = report.interpolation_deviation
     assert residuals.shape == (3,)
     assert residuals.max() <= 1e-12
 
@@ -62,7 +60,7 @@ def test_initial_state_must_match_declared_cell(joint_setup, ref_model):
     shifted = x0.copy()
     shifted[0] += 10.0
     with pytest.raises(ValueError):
-        integrate_closed_loop(ref_model, controllers, shifted, substeps=16)
+        integrate_closed_loop(ref_model, controllers, shifted)
 
 
 def test_start_check_names_the_first_stray_run(joint_setup, ref_model):
@@ -72,7 +70,7 @@ def test_start_check_names_the_first_stray_run(joint_setup, ref_model):
     batch[2, 2] += 10.0
     batch[2, 1] += 10.0
     with pytest.raises(ValueError, match=r"run 2: agent 1 starts at"):
-        integrate_closed_loop_batch(ref_model, controllers, batch, substeps=16)
+        integrate_closed_loop_batch(ref_model, controllers, batch)
 
 
 def test_neighbor_declarations_must_agree(ref_model, ref_grid, ref_params):
@@ -85,14 +83,14 @@ def test_neighbor_declarations_must_agree(ref_model, ref_grid, ref_params):
     rng = np.random.default_rng(8)
     x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
     with pytest.raises(ValueError):
-        integrate_closed_loop(ref_model, controllers, x0, substeps=16)
+        integrate_closed_loop(ref_model, controllers, x0)
 
 
 def test_controllers_must_be_banks(joint_setup, ref_model):
     cells, controllers, x0 = joint_setup
     controllers[1] = object()
     with pytest.raises(TypeError):
-        integrate_closed_loop(ref_model, controllers, x0, substeps=16)
+        integrate_closed_loop(ref_model, controllers, x0)
 
 
 def test_controllers_must_share_the_period(ref_model, ref_grid, ref_params):
@@ -105,12 +103,15 @@ def test_controllers_must_share_the_period(ref_model, ref_grid, ref_params):
     rng = np.random.default_rng(8)
     x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
     with pytest.raises(ValueError):
-        integrate_closed_loop(ref_model, controllers, x0, substeps=16)
+        integrate_closed_loop(ref_model, controllers, x0)
 
 
-def test_trajectory_shapes(joint_setup, ref_model):
-    cells, controllers, x0 = joint_setup
-    trajectory, _ = integrate_closed_loop(ref_model, controllers, x0, substeps=32)
+def test_trajectory_shapes(ref_model, ref_grid, ref_params):
+    cells = ((0, 0), (1, 0), (1, 1))
+    controllers = make_controllers(ref_model, ref_grid, ref_params, cells, substeps=32)
+    rng = np.random.default_rng(8)
+    x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
+    trajectory, _ = integrate_closed_loop(ref_model, controllers, x0)
     assert trajectory.times.shape == (33,)
     assert trajectory.states.shape == (33, 3, 2)
     assert trajectory.input_magnitudes.shape == (33, 3)
@@ -120,8 +121,7 @@ def test_trajectory_shapes(joint_setup, ref_model):
 
 def test_input_bound_checker_flags_tight_budget(joint_setup, ref_model, ref_params):
     cells, controllers, x0 = joint_setup
-    trajectory, report = integrate_closed_loop(ref_model, controllers, x0,
-                                               substeps=32)
+    trajectory, report = integrate_closed_loop(ref_model, controllers, x0)
     maxima = check_input_bound(trajectory, ref_params)
     np.testing.assert_allclose(maxima, report.max_input, rtol=1e-12)
     squeezed = dataclasses.replace(ref_params, input_bound=0.5 * max(maxima))
@@ -153,7 +153,7 @@ def test_non_finite_state_raises_at_its_knot(ref_model, ref_grid, ref_params):
     assert all(np.all(np.isfinite(c.dense.states)) for c in controllers)
     x0 = centers + 0.1 * ref_grid.side
     with pytest.raises(IntegrationError, match=r"^non-finite state after t = 0\.00125$"):
-        integrate_closed_loop(model, controllers, x0, substeps=16)
+        integrate_closed_loop(model, controllers, x0)
 
 
 def random_banks(model, grid, params, runs, rng, substeps):
@@ -177,8 +177,7 @@ def test_batch_matches_single_runs(ref_model, ref_grid, ref_params):
     B = 6
     banks, x0 = random_banks(ref_model, ref_grid, ref_params, B,
                              np.random.default_rng(15), 32)
-    batched, reports = integrate_closed_loop_batch(ref_model, banks, x0,
-                                                   substeps=32)
+    batched, reports = integrate_closed_loop_batch(ref_model, banks, x0)
     assert batched.states.shape == (33, B, 3, 2)
     assert len(reports) == B
     for b in range(B):
@@ -186,14 +185,14 @@ def test_batch_matches_single_runs(ref_model, ref_grid, ref_params):
             ref_model, ref_grid, ref_params, i, [banks[i].configurations[b]],
             reference_points=banks[i].reference_points[b][None], substeps=32)
             for i in range(3)]
-        single, _ = integrate_closed_loop(ref_model, singles, x0[b], substeps=32)
+        single, _ = integrate_closed_loop(ref_model, singles, x0[b])
         np.testing.assert_allclose(batched.states[:, b], single.states, atol=1e-14)
 
 
 def test_closed_loop_is_deterministic(joint_setup, ref_model):
     cells, controllers, x0 = joint_setup
-    a, _ = integrate_closed_loop(ref_model, controllers, x0, substeps=32)
-    b, _ = integrate_closed_loop(ref_model, controllers, x0, substeps=32)
+    a, _ = integrate_closed_loop(ref_model, controllers, x0)
+    b, _ = integrate_closed_loop(ref_model, controllers, x0)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.input_magnitudes, b.input_magnitudes)
 
@@ -214,7 +213,8 @@ def plain_closed_loop(model, banks, x0, substeps):
     return rk4_path(rate, x0, 0.0, banks[0].period, substeps)[1]
 
 
-@pytest.mark.parametrize("bank_substeps, loop_substeps", [(32, 32), (64, 32)])
+# the plain loop integrates on its own grid of ``loop_substeps`` steps
+@pytest.mark.parametrize("bank_substeps, loop_substeps", [(32, 32)])
 def test_stage_reuse_is_bit_identical(path_network, ref_grid, bank_substeps,
                                       loop_substeps):
     # nonlinear at cell scale, so a reference value taken at the wrong time
@@ -223,8 +223,7 @@ def test_stage_reuse_is_bit_identical(path_network, ref_grid, bank_substeps,
     params = ga.check_discretization(model, ref_grid.diameter(), 0.02)
     banks, x0 = random_banks(model, ref_grid, params, 4, np.random.default_rng(21),
                              bank_substeps)
-    trajectory, reports = integrate_closed_loop_batch(model, banks, x0,
-                                                      substeps=loop_substeps)
+    trajectory, reports = integrate_closed_loop_batch(model, banks, x0)
     states = plain_closed_loop(model, banks, x0, loop_substeps)
     np.testing.assert_array_equal(trajectory.states, states)
     assert max(r.endpoint_deviation.max() for r in reports) <= 1e-12
@@ -253,18 +252,17 @@ def counted(model, calls):
 
 
 # per agent: evaluator calls and dense queries per RK4 step, then those of the
-# first knot (k1's three state-dependent evaluations, plus the knot reference
-# when it is not stored)
+# first knot (k1's three state-dependent evaluations; its reference is stored)
 @pytest.mark.parametrize("bank_substeps, evals, queries, first_evals, first_queries",
-                         [(32, 11, 1, 3, 0), (64, 12, 2, 4, 1)])
+                         [(32, 11, 1, 3, 0)])
 def test_stage_values_are_evaluated_once(ref_model, ref_grid, ref_params, monkeypatch,
                                          bank_substeps, evals, queries, first_evals,
                                          first_queries):
     """Per agent and RK4 step: the plant and the coupling cancellation at each
     of the four stages, the half-step reference field and the drift at both
-    distinct stage times, and one dense query. Off the banks' knot grid the
-    next knot's reference costs one more of each."""
-    steps = 32
+    distinct stage times, and one dense query. The knots read the banks'
+    stored reference and its field, and so does the residual check."""
+    steps = bank_substeps
     calls = {"eval": 0, "at": 0}
     model = counted(ref_model, calls)
     banks, x0 = random_banks(model, ref_grid, ref_params, 5, np.random.default_rng(4),
@@ -277,14 +275,25 @@ def test_stage_values_are_evaluated_once(ref_model, ref_grid, ref_params, monkey
 
     monkeypatch.setattr(DenseTrajectory, "at", counting_at)
     calls.update(eval=0, at=0)
-    integrate_closed_loop_batch(model, banks, x0, substeps=steps)
-    # the residual check adds one query
+    integrate_closed_loop_batch(model, banks, x0)
     assert calls["eval"] == 3 * (evals * steps + first_evals)
-    assert calls["at"] == 3 * (queries * steps + first_queries + 1)
+    assert calls["at"] == 3 * (queries * steps + first_queries)
 
 
 @pytest.mark.parametrize("substeps", [0, -1])
-def test_closed_loop_needs_at_least_one_step(joint_setup, ref_model, substeps):
-    _, controllers, x0 = joint_setup
+def test_closed_loop_needs_at_least_one_step(ref_model, ref_grid, ref_params, substeps):
+    # the closed loop steps on its banks' grid, which is built with them
     with pytest.raises(ValueError, match="at least one step"):
-        integrate_closed_loop(ref_model, controllers, x0, substeps=substeps)
+        make_controllers(ref_model, ref_grid, ref_params, ((0, 0), (1, 0), (1, 1)),
+                         substeps=substeps)
+
+
+def test_controllers_must_share_the_substeps(ref_model, ref_grid, ref_params):
+    cells = ((0, 0), (1, 0), (1, 1))
+    controllers = make_controllers(ref_model, ref_grid, ref_params, cells, substeps=32)
+    controllers[1:] = make_controllers(ref_model, ref_grid, ref_params, cells,
+                                       substeps=64)[1:]
+    rng = np.random.default_rng(8)
+    x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
+    with pytest.raises(ValueError, match="substeps"):
+        integrate_closed_loop(ref_model, controllers, x0)
