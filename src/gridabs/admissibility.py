@@ -64,7 +64,11 @@ def admissible_period_interval(model, diameter):
     # d <= bound was already checked; a tiny negative disc is pure roundoff.
     disc = max(disc, 0.0)
     root = math.sqrt(disc)
-    return (v - root) / (2.0 * quad), (v + root) / (2.0 * quad)
+    # the lower root is diameter / (quad * upper root): (v - root) cancels for
+    # small diameters and can even round to 0. At a double root the two
+    # quotients can cross by an ulp.
+    lo = 2.0 * diameter / (v + root)
+    return lo, max(lo, (v + root) / (2.0 * quad))
 
 
 def period_lower_bound(model, diameter) -> float:

@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .geometry import box_distance, row_norm
+from .geometry import box_distance, components, from_components, row_norm, uniform_in_box
 from .integrate import DenseTrajectory, rk4_path
 
 _TINY = np.finfo(float).tiny
@@ -167,16 +167,16 @@ class ControllerBank:
         return -(plant - self._evaluate(own, self._nbr_ref))
 
     def offset_homing(self, own_start):
-        return -(own_start - self._own_ref) / self.period
+        return from_components([-(x - r) / self.period for x, r in
+                                zip(components(own_start), components(self._own_ref))])
 
     def drift_compensation(self, t, own_start):
         t = self._check_time(t)
         remain = 1.0 - t / self.period
-        if np.ndim(t) > 0:
-            remain = remain[:, None]
         reference, reference_field = self._reference_and_field(t)
-        offset = remain * (own_start - self._own_ref)
-        return -(self.frozen_field(reference + offset) - reference_field)
+        shifted = from_components([y + remain * (x - r) for y, x, r in zip(
+            components(reference), components(own_start), components(self._own_ref))])
+        return -(self.frozen_field(shifted) - reference_field)
 
     def feedback(self, t, own, neighbor_states, own_start, plant=None, homing=None,
                  drift=None):
@@ -205,7 +205,7 @@ def sample_inflated_cell(grid, cell, radius, count, rng):
     box = grid.cell_box(cell)
     n = grid.dimension
     if radius == 0.0:
-        return rng.uniform(box.lo, box.hi, size=(count, n))
+        return uniform_in_box(rng, box.lo, box.hi, count)
     out = np.empty((count, n))
     half = count // 2
     filled = 0
@@ -213,28 +213,30 @@ def sample_inflated_cell(grid, cell, radius, count, rng):
         if filled >= half:
             break
         need = half - filled
-        cand = rng.uniform(box.lo - radius, box.hi + radius, size=(2 * need + 16, n))
-        keep = cand[box_distance(box.lo, box.hi, cand) <= radius]
+        cand = uniform_in_box(rng, box.lo - radius, box.hi + radius, 2 * need + 16)
+        keep = np.compress(box_distance(box.lo, box.hi, cand) <= radius, cand, axis=0)
         take = min(len(keep), need)
         out[filled:filled + take] = keep[:take]
         filled += take
     rest = count - filled
-    y = rng.uniform(box.lo, box.hi, size=(rest, n))
+    y = uniform_in_box(rng, box.lo, box.hi, rest)
     ax = rng.integers(0, n, size=rest)
     hi_side = rng.integers(0, 2, size=rest).astype(bool)
     y[np.arange(rest), ax] = np.where(hi_side, box.hi[ax], box.lo[ax])
     u = rng.normal(size=(rest, n))
-    u /= np.maximum(row_norm(u)[:, None], _TINY)
-    reach = radius * rng.uniform(0.5, 1.0, size=(rest, 1))
-    pts = y + reach * u
+    norm = np.maximum(row_norm(u), _TINY)
+    reach = radius * rng.uniform(0.5, 1.0, size=rest)
+    for col, start, step in zip(components(out[filled:]), components(y), components(u)):
+        step /= norm
+        step *= reach
+        np.add(start, step, out=col)
     # pin a few samples to the extreme corners of the inflated set
     corners = grid.cell_corners(cell)
     k = min(len(corners), rest)
     if k:
         signs = np.array([[-1.0 if c == l else 1.0 for c, l in zip(corner, box.lo)]
                           for corner in corners[:k]])
-        pts[:k] = corners[:k] + radius * signs / np.sqrt(n)
-    out[filled:] = pts
+        out[filled:filled + k] = corners[:k] + radius * signs / np.sqrt(n)
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CellConfiguration, row_norm, sum_squares
+from .geometry import CellConfiguration, component_sum_squares, row_norm
 
 _TINY = np.finfo(float).tiny
 
@@ -145,6 +145,14 @@ class DynamicsModel:
         return self.evaluator(agent)(own, nbrs)
 
 
+def _sum_in_order(parts, out=None):
+    # parts[0] + parts[1] + ... added in order from +0.0, into ``out`` if given
+    total = np.add(0.0, parts[0], out=out)
+    for k in range(1, len(parts)):
+        total += parts[k]
+    return total
+
+
 def neighbor_sum(terms):
     """Sum of ``terms`` shaped (..., m, n) over the neighbor axis.
 
@@ -155,16 +163,36 @@ def neighbor_sum(terms):
     m = terms.shape[-2]
     if m == 0:
         return terms.sum(axis=-2)
-    total = 0.0 + terms[..., 0, :]
-    for k in range(1, m):
-        total += terms[..., k, :]
-    return total
+    return _sum_in_order([terms[..., k, :] for k in range(m)])
 
 
-def _radial_clip(diffs, gain):
-    # Projection of each difference vector onto the closed ball B(gain).
-    r = row_norm(diffs)[..., None]
-    return diffs * np.minimum(1.0, gain / np.maximum(r, _TINY))
+def _neighbor_field(own, nbrs, term):
+    """sum_k term(x_{j_k} - x_i) for ``own`` (..., n) and ``nbrs`` (..., m, n).
+
+    The differences are laid out component-major, shaped (n, m, ...), so
+    every elementwise step runs over all rows at once, also when a size-1
+    block of frozen neighbors broadcasts against many states. ``term`` turns
+    that array into the terms in place. Each entry goes through the same
+    operations as in ``neighbor_sum(term(nbrs - own[..., None, :]))``, so the
+    two agree bit for bit.
+    """
+    m = nbrs.shape[-2]
+    if m == 0:
+        return neighbor_sum(nbrs - own[..., None, :])
+    lead = max(own.ndim - 1, nbrs.ndim - 2)
+    if own.ndim <= lead:
+        own = own[(None,) * (lead + 1 - own.ndim)]
+    if nbrs.ndim <= lead + 1:
+        nbrs = nbrs[(None,) * (lead + 2 - nbrs.ndim)]
+    rows = tuple(range(lead))
+    # order="C" keeps the rows innermost although the component axis has the
+    # smallest stride in both operands
+    diffs = np.subtract(nbrs.transpose((lead + 1, lead) + rows),
+                        own.transpose((lead,) + rows)[:, None], order="C", dtype=float)
+    term(diffs)
+    out = np.empty(diffs.shape[2:] + diffs.shape[:1])
+    _sum_in_order(diffs.swapaxes(0, 1), out=out.transpose((lead,) + rows))
+    return out
 
 
 def saturated_consensus(network, gain, input_bound):
@@ -181,8 +209,17 @@ def saturated_consensus(network, gain, input_bound):
     if maxdeg == 0:
         raise ValueError("saturated consensus needs at least one edge")
 
+    def clip(diffs):
+        # projection of each difference onto the closed ball B(gain), in place
+        factor = component_sum_squares(diffs)
+        np.sqrt(factor, out=factor)
+        np.maximum(factor, _TINY, out=factor)
+        np.divide(gain, factor, out=factor)
+        np.minimum(1.0, factor, out=factor)
+        diffs *= factor
+
     def evaluate(own, nbrs):
-        return neighbor_sum(_radial_clip(nbrs - own[..., None, :], gain))
+        return _neighbor_field(own, nbrs, clip)
 
     return DynamicsModel(network, (evaluate,) * network.agent_count,
                          feedback_bound=gain * maxdeg,
@@ -207,10 +244,18 @@ def smooth_consensus(network, gain, input_bound, scale=1.0):
     if maxdeg == 0:
         raise ValueError("smooth consensus needs at least one edge")
 
+    def soften(diffs):
+        # diff / sqrt(1 + |diff|^2 / gain^2) for each difference, in place
+        q = component_sum_squares(diffs)
+        q /= gain**2
+        q += 1.0
+        np.sqrt(q, out=q)
+        diffs /= q
+
     def evaluate(own, nbrs):
-        diffs = nbrs - own[..., None, :]
-        r2 = sum_squares(diffs)[..., None]
-        return scale * neighbor_sum(diffs / np.sqrt(1.0 + r2 / gain**2))
+        out = _neighbor_field(own, nbrs, soften)
+        out *= scale
+        return out
 
     return DynamicsModel(network, (evaluate,) * network.agent_count,
                          feedback_bound=scale * gain * maxdeg,

@@ -34,6 +34,25 @@ def _as_cell(z, dimension):
     return z
 
 
+def components(x):
+    """The n component arrays ``x[..., k]`` of points ``x`` shaped (..., n).
+
+    Kernels on (..., n) arrays work on these, so each elementwise step runs
+    over the long leading axes; an operand that broadcasts a short length-n
+    axis against many rows makes numpy step n elements at a time instead.
+    """
+    x = np.asarray(x)
+    return [x[..., k] for k in range(x.shape[-1])]
+
+
+def from_components(parts):
+    """Points shaped (..., n) from n component arrays of one shape; C-contiguous."""
+    out = np.empty(np.shape(parts[0]) + (len(parts),))
+    for k, part in enumerate(parts):
+        out[..., k] = part
+    return out
+
+
 def sum_squares(x):
     """Sum of squares over the last axis; equals ``np.sum(x*x, axis=-1)`` bit for bit.
 
@@ -44,9 +63,20 @@ def sum_squares(x):
     n = x.shape[-1]
     if not 0 < n <= ORDERED_SUM_MAX:
         return np.sum(x * x, axis=-1)
-    total = x[..., 0] * x[..., 0]
-    for k in range(1, n):
-        total += x[..., k] * x[..., k]
+    return component_sum_squares(components(x))
+
+
+def component_sum_squares(parts):
+    """:func:`sum_squares` of the points whose components are ``parts``.
+
+    ``parts`` are float arrays of one shape, as :func:`components` gives; the
+    result equals ``sum_squares(np.stack(parts, axis=-1))`` bit for bit.
+    """
+    if len(parts) > ORDERED_SUM_MAX:
+        return sum_squares(np.stack(parts, axis=-1))
+    total = parts[0] * parts[0]
+    for k in range(1, len(parts)):
+        total += parts[k] * parts[k]
     return total
 
 
@@ -59,9 +89,29 @@ def row_norm(x):
 
 
 def box_distance(lo, hi, x):
-    """Euclidean distance from ``x`` to the closed box [lo, hi]; broadcasts."""
-    gap = np.maximum(np.maximum(lo - x, 0.0), x - hi)
-    return row_norm(gap)
+    """Euclidean distance from ``x`` to the closed box [lo, hi]; broadcasts.
+
+    All three are shaped (..., n); the gap to the box is taken one component
+    at a time.
+    """
+    gaps = [np.maximum(np.maximum(a - b, 0.0), b - c)
+            for a, b, c in zip(components(lo), components(x), components(hi))]
+    return np.sqrt(component_sum_squares(gaps))
+
+
+def uniform_in_box(rng, lo, hi, count):
+    """``rng.uniform(lo, hi, size=(count, n))`` bit for bit, for corners lo, hi (n,).
+
+    The generator draws ``lo + (hi - lo) * u`` per entry in C order with u
+    from ``rng.random``; drawing u first and mapping one component at a time
+    gives the same stream and the same values.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    out = rng.random((count, lo.shape[-1]))
+    for col, low, span in zip(components(out), lo, hi - lo):
+        col *= span
+        col += low
+    return out
 
 
 def first_true(mask):
@@ -210,4 +260,4 @@ class GridDecomposition:
     def sample_in_cell(self, z, rng, count=1) -> np.ndarray:
         """Uniform samples inside cell ``z``, shape (count, n)."""
         box = self.cell_box(z)
-        return rng.uniform(box.lo, box.hi, size=(count, self.dimension))
+        return uniform_in_box(rng, box.lo, box.hi, count)

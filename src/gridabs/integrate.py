@@ -62,8 +62,8 @@ class DenseTrajectory:
     """Knot states plus derivatives, queryable anywhere in the time span.
 
     Queries between knots use cubic Hermite interpolation, which matches the
-    integrator's fourth-order accuracy; queries at knots reproduce the stored
-    states exactly.
+    integrator's fourth-order accuracy; queries at knots return the stored
+    states' values (the sign of a zero may differ).
     """
 
     times: np.ndarray   # (K+1,)
@@ -79,7 +79,13 @@ class DenseTrajectory:
         return self.states[-1]
 
     def at(self, t):
-        """States at time(s) ``t``; scalar t drops the leading axis."""
+        """States at time(s) ``t``; scalar t drops the leading axis.
+
+        A scalar time weighs the two knot arrays around it. An array of times
+        gathers its knots from knot-major (P, K+1) copies of the stored
+        arrays, so the Hermite weights, one per query, run innermost; both
+        give the same values bit for bit.
+        """
         scalar = np.ndim(t) == 0
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         lo, hi = self.span
@@ -91,15 +97,30 @@ class DenseTrajectory:
                       0, len(self.times) - 2)
         width = self.times[idx + 1] - self.times[idx]
         theta = (tq - self.times[idx]) / width
-        trail = (1,) * (self.states.ndim - 1)
-        theta = theta.reshape(theta.shape + trail)
-        width = width.reshape(width.shape + trail)
         t2 = theta * theta
         t3 = t2 * theta
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = t3 - 2.0 * t2 + theta
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = t3 - t2
-        out = (h00 * self.states[idx] + h10 * width * self.derivs[idx]
-               + h01 * self.states[idx + 1] + h11 * width * self.derivs[idx + 1])
-        return out[0] if scalar else out
+        # weights of states[idx], derivs[idx], states[idx + 1], derivs[idx + 1]
+        weights = (2.0 * t3 - 3.0 * t2 + 1.0, (t3 - 2.0 * t2 + theta) * width,
+                   -2.0 * t3 + 3.0 * t2, (t3 - t2) * width)
+        if not scalar:
+            return self._at_many(idx, weights)
+        trail = (1,) * (self.states.ndim - 1)
+        a, b, c, d = (w.reshape(w.shape + trail) for w in weights)
+        out = (a * self.states[idx] + b * self.derivs[idx]
+               + c * self.states[idx + 1] + d * self.derivs[idx + 1])
+        return out[0]
+
+    def _at_many(self, idx, weights):
+        # the same sum, term by term, on knot-major (P, queries) gathers
+        knots = len(self.times)
+        size = self.states[0].size
+        states = np.ascontiguousarray(self.states.reshape(knots, size).T)
+        derivs = np.ascontiguousarray(self.derivs.reshape(knots, size).T)
+        a, b, c, d = weights
+        acc = a * np.take(states, idx, axis=1)
+        acc += b * np.take(derivs, idx, axis=1)
+        acc += c * np.take(states, idx + 1, axis=1)
+        out = np.empty(idx.shape + self.states.shape[1:])
+        np.add(acc, d * np.take(derivs, idx + 1, axis=1),
+               out=np.moveaxis(out.reshape(idx.shape + (size,)), -1, 0), order="C")
+        return out

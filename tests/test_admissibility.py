@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gridabs as ga
 from gridabs.admissibility import FeasibilityError
@@ -112,3 +114,52 @@ def test_decoupled_model_admits_every_period_above_travel_time():
 def test_params_are_frozen(ref_params):
     with pytest.raises(AttributeError):
         ref_params.period = 1.0
+
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
+
+
+@st.composite
+def coupled_models(draw):
+    """Constants-only models on a path of 2-4 agents, with coupling > 0."""
+    agents = draw(st.integers(2, 4))
+    net = AgentNetwork.from_edges(2, agents, [(k, k + 1) for k in range(agents - 1)])
+    bound = draw(st.floats(1e-3, 1e3))
+    budget = bound * draw(st.floats(1e-3, 0.999))
+    lipschitz = st.floats(1e-3, 1e3)
+    return DynamicsModel(net, None, feedback_bound=bound,
+                         neighbor_lipschitz=draw(lipschitz),
+                         self_lipschitz=draw(lipschitz), input_bound=budget)
+
+
+# a share of the largest admissible diameter, down to tiny diameters
+SHARES = st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                   st.floats(1e-300, 1e-6), st.sampled_from([1.0, 1e-300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=coupled_models(), share=SHARES)
+def test_interval_endpoints_solve_the_quadratic(model, share):
+    d = ga.diameter_upper_bound(model) * share
+    _, coupling = ga.coupling_constants(model)
+    m, v = model.feedback_bound, model.input_bound
+    # periods below the smallest normal double round away
+    assume(d / (m + v) >= TINY)
+    lo, hi = ga.admissible_period_interval(model, d)
+    assert 0.0 < lo <= hi
+    for dt in (lo, hi):
+        # M*Ltilde*dt^2 - v*dt + d = 0, up to roundoff on the scale of v*dt
+        assert abs(m * coupling * dt * dt - v * dt + d) <= 16 * EPS * v * dt
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=coupled_models(), shares=st.lists(SHARES, min_size=2, max_size=2))
+def test_period_lower_bound_is_monotone_and_clears_the_reach_line(model, shares):
+    bound = ga.diameter_upper_bound(model)
+    small, large = sorted(bound * s for s in shares)
+    m, v = model.feedback_bound, model.input_bound
+    assume(small / (m + v) >= TINY)
+    assert ga.period_lower_bound(model, small) <= ga.period_lower_bound(model, large)
+    for d in (small, large):
+        assert ga.period_lower_bound(model, d) >= d / (m + v)
