@@ -28,6 +28,11 @@ MAX_ACTIONS = 10**6
 # of this many members keeps memory bounded up to MAX_ACTIONS.
 CERTIFY_CHUNK = 64
 
+# Dense output (states and derivatives, 16 bytes per knot, member and axis)
+# of one build_transition_system bank; the build integrates its window in
+# banks that fit, so its peak memory does not grow with the action count.
+BUILD_DENSE_BYTES = 16 * 2**20
+
 # A reference endpoint this close to a cell face (relative to the side) marks
 # the transition as marginal.
 MARGINAL_REL = 1e-6
@@ -183,16 +188,25 @@ def build_transition_system(model, grid, params, agent, window,
     """Enumerate every configuration over the window and record its transition.
 
     The enumeration covers |window|^(m+1) actions for an agent with m
-    neighbors and fails with EnumerationCap beyond ``max_actions``.
+    neighbors and fails with EnumerationCap beyond ``max_actions``. The
+    configurations are integrated in banks whose dense output fits in
+    BUILD_DENSE_BYTES, one bank at a time; every member is integrated row by
+    row, so the transitions do not depend on the bank size.
     """
     require_admissible(params)
-    configs = list(enumerate_configurations(window, model.network.degree(agent), max_actions))
-    bank = ControllerBank(model, grid, params, agent, configs, substeps=substeps)
-    targets = bank.target_cells()
-    transitions = tuple(
-        Transition(agent=agent, source=cfg[0], action=cfg, target=target,
-                   reference_points=tuple(tuple(p) for p in bank.reference_points[b]))
-        for b, (cfg, target) in enumerate(zip(configs, targets)))
+    configs = enumerate_configurations(window, model.network.degree(agent), max_actions)
+    chunk_size = max(1, BUILD_DENSE_BYTES // (16 * (int(substeps) + 1)
+                                               * model.network.dimension))
+    transitions = []
+    while chunk := list(itertools.islice(configs, chunk_size)):
+        bank = ControllerBank(model, grid, params, agent, chunk, substeps=substeps)
+        transitions.extend(
+            Transition(agent=agent, source=cfg[0], action=cfg, target=target,
+                       reference_points=refs)
+            for cfg, target, refs in zip(chunk, bank.target_cells(),
+                                         bank.reference_points.tolist()))
+        # free this chunk's dense output before the next chunk is integrated
+        del bank
     return TransitionSystem(agent=agent, window=window, transitions=transitions)
 
 

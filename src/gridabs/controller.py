@@ -65,7 +65,8 @@ class ControllerBank:
         batch = len(cells)
 
         if reference_points is None:
-            refs = np.array([[grid.cell_center(z) for z in cfg] for cfg in cells])
+            # grid.cell_center of every cell, in one expression
+            refs = grid.origin + grid.side * (self.cell_array + 0.5)
         else:
             refs = np.asarray(reference_points, dtype=float)
             if refs.shape != (batch, m + 1, n):
@@ -196,8 +197,12 @@ class ControllerBank:
                 + (self.drift_compensation(t, own_start) if drift is None else drift))
 
     def target_cells(self):
-        """Cell of each member's reference endpoint."""
-        return tuple(self.grid.cell_of(p) for p in self.endpoint)
+        """Cell of each member's reference endpoint, as ``grid.cell_of`` gives it."""
+        endpoint = self.endpoint
+        if not np.all(np.isfinite(endpoint)):
+            raise ValueError("reference endpoint has non-finite coordinates")
+        return tuple(tuple(int(c) for c in z)
+                     for z in self.grid.cell_indices(endpoint).tolist())
 
 
 def sample_inflated_cell(grid, cell, radius, count, rng):

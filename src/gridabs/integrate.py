@@ -81,34 +81,79 @@ class DenseTrajectory:
     def at(self, t):
         """States at time(s) ``t``; scalar t drops the leading axis.
 
-        A scalar time weighs the two knot arrays around it. An array of times
-        gathers its knots from knot-major (P, K+1) copies of the stored
-        arrays, so the Hermite weights, one per query, run innermost; both
-        give the same values bit for bit.
+        A scalar time weighs the two knot arrays around it in Python float
+        arithmetic. An array of times gathers its knots from knot-major
+        (P, K+1) copies of the stored arrays, so the Hermite weights, one per
+        query, run innermost; both give the same values bit for bit.
         """
-        scalar = np.ndim(t) == 0
-        tq = np.atleast_1d(np.asarray(t, dtype=float))
         lo, hi = self.span
         slack = 1e-9 * max(hi - lo, 1.0)
+        if isinstance(t, (int, float)) or np.ndim(t) == 0:
+            t = float(t)
+            if t < lo - slack or t > hi + slack:
+                raise ValueError(f"time out of range [{lo}, {hi}]")
+            t = min(max(t, lo), hi)
+            i = self._interval(t, lo, hi)
+            t_lo, t_hi = self.times[i:i + 2].tolist()
+            width = t_hi - t_lo
+            theta = (t - t_lo) / width
+            t2 = theta * theta
+            t3 = t2 * theta
+            return ((2.0 * t3 - 3.0 * t2 + 1.0) * self.states[i]
+                    + ((t3 - 2.0 * t2 + theta) * width) * self.derivs[i]
+                    + (-2.0 * t3 + 3.0 * t2) * self.states[i + 1]
+                    + ((t3 - t2) * width) * self.derivs[i + 1])
+        tq = np.asarray(t, dtype=float)
         if np.any(tq < lo - slack) or np.any(tq > hi + slack):
             raise ValueError(f"time out of range [{lo}, {hi}]")
         tq = np.clip(tq, lo, hi)
-        idx = np.clip(np.searchsorted(self.times, tq, side="right") - 1,
-                      0, len(self.times) - 2)
-        width = self.times[idx + 1] - self.times[idx]
-        theta = (tq - self.times[idx]) / width
+        idx, t_lo, t_hi = self._intervals(tq, lo, hi)
+        # the gathered interval ends are fresh copies: they become width and theta
+        width = np.subtract(t_hi, t_lo, out=t_hi)
+        theta = np.divide(np.subtract(tq, t_lo, out=t_lo), width, out=t_lo)
         t2 = theta * theta
         t3 = t2 * theta
         # weights of states[idx], derivs[idx], states[idx + 1], derivs[idx + 1]
         weights = (2.0 * t3 - 3.0 * t2 + 1.0, (t3 - 2.0 * t2 + theta) * width,
                    -2.0 * t3 + 3.0 * t2, (t3 - t2) * width)
-        if not scalar:
-            return self._at_many(idx, weights)
-        trail = (1,) * (self.states.ndim - 1)
-        a, b, c, d = (w.reshape(w.shape + trail) for w in weights)
-        out = (a * self.states[idx] + b * self.derivs[idx]
-               + c * self.states[idx + 1] + d * self.derivs[idx + 1])
-        return out[0]
+        return self._at_many(idx, weights)
+
+    # The knot interval of a time t in the span is
+    # clip(searchsorted(times, t, "right") - 1, 0, K - 1): the last knot at
+    # or before t, short of the end knot. On the uniform knots of knot_times
+    # a floor finds it to within one; the guess is moved one knot against
+    # its neighbours and checked, and knots that fail the check (a grid not
+    # built by knot_times) are searched.
+
+    def _interval(self, t, lo, hi):
+        """Knot interval of one time ``t``, a float in the span [lo, hi]."""
+        times = self.times
+        last = len(times) - 2
+        if hi > lo and t == t:
+            i = min(int((t - lo) * ((last + 1) / (hi - lo))), last)
+            if times[i] > t:
+                i -= 1
+            elif i < last and times[i + 1] <= t:
+                i += 1
+            if times[i] <= t and (i == last or t < times[i + 1]):
+                return i
+        return min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), last)
+
+    def _intervals(self, tq, lo, hi):
+        """Knot intervals of the times ``tq`` in the span [lo, hi], with their end knots."""
+        times = self.times
+        last = len(times) - 2
+        if hi > lo:
+            # fmin maps a NaN guess to the last interval, where the check fails
+            guess = np.fmin(np.floor((tq - lo) * ((last + 1) / (hi - lo))), last)
+            idx = guess.astype(np.intp)
+            idx -= times[idx] > tq
+            idx += (idx < last) & (times[idx + 1] <= tq)
+            t_lo, t_hi = times[idx], times[idx + 1]
+            if np.all((t_lo <= tq) & ((tq < t_hi) | (idx == last))):
+                return idx, t_lo, t_hi
+        idx = np.clip(np.searchsorted(times, tq, side="right") - 1, 0, last)
+        return idx, times[idx], times[idx + 1]
 
     def _at_many(self, idx, weights):
         # the same sum, term by term, on knot-major (P, queries) gathers

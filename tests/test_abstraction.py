@@ -305,6 +305,72 @@ def test_certification_memory_does_not_grow_with_the_window(ref_model, ref_grid,
     assert large <= 1.25 * small
 
 
+def record_bank_sizes(monkeypatch):
+    """Sizes of the banks the abstraction builds, in order."""
+    sizes = []
+
+    def recording_bank(model, grid, params, agent, configs, *args, **kwargs):
+        sizes.append(len(configs))
+        return ControllerBank(model, grid, params, agent, configs, *args, **kwargs)
+
+    monkeypatch.setattr(abstraction, "ControllerBank", recording_bank)
+    return sizes
+
+
+def budget_for(members, substeps, model):
+    """A dense-output budget that holds ``members`` configurations at ``substeps``."""
+    return members * 16 * (substeps + 1) * model.network.dimension
+
+
+def test_chunked_build_matches_one_bank(ref_model, ref_grid, ref_params, ref_window,
+                                        monkeypatch):
+    sizes = record_bank_sizes(monkeypatch)
+    whole = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
+                                    substeps=16)
+    assert sizes == [729]
+    # 729 configurations: seven chunks of 100 and a partial one of 29
+    monkeypatch.setattr(abstraction, "BUILD_DENSE_BYTES", budget_for(100, 16, ref_model))
+    sizes.clear()
+    chunked = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
+                                      substeps=16)
+    assert sizes == [100] * 7 + [29]
+    assert to_json(chunked) == to_json(whole)
+    assert to_dot(chunked) == to_dot(whole)
+
+
+def test_build_memory_does_not_grow_with_substeps(ref_model, ref_grid, ref_params,
+                                                  ref_window, monkeypatch):
+    # a budget of 64 configurations at 128 substeps splits the 729 at either count
+    monkeypatch.setattr(abstraction, "BUILD_DENSE_BYTES", budget_for(64, 128, ref_model))
+
+    def peak(substeps):
+        tracemalloc.start()
+        try:
+            ts = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
+                                         substeps=substeps)
+            return len(ts.transitions), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # one-time allocations of a first call
+    coarse_count, coarse = peak(16)
+    fine_count, fine = peak(128)
+    assert coarse_count == fine_count == 729
+    assert fine <= 1.25 * coarse
+
+
+def test_build_rejects_a_non_finite_reference_endpoint(ref_model, ref_grid, ref_params,
+                                                       ref_window):
+    def nan_field(own, nbrs):
+        return np.full_like(own, np.nan)
+
+    nan_model = ga.DynamicsModel(ref_model.network, (nan_field,) * 3,
+                                 ref_model.feedback_bound, ref_model.neighbor_lipschitz,
+                                 ref_model.self_lipschitz, ref_model.input_bound)
+    with pytest.raises(ValueError, match="non-finite"):
+        build_transition_system(nan_model, ref_grid, ref_params, 0, ref_window, substeps=4)
+
+
 def test_json_round_trip(ref_model, ref_grid, ref_params, ref_window):
     ts = build_transition_system(ref_model, ref_grid, ref_params, 0, ref_window,
                                  substeps=16)

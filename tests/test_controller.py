@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridabs.controller import ControllerBank, sample_feedback_bound, sample_inflated_cell
-from gridabs.geometry import CellConfiguration
+from gridabs.geometry import CellConfiguration, GridDecomposition
 from gridabs.integrate import DenseTrajectory
 
 
@@ -86,6 +86,23 @@ def test_feedback_clamps_beyond_period(controller):
 
 def test_target_cell_matches_endpoint(controller, ref_grid):
     assert controller.target_cells()[0] == ref_grid.cell_of(controller.endpoint[0])
+
+
+@pytest.mark.parametrize("origin", [(0.0, 0.0), (1e6, -1e6)])
+def test_bank_bookkeeping_matches_the_per_cell_helpers(ref_model, ref_params, origin):
+    # default reference points and target cells come from whole-array
+    # expressions; they equal the one-cell helpers bit for bit
+    grid = GridDecomposition(2, 0.004 / np.sqrt(2.0), origin)
+    rng = np.random.default_rng(8)
+    configs = [tuple(tuple(int(v) for v in rng.integers(-6, 6, 2)) for _ in range(3))
+               for _ in range(40)]
+    bank = ControllerBank(ref_model, grid, ref_params, 1, configs, substeps=8)
+    centers = np.array([[grid.cell_center(z) for z in cfg] for cfg in configs])
+    assert bank.reference_points.tobytes() == centers.tobytes()
+    assert bank.target_cells() == tuple(grid.cell_of(p) for p in bank.endpoint)
+    refs = np.array([[grid.sample_in_cell(z, rng)[0] for z in cfg] for cfg in configs])
+    bank = ControllerBank(ref_model, grid, ref_params, 1, configs, refs, substeps=8)
+    assert bank.target_cells() == tuple(grid.cell_of(p) for p in bank.endpoint)
 
 
 def seven_configurations(grid, rng):

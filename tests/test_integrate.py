@@ -147,3 +147,40 @@ def test_dense_output_is_exact_at_every_knot(data, steps, t0, span):
     for m, t in enumerate(times):
         assert exact(np.asarray(dense.at(t)), m)
     assert exact(dense.at(times))
+
+
+def searched_interval(times, t):
+    """The knot interval of ``t`` by binary search: the reference for the lookup."""
+    return np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+
+
+def assert_interval_lookup_is_exact(data, times):
+    dense = DenseTrajectory(times, np.zeros_like(times), np.zeros_like(times))
+    lo, hi = dense.span
+    slack = 1e-9 * max(hi - lo, 1.0)
+    inside = data.draw(arrays(np.float64, data.draw(st.integers(0, 20)),
+                              elements=st.floats(lo, hi)))
+    edges = np.array([lo, hi, lo - slack, hi + slack, lo - 0.5 * slack,
+                      np.nextafter(hi, np.inf), np.nextafter(lo, -np.inf)])
+    queries = np.concatenate([times, inside, edges])
+    with np.errstate(divide="ignore", invalid="ignore"):  # repeated knots
+        dense.at(queries)  # every query lies in the span or its slack
+    clipped = np.clip(queries, lo, hi)
+    expected = searched_interval(times, clipped)
+    np.testing.assert_array_equal(dense._intervals(clipped, lo, hi)[0], expected)
+    assert [dense._interval(float(t), lo, hi) for t in clipped] == expected.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), t0=st.floats(-1e6, 1e6), span=st.floats(1e-6, 1e3),
+       steps=st.integers(1, 512))
+def test_knot_interval_lookup_matches_the_search_on_uniform_knots(data, t0, span, steps):
+    assert_interval_lookup_is_exact(data, knot_times(t0, t0 + span, steps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), times=arrays(np.float64, st.integers(2, 40),
+                                    elements=st.floats(-1e3, 1e3)))
+def test_knot_interval_lookup_matches_the_search_on_other_knots(data, times):
+    times = np.sort(times)
+    assert_interval_lookup_is_exact(data, times)
