@@ -234,7 +234,6 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
     the window, consistent with the verified action. A run whose endpoint
     leaves the declared target cell raises WellPosednessViolation.
     """
-    require_admissible(params)
     rng = np.random.default_rng(seed)
     net = model.network
     i = transition.agent
@@ -242,10 +241,9 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
     count = net.agent_count
     cells = window.cells()
 
-    controller = ControllerBank(model, grid, params, i, [transition.action],
-                                np.asarray(transition.reference_points, dtype=float)[None],
-                                substeps)
-    target = controller.target_cells()[0]
+    target, controller = agent_transition(model, grid, params,
+                                          CellConfiguration(i, transition.action),
+                                          transition.reference_points, substeps)
     if target != transition.target:
         raise ValueError(f"recorded target {transition.target} disagrees with the "
                          f"rebuilt controller's successor {target}")
@@ -263,24 +261,19 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
         else:
             assignment[:, j] = window_cells[rng.integers(0, len(cells), size=trials)]
 
-    def sample_cells(z):
-        # uniform points in the integer cells z (..., n), drawn in C order
-        lo = grid.cell_lo(z)
-        return rng.uniform(lo, lo + grid.side)
-
     controllers = []
     for j in range(count):
         if j == i:
             controllers.append(controller)
             continue
         configs = assignment[:, [j, *net.neighbors[j]]]
-        controllers.append(ControllerBank(model, grid, params, j, configs.tolist(),
-                                          reference_points=sample_cells(configs),
+        controllers.append(ControllerBank(model, grid, params, j, configs,
+                                          reference_points=grid.uniform_in_cells(configs, rng),
                                           substeps=substeps))
 
     x0 = np.empty((trials, count, n))
     for j in range(count):
-        x0[:, j] = sample_cells(assignment[:, j])
+        x0[:, j] = grid.uniform_in_cells(assignment[:, j], rng)
     corners = grid.cell_corners(transition.source, inset=grid.corner_inset)
     take = min(trials, len(corners))
     x0[:take, i] = corners[:take]
@@ -300,14 +293,10 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
 
     box = grid.cell_box(transition.target)
     margins = box.face_margin(endpoints)
-    try:
-        counts, edges = np.histogram(margins, bins=10)
-    except ValueError:
-        # the margins agree to a few ulps, too close for ten distinct bin
-        # edges; keep the ten bins, some of them empty and zero-width
-        edges = np.linspace(margins.min(), margins.max(), 11)
-        counts = np.bincount(np.searchsorted(edges[1:-1], margins, side="right"),
-                             minlength=10)
+    # ten bins between the extremes, as np.histogram draws them; equal or
+    # near-equal margins leave some bins empty and zero-width
+    edges = np.linspace(margins.min(), margins.max(), 11)
+    counts = np.bincount(np.searchsorted(edges[1:-1], margins, side="right"), minlength=10)
     ref_margin = float(box.face_margin(controller.endpoint[0]))
     return TransitionCheck(trials=trials,
                            min_margin=float(margins.min()),
@@ -325,12 +314,10 @@ def plan_controllers(model, grid, params, source_cells, target_cells,
     ``source_cells``; its successor cell must equal ``target_cells[i]``,
     else ValueError.
     """
-    require_admissible(params)
     controllers = []
     for i in range(model.network.agent_count):
         config = project_configuration(model.network, source_cells, i)
-        controller = ControllerBank(model, grid, params, i, [config.cells], None, substeps)
-        target = controller.target_cells()[0]
+        target, controller = agent_transition(model, grid, params, config, substeps=substeps)
         if target != target_cells[i]:
             raise ValueError(f"agent {i}: declared target {target_cells[i]} is not the "
                              f"constructive successor {target}")
@@ -427,8 +414,7 @@ def certify_window_input_bound(model, grid, params, agent, window, samples=10000
         seeds = []
         for b, cfg in enumerate(chunk):
             if refs is not None:
-                for k, z in enumerate(cfg):
-                    refs[b, k] = grid.sample_in_cell(z, rng, 1)[0]
+                refs[b] = grid.uniform_in_cells(cfg, rng)
             seeds.append(int(rng.integers(2**31)))
         bank = ControllerBank(model, grid, params, agent, chunk, refs, substeps)
         for b, cfg in enumerate(chunk):

@@ -23,12 +23,11 @@ import sys
 import numpy as np
 
 from .abstraction import (CompositionViolation, EnumerationCap, WellPosednessViolation,
-                          build_transition_system, plan_controllers, to_dot, to_json,
-                          verify_transition)
+                          agent_transition, build_transition_system, plan_controllers,
+                          to_dot, to_json, verify_transition)
 from .admissibility import (FeasibilityError, admissible_period_interval,
-                            coupling_constants, diameter_upper_bound, require_admissible)
+                            coupling_constants, diameter_upper_bound)
 from .config import ConfigError, load_config
-from .controller import ControllerBank
 from .dynamics import ConstantsViolation, validate_constants
 from .geometry import CellConfiguration
 from .simulate import InputBoundViolation, integrate_closed_loop
@@ -191,12 +190,11 @@ def cmd_controller_dump(cfg, args) -> int:
     if cfg.controller_dump is None:
         raise ConfigError("controller-dump needs a 'controller_dump' block in the config")
     params = cfg.params()
-    require_admissible(params)
     block = cfg.controller_dump
     agent = block["agent"]
     config = CellConfiguration(agent=agent, cells=tuple(block["cells"]))
-    controller = ControllerBank(cfg.model, cfg.grid, params, agent, [config.cells],
-                                substeps=cfg.substeps)
+    _, controller = agent_transition(cfg.model, cfg.grid, params, config,
+                                     substeps=cfg.substeps)
     own_reference = controller.reference_points[0, 0]
     start = block["initial"]
     if start is None:

@@ -38,13 +38,16 @@ class ControllerBank:
 
     This is the package's one controller type: the controller of a single
     configuration is a bank of size 1, built from ``[config.cells]``.
+    The configurations are integer cells shaped (B, m+1, n), the agent's own
+    cell first; any integer array-like of that shape is taken and stored
+    once, as the int64 array ``cell_array``.
     All members share the network, grid, and period; reference points and the
     cached reference trajectories are stacked along a leading batch axis so
     construction and feedback evaluation vectorize. A bank of size 1
     broadcasts against any batch of states.
     """
 
-    def __init__(self, model, grid, params, agent, configs, reference_points=None,
+    def __init__(self, model, grid, params, agent, cells, reference_points=None,
                  substeps=DEFAULT_SUBSTEPS):
         self.model = model
         self.grid = grid
@@ -54,19 +57,16 @@ class ControllerBank:
         net = model.network
         m = net.degree(self.agent)
         n = net.dimension
-        cells = tuple(tuple(tuple(int(c) for c in z) for z in cfg) for cfg in configs)
-        if not cells:
-            raise ValueError("bank needs at least one configuration")
-        for cfg in cells:
-            if len(cfg) != m + 1:
-                raise ValueError(f"agent {self.agent} has {m} neighbors; configurations "
-                                 f"need {m + 1} cells, got {len(cfg)}")
-        self.configurations = cells
+        cells = np.asarray(cells, dtype=np.int64)
+        if cells.shape[1:] != (m + 1, n) or len(cells) == 0:
+            raise ValueError(f"agent {self.agent} has {m} neighbors; expected a nonempty "
+                             f"batch of configurations shaped (B, {m + 1}, {n}), got "
+                             f"{cells.shape}")
+        self.cell_array = cells
         batch = len(cells)
 
         if reference_points is None:
-            # grid.cell_center of every cell, in one expression
-            refs = grid.origin + grid.side * (self.cell_array + 0.5)
+            refs = grid.cell_center(cells)
         else:
             refs = np.asarray(reference_points, dtype=float)
             if refs.shape != (batch, m + 1, n):
@@ -74,11 +74,11 @@ class ControllerBank:
                                  f"{n}), got {refs.shape}")
             if not np.all(np.isfinite(refs)):
                 raise ValueError("reference points have non-finite coordinates")
-            bad = grid.first_outside(refs, self.cell_array)
+            bad = grid.first_outside(refs, cells)
             if bad is not None:
                 b, k = bad
                 raise ValueError(f"reference point {refs[b, k].tolist()} is not "
-                                 f"inside its declared cell {cells[b][k]}")
+                                 f"inside its declared cell {tuple(cells[b, k].tolist())}")
         self.reference_points = refs
         self._own_ref = refs[:, 0, :]
         self._nbr_ref = refs[:, 1:, :]
@@ -88,17 +88,9 @@ class ControllerBank:
                                          self._own_ref, 0.0, params.period, self.substeps)
         self.dense = DenseTrajectory(times, states, derivs)
 
-    @functools.cached_property
-    def cell_array(self) -> np.ndarray:
-        """The configurations as integer cells shaped (B, m+1, n)."""
-        cells = np.array(self.configurations, dtype=np.int64)
-        if cells.shape[2:] != (self.grid.dimension,):
-            raise ValueError(f"configuration cells need {self.grid.dimension} indices")
-        return cells
-
     @property
     def size(self) -> int:
-        return len(self.configurations)
+        return len(self.cell_array)
 
     @property
     def period(self) -> float:
@@ -117,8 +109,7 @@ class ControllerBank:
         """
         b = range(self.size)[b]
         view = copy.copy(self)
-        view.__dict__.pop("cell_array", None)
-        view.configurations = self.configurations[b:b + 1]
+        view.cell_array = self.cell_array[b:b + 1]
         view.reference_points = self.reference_points[b:b + 1]
         view._own_ref = view.reference_points[:, 0, :]
         view._nbr_ref = view.reference_points[:, 1:, :]
@@ -259,7 +250,7 @@ def sample_feedback_bound(bank, samples=10000, seed=0):
     rng = np.random.default_rng(seed)
     grid = bank.grid
     params = bank.params
-    cells = bank.configurations[0]
+    cells = bank.cell_array[0]
     n = grid.dimension
     m = len(cells) - 1
     reach = params.reach_radius

@@ -188,17 +188,23 @@ class GridDecomposition:
                 f"origin={self.origin.tolist()!r})")
 
     def cell_of(self, x) -> CellIndex:
-        """Index of the unique cell containing ``x``."""
-        x = _as_point(x, self.dimension)
-        idx = np.floor((x - self.origin) / self.side)
-        return tuple(int(c) for c in idx)
+        """Index of the unique cell containing ``x``; the validated one-point
+        form of :meth:`cell_indices`."""
+        return tuple(int(c) for c in self.cell_indices(_as_point(x, self.dimension)))
 
     def cell_indices(self, x) -> np.ndarray:
         """Cell indices of points shaped ``(..., n)``, as a float array.
 
-        The vectorized form of :meth:`cell_of`; it does not validate ``x``.
+        The floor of the offset in sides can round across a face, so it is
+        corrected by one against the corners :meth:`cell_lo` gives: ``x`` lies
+        in ``z`` exactly when ``cell_lo(z) <= x < cell_lo(z + 1)`` per axis.
+        It does not validate ``x``.
         """
-        return np.floor((np.asarray(x, dtype=float) - self.origin) / self.side)
+        x = np.asarray(x, dtype=float)
+        z = np.floor((x - self.origin) / self.side)
+        z -= x < self.cell_lo(z)
+        z += x >= self.cell_lo(z + 1.0)
+        return z
 
     def first_outside(self, x, cells):
         """Leading index (C order) of the first point of ``x`` (..., n) outside its
@@ -214,7 +220,7 @@ class GridDecomposition:
         return Box(lo=lo, hi=lo + self.side)
 
     def cell_center(self, z) -> np.ndarray:
-        z = _as_cell(z, self.dimension)
+        """Centers of cells given as integer indices shaped ``(..., n)``."""
         return self.origin + self.side * (np.asarray(z, dtype=float) + 0.5)
 
     def diameter(self) -> float:
@@ -261,3 +267,16 @@ class GridDecomposition:
         """Uniform samples inside cell ``z``, shape (count, n)."""
         box = self.cell_box(z)
         return uniform_in_box(rng, box.lo, box.hi, count)
+
+    def uniform_in_cells(self, z, rng) -> np.ndarray:
+        """One uniform point in each cell of integer indices ``z`` (..., n).
+
+        Equals ``rng.uniform(lo, lo + side)`` at the cells' lower corners ``lo``
+        bit for bit: one ``rng.random`` draw per entry in C order, mapped to
+        ``lo + (hi - lo) * u``.
+        """
+        lo = self.cell_lo(z)
+        out = rng.random(lo.shape)
+        out *= (lo + self.side) - lo
+        out += lo
+        return out

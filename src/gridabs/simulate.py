@@ -92,11 +92,6 @@ class MonitorReport:
         )
 
 
-def _member(values, b):
-    # bank arrays are stacked (B_i, ...); size-1 banks broadcast
-    return values[b if len(values) > 1 else 0]
-
-
 def _check_setup(model, banks, batch):
     net = model.network
     if len(banks) != net.agent_count:
@@ -120,15 +115,16 @@ def _check_setup(model, banks, batch):
                 or not np.array_equal(g.origin, grid.origin)):
             raise ValueError("controllers disagree on the grid")
     # the declared cells must project from one global configuration per run
-    own = np.stack([np.broadcast_to(bank.cell_array[:, 0], (batch, grid.dimension))
-                    for bank in banks], axis=1)
-    clash = np.stack([np.any(bank.cell_array[:, 1:] != own[:, list(net.neighbors[i])],
-                             axis=(-2, -1)) for i, bank in enumerate(banks)], axis=1)
+    cells = [np.broadcast_to(bank.cell_array, (batch,) + bank.cell_array.shape[1:])
+             for bank in banks]
+    own = np.stack([c[:, 0] for c in cells], axis=1)
+    clash = np.stack([np.any(c[:, 1:] != own[:, list(net.neighbors[i])], axis=(-2, -1))
+                      for i, c in enumerate(cells)], axis=1)
     bad = first_true(clash)
     if bad is not None:
         b, i = bad
-        declared = _member(banks[i].configurations, b)[1:]
-        expected = tuple(_member(banks[j].configurations, b)[0] for j in net.neighbors[i])
+        declared = tuple(map(tuple, cells[i][b, 1:].tolist()))
+        expected = tuple(map(tuple, own[b, list(net.neighbors[i])].tolist()))
         raise ValueError(f"agent {i} declares neighbor cells {declared} "
                          f"but the shared configuration implies {expected}")
     return grid, reach, own
@@ -169,7 +165,7 @@ def integrate_closed_loop_batch(model, controllers, x0):
     if bad is not None:
         b, i = bad
         raise ValueError(f"run {b}: agent {i} starts at {x0[b, i].tolist()} "
-                         f"outside its declared cell {_member(banks[i].configurations, b)[0]}")
+                         f"outside its declared cell {tuple(own_cells[b, i].tolist())}")
 
     times = banks[0].dense.times
     neighbor_idx = [list(net.neighbors[i]) for i in range(count)]

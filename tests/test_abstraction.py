@@ -41,7 +41,8 @@ def test_agent_transition_is_the_reference_endpoint(ref_model, ref_grid, ref_par
     target, controller = agent_transition(ref_model, ref_grid, ref_params, config,
                                           substeps=32)
     assert target == ref_grid.cell_of(controller.endpoint[0])
-    assert controller.agent == config.agent and controller.configurations == (config.cells,)
+    assert controller.agent == config.agent
+    np.testing.assert_array_equal(controller.cell_array, [config.cells])
 
 
 def test_agent_transition_needs_admissible_params(ref_model, ref_grid):
@@ -115,6 +116,18 @@ def test_verify_transition_histogram_of_near_equal_margins(ref_model, ref_grid, 
     assert np.all(np.diff(edges) >= 0.0)
     assert edges[0] == check.min_margin
     assert edges[-1] >= check.max_margin
+
+
+def test_verify_transition_histogram_of_equal_margins(ref_model, ref_grid, ref_params,
+                                                     ref_window):
+    # one trial: every bin edge is its margin, the last bin holds the trial
+    ts = build_transition_system(ref_model, ref_grid, ref_params, 0, ref_window,
+                                 substeps=32)
+    check = verify_transition(ref_model, ref_grid, ref_params, ts.transitions[40],
+                              ref_window, trials=1, seed=2, substeps=32)
+    assert check.min_margin == check.max_margin > 0.0
+    assert check.histogram_edges == (check.min_margin,) * 11
+    assert check.histogram_counts == (0,) * 9 + (1,)
 
 
 def test_verify_transition_rejects_tampered_target(ref_model, ref_grid, ref_params,

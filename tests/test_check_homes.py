@@ -5,7 +5,8 @@ tolerance constant, the corner-inset expression ``1e-9 * <grid>.side``, or a
 ``FeasibilityError`` whose message says "not admissible". A second function
 holding one of them is a copy that a change to the check would have to find.
 Likewise only ``rk4_path`` builds a knot grid: the closed loop steps on its
-controller banks' grid instead of building its own.
+controller banks' grid instead of building its own, and only
+``GridDecomposition`` maps cell indices to coordinates (``origin + side * ...``).
 """
 
 import ast
@@ -77,3 +78,21 @@ def _calls_knot_times(node):
 
 def test_knot_grid_is_built_in_one_place():
     assert _homes(_calls_knot_times) == {"integrate.rk4_path"}
+
+
+def _offset_from_origin(node):
+    """``<x>.origin + <x>.side * ...`` (either order), a cell-to-coordinate formula."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+
+    def scaled(o):
+        return (isinstance(o, ast.BinOp) and isinstance(o.op, ast.Mult)
+                and any(_reads("side")(f) for f in (o.left, o.right)))
+
+    return any(_reads("origin")(a) and scaled(b)
+               for a, b in ((node.left, node.right), (node.right, node.left)))
+
+
+def test_cell_coordinates_are_computed_in_the_grid():
+    homes = _homes(_offset_from_origin)
+    assert homes and all(h.startswith("geometry.GridDecomposition.") for h in homes), homes

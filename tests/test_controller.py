@@ -169,6 +169,43 @@ def test_drift_compensation_reads_the_stored_knots(ref_model, ref_grid, ref_para
     assert len(queries) == 1
 
 
+@pytest.mark.parametrize("random_refs", [False, True])
+def test_bank_input_forms_agree(ref_model, ref_grid, ref_params, random_refs):
+    configs, refs = seven_configurations(ref_grid, np.random.default_rng(6))
+    refs = refs if random_refs else None
+    cells = np.array(configs, dtype=np.int64)
+    from_tuples = ControllerBank(ref_model, ref_grid, ref_params, 1, configs, refs,
+                                 substeps=16)
+    from_array = ControllerBank(ref_model, ref_grid, ref_params, 1, cells, refs,
+                                substeps=16)
+    pairs = [(from_tuples, from_array)]
+    for b in (0, 4):
+        single = ControllerBank(ref_model, ref_grid, ref_params, 1, [configs[b]],
+                                None if refs is None else refs[b][None], substeps=16)
+        pairs.append((from_array.member(b), single))
+    for got, want in pairs:
+        np.testing.assert_array_equal(got.cell_array, want.cell_array, strict=True)
+        np.testing.assert_array_equal(got.reference_points, want.reference_points,
+                                      strict=True)
+        for name in ("times", "states", "derivs"):
+            np.testing.assert_array_equal(getattr(got.dense, name),
+                                          getattr(want.dense, name), strict=True)
+        assert got.target_cells() == want.target_cells()
+    assert from_array.cell_array.dtype == np.int64
+
+
+@pytest.mark.parametrize("cells", [
+    [],
+    np.empty((0, 3, 2), dtype=np.int64),
+    [((0, 0), (1, 0))],
+    [((0, 0, 0), (1, 0, 0), (0, 1, 0))],
+    ((0, 0), (1, 0), (0, 1)),
+], ids=["empty-list", "empty-array", "too-few-cells", "too-many-indices", "no-batch-axis"])
+def test_bank_rejects_bad_cell_shapes(ref_model, ref_grid, ref_params, cells):
+    with pytest.raises(ValueError):
+        ControllerBank(ref_model, ref_grid, ref_params, 1, cells, substeps=16)
+
+
 def test_bank_members_match_size_one_banks(ref_model, ref_grid, ref_params):
     rng = np.random.default_rng(4)
     configs, refs = seven_configurations(ref_grid, rng)
@@ -181,7 +218,7 @@ def test_bank_members_match_size_one_banks(ref_model, ref_grid, ref_params):
         single = ControllerBank(ref_model, ref_grid, ref_params, 1, [configs[b]],
                                 reference_points=refs[b][None], substeps=32)
         assert member.size == 1
-        assert member.configurations == single.configurations
+        np.testing.assert_array_equal(member.cell_array, single.cell_array, strict=True)
         np.testing.assert_array_equal(member.reference_points, single.reference_points,
                                       strict=True)
         np.testing.assert_array_equal(member.endpoint, single.endpoint, strict=True)
@@ -202,7 +239,7 @@ def test_bank_members_match_size_one_banks(ref_model, ref_grid, ref_params):
         for key, value in expected_witness.items():
             np.testing.assert_array_equal(witness[key], value, strict=True)
 
-    assert bank.member(-1).configurations == (configs[-1],)
+    np.testing.assert_array_equal(bank.member(-1).cell_array, [configs[-1]])
     with pytest.raises(IndexError):
         bank.member(7)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -38,6 +38,26 @@ def test_diameter_is_side_times_sqrt_dim():
     for n in (1, 2, 3, 5):
         grid = GridDecomposition(n, 0.25)
         assert grid.diameter() == pytest.approx(0.25 * np.sqrt(n), rel=1e-15)
+
+
+FAR = 1e6
+
+
+@settings(max_examples=300, deadline=None)
+@given(origin=st.lists(st.floats(-FAR, FAR), min_size=2, max_size=2),
+       side=st.floats(1e-3, 10.0),
+       z=st.lists(st.integers(-10**4, 10**4), min_size=2, max_size=2))
+@example(origin=[FAR, -FAR], side=0.0028284271247461903, z=[-1, 1])
+def test_cells_own_their_lower_faces(origin, side, z):
+    grid = GridDecomposition(2, side, origin=origin)
+    assert grid.cell_of(grid.cell_lo(z)) == tuple(z)
+    for k in range(2):
+        up = list(z)
+        up[k] += 1
+        # the largest double below the next cell's lower face on axis k
+        below = grid.cell_lo(up)
+        below[k] = np.nextafter(below[k], -np.inf)
+        assert grid.cell_of(below) == tuple(z)
 
 
 def test_cell_box_round_trip():

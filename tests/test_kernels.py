@@ -241,6 +241,22 @@ def test_sampling_streams_match_rng_uniform(seed, n, count, radius, origin, cell
     assert got_rng.random() == want_rng.random()
 
 
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       lead=array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
+       origin=st.sampled_from([0.0, 0.37, 1e6, -1e6]))
+def test_uniform_in_cells_matches_rng_uniform_and_per_cell_draws(seed, n, lead, origin):
+    grid = ga.GridDecomposition(n, 0.0028, origin=[origin] * n)
+    cells = np.random.default_rng(seed).integers(-4, 5, size=lead + (n,))
+    got_rng, want_rng, loop_rng = (np.random.default_rng(seed) for _ in range(3))
+    got = grid.uniform_in_cells(cells, got_rng)
+    lo = grid.cell_lo(cells)
+    assert same_bits(got, want_rng.uniform(lo, lo + grid.side))
+    looped = [grid.sample_in_cell(z, loop_rng, 1)[0] for z in cells.reshape(-1, n)]
+    assert same_bits(got, np.reshape(np.array(looped, dtype=float), got.shape))
+    assert got_rng.random() == want_rng.random() == loop_rng.random()
+
+
 KNOT_VALUES = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False,
                         allow_infinity=False, allow_subnormal=True)
 

@@ -182,7 +182,7 @@ def test_batch_matches_single_runs(ref_model, ref_grid, ref_params):
     assert len(reports) == B
     for b in range(B):
         singles = [ControllerBank(
-            ref_model, ref_grid, ref_params, i, [banks[i].configurations[b]],
+            ref_model, ref_grid, ref_params, i, banks[i].cell_array[b][None],
             reference_points=banks[i].reference_points[b][None], substeps=32)
             for i in range(3)]
         single, _ = integrate_closed_loop(ref_model, singles, x0[b])
