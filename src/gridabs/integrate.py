@@ -129,8 +129,10 @@ class DenseTrajectory:
         """Knot interval of one time ``t``, a float in the span [lo, hi]."""
         times = self.times
         last = len(times) - 2
-        if hi > lo and t == t:
-            i = min(int((t - lo) * ((last + 1) / (hi - lo))), last)
+        # a span too narrow for its scale makes the guess NaN (0 * inf) or inf
+        guess = (t - lo) * ((last + 1) / (hi - lo)) if hi > lo else np.nan
+        if guess == guess:
+            i = int(min(guess, last))
             if times[i] > t:
                 i -= 1
             elif i < last and times[i + 1] <= t:
