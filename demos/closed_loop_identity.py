@@ -31,7 +31,7 @@ trajectory, report = ga.integrate_closed_loop(model, controllers, x0)
 print("agent  start cell  ->  landed cell   (declared successor)")
 for i, c in enumerate(controllers):
     landed = grid.cell_of(trajectory.states[-1, i])
-    print(f"  {i}    {cells[i]}      ->  {landed}        {c.target_cells()[0]}")
+    print(f"  {i}    {cells[i]}      ->  {landed}        {tuple(c.target_cells()[0].tolist())}")
 
 print("\nendpoint deviation from the reference endpoint, per agent:")
 for i, dev in enumerate(report.endpoint_deviation):

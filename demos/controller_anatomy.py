@@ -25,7 +25,7 @@ own_reference = controller.reference_points[0, 0]
 
 print(f"own reference point      = {own_reference}")
 print(f"reference endpoint       = {controller.endpoint[0]}")
-print(f"successor cell           = {controller.target_cells()[0]}\n")
+print(f"successor cell           = {tuple(controller.target_cells()[0].tolist())}\n")
 
 rng = np.random.default_rng(1)
 start = grid.sample_in_cell((0, 0), rng)[0]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,22 +119,75 @@ class Transition:
             raise ValueError("need one reference point per action cell")
 
 
-@dataclass
+class TransitionRows(Sequence):
+    """Read-only row view of a TransitionSystem: each `Transition` is built when read."""
+
+    def __init__(self, system):
+        self._system = system
+
+    def __len__(self):
+        return len(self._system.target_cells)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(len(self))[k])
+        ts, k = self._system, range(len(self))[k]
+        action = ts.action_cells[k].tolist()
+        return Transition(ts.agent, action[0], action, ts.target_cells[k].tolist(),
+                          ts.reference_points[k].tolist())
+
+
+@dataclass(eq=False)
 class TransitionSystem:
-    """States (window cells), actions (configurations), recorded transitions."""
+    """States (window cells), actions (configurations), recorded transitions.
+
+    The T transitions are stored as three row-aligned arrays:
+    ``action_cells`` (T, m+1, n) int64, the action's cells with the source
+    cell first; ``target_cells`` (T, n) int64; and ``reference_points``
+    (T, m+1, n) float64. ``transitions`` reads them as `Transition` rows.
+    """
 
     agent: int
     window: Window
-    transitions: tuple[Transition, ...] = ()
-    _index: dict = field(default_factory=dict, compare=False, repr=False)
+    action_cells: np.ndarray
+    target_cells: np.ndarray
+    reference_points: np.ndarray
 
     def __post_init__(self):
-        self.transitions = tuple(self.transitions)
-        for t in self.transitions:
-            if t.agent != self.agent:
-                raise ValueError(f"transition for agent {t.agent} in a system for "
-                                 f"agent {self.agent}")
-            self._index.setdefault((t.source, t.action), []).append(t)
+        self.action_cells = np.asarray(self.action_cells, dtype=np.int64)
+        self.target_cells = np.asarray(self.target_cells, dtype=np.int64)
+        self.reference_points = np.asarray(self.reference_points, dtype=float)
+        shape, n = self.action_cells.shape, self.window.dimension
+        if (shape[2:] != (n,) or self.target_cells.shape != shape[::2]
+                or self.reference_points.shape != shape):
+            raise ValueError(f"expected row-aligned arrays shaped (T, m+1, {n}), (T, {n}) and "
+                             f"(T, m+1, {n}); got {shape}, {self.target_cells.shape} and "
+                             f"{self.reference_points.shape}")
+
+    @classmethod
+    def from_transitions(cls, agent, window, rows) -> TransitionSystem:
+        """The system recording the `Transition` rows of ``agent``, in order."""
+        rows = tuple(rows)
+        if any(t.agent != agent for t in rows):
+            raise ValueError(f"transition for another agent in a system for agent {agent}")
+        if not rows:
+            n = window.dimension
+            return cls(agent, window, np.empty((0, 1, n), np.int64),
+                       np.empty((0, n), np.int64), np.empty((0, 1, n)))
+        return cls(agent, window, [t.action for t in rows], [t.target for t in rows],
+                   [t.reference_points for t in rows])
+
+    def __eq__(self, other):
+        if not isinstance(other, TransitionSystem):
+            return NotImplemented
+        return (self.agent == other.agent and self.window == other.window
+                and np.array_equal(self.action_cells, other.action_cells)
+                and np.array_equal(self.target_cells, other.target_cells)
+                and np.array_equal(self.reference_points, other.reference_points))
+
+    @property
+    def transitions(self) -> TransitionRows:
+        return TransitionRows(self)
 
     @property
     def states(self) -> tuple[CellIndex, ...]:
@@ -141,8 +195,9 @@ class TransitionSystem:
 
     @property
     def actions(self) -> tuple[tuple[CellIndex, ...], ...]:
-        seen = dict.fromkeys(t.action for t in self.transitions)
-        return tuple(seen)
+        """Distinct actions in the order they are first recorded."""
+        _, first = np.unique(self.action_cells, axis=0, return_index=True)
+        return tuple(tuple(map(tuple, a)) for a in self.action_cells[np.sort(first)].tolist())
 
     def post_set(self, source, action) -> set[CellIndex]:
         """Recorded successor cells of (source, action); empty when unrecorded."""
@@ -150,7 +205,16 @@ class TransitionSystem:
         action = tuple(tuple(int(c) for c in z) for z in action)
         if action[0] != source:
             raise ValueError(f"action own-cell {action[0]} disagrees with source {source}")
-        return {t.target for t in self._index.get((source, action), ())}
+        width, n = self.action_cells.shape[1:]
+        if len(action) != width or any(len(z) != n for z in action):
+            return set()
+        # one column at a time: a comparison reduced over the short (m+1, n)
+        # axes pays numpy's per-row overhead
+        hits = np.ones(len(self.action_cells), dtype=bool)
+        for k, cell in enumerate(action):
+            for axis, c in enumerate(cell):
+                hits &= self.action_cells[:, k, axis] == c
+        return set(map(tuple, self.target_cells[hits].tolist()))
 
 
 def agent_transition(model, grid, params, config: CellConfiguration,
@@ -165,22 +229,28 @@ def agent_transition(model, grid, params, config: CellConfiguration,
     refs = None if reference_points is None else np.asarray(reference_points, dtype=float)[None]
     controller = ControllerBank(model, grid, params, config.agent, [config.cells], refs,
                                 substeps)
-    return controller.target_cells()[0], controller
+    return tuple(controller.target_cells()[0].tolist()), controller
 
 
-def enumerate_configurations(window, degree, cap=MAX_ACTIONS):
+def enumerate_configurations(window, degree, chunk, cap=MAX_ACTIONS):
     """Every configuration (own cell plus ``degree`` neighbor cells) over the window.
 
-    Returns a lazy iterator over the |window|^(degree+1) configurations in
-    itertools.product order; raises EnumerationCap when their count exceeds
-    ``cap``.
+    Returns a lazy iterator over int64 arrays of at most ``chunk``
+    configurations each, shaped (B, degree+1, n), whose rows run through the
+    |window|^(degree+1) configurations in
+    ``itertools.product(window.cells(), repeat=degree + 1)`` order. Raises
+    EnumerationCap at once, before anything is yielded, when their count
+    exceeds ``cap``.
     """
-    cells = window.cells()
+    cells = np.array(window.cells(), dtype=np.int64)
     total = len(cells) ** (degree + 1)
     if total > cap:
         raise EnumerationCap(f"window of {len(cells)} cells gives {total} configurations "
                              f"of {degree + 1} cells (cap {cap})")
-    return itertools.product(cells, repeat=degree + 1)
+    # row r picks cell (r // W^(degree-k)) % W at position k, the last fastest
+    place = len(cells) ** np.arange(degree, -1, -1)
+    return (cells[np.arange(start, min(start + chunk, total))[:, None] // place % len(cells)]
+            for start in range(0, total, chunk))
 
 
 def build_transition_system(model, grid, params, agent, window,
@@ -191,23 +261,19 @@ def build_transition_system(model, grid, params, agent, window,
     neighbors and fails with EnumerationCap beyond ``max_actions``. The
     configurations are integrated in banks whose dense output fits in
     BUILD_DENSE_BYTES, one bank at a time; every member is integrated row by
-    row, so the transitions do not depend on the bank size.
+    row, so the transitions do not depend on the bank size. The system is the
+    concatenation of the banks' cell arrays, target cells and reference points.
     """
     require_admissible(params)
-    configs = enumerate_configurations(window, model.network.degree(agent), max_actions)
-    chunk_size = max(1, BUILD_DENSE_BYTES // (16 * (int(substeps) + 1)
-                                               * model.network.dimension))
-    transitions = []
-    while chunk := list(itertools.islice(configs, chunk_size)):
-        bank = ControllerBank(model, grid, params, agent, chunk, substeps=substeps)
-        transitions.extend(
-            Transition(agent=agent, source=cfg[0], action=cfg, target=target,
-                       reference_points=refs)
-            for cfg, target, refs in zip(chunk, bank.target_cells(),
-                                         bank.reference_points.tolist()))
+    chunk = max(1, BUILD_DENSE_BYTES // (16 * (int(substeps) + 1) * model.network.dimension))
+    parts = []
+    for cells in enumerate_configurations(window, model.network.degree(agent), chunk,
+                                          max_actions):
+        bank = ControllerBank(model, grid, params, agent, cells, substeps=substeps)
+        parts.append((bank.cell_array, bank.target_cells(), bank.reference_points))
         # free this chunk's dense output before the next chunk is integrated
         del bank
-    return TransitionSystem(agent=agent, window=window, transitions=transitions)
+    return TransitionSystem(agent, window, *(np.concatenate(p) for p in zip(*parts)))
 
 
 @dataclass(frozen=True)
@@ -402,25 +468,25 @@ def certify_window_input_bound(model, grid, params, agent, window, samples=10000
     rng = np.random.default_rng(seed)
     m = model.network.degree(agent)
     n = model.network.dimension
-    configs = enumerate_configurations(window, m)
 
     best = -1.0
     worst_cfg = None
     worst_witness = None
     violations = []
     checked = 0
-    while chunk := list(itertools.islice(configs, CERTIFY_CHUNK)):
+    for chunk in enumerate_configurations(window, m, CERTIFY_CHUNK):
         refs = np.empty((len(chunk), m + 1, n)) if reference_policy == "random" else None
         seeds = []
-        for b, cfg in enumerate(chunk):
+        for b, cells in enumerate(chunk):
             if refs is not None:
-                refs[b] = grid.uniform_in_cells(cfg, rng)
+                refs[b] = grid.uniform_in_cells(cells, rng)
             seeds.append(int(rng.integers(2**31)))
         bank = ControllerBank(model, grid, params, agent, chunk, refs, substeps)
-        for b, cfg in enumerate(chunk):
+        for b, cells in enumerate(chunk):
             magnitude, witness = sample_feedback_bound(bank.member(b), samples=samples,
                                                        seed=seeds[b])
             checked += 1
+            cfg = tuple(map(tuple, cells.tolist()))
             if magnitude > best:
                 best = magnitude
                 worst_cfg = cfg
@@ -451,30 +517,23 @@ def to_json(ts: TransitionSystem) -> str:
         "window": [list(r) for r in ts.window.ranges],
         "states": [list(z) for z in ts.states],
         "transitions": [
-            {
-                "source": list(t.source),
-                "action": [list(z) for z in t.action],
-                "target": list(t.target),
-                "reference_point": [list(p) for p in t.reference_points],
-            }
-            for t in ts.transitions
+            {"source": action[0], "action": action, "target": target,
+             "reference_point": refs}
+            for action, target, refs in zip(ts.action_cells.tolist(), ts.target_cells.tolist(),
+                                            ts.reference_points.tolist())
         ],
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def from_json(text: str) -> TransitionSystem:
-    """Inverse of :func:`to_json`."""
+    """Inverse of :func:`to_json`; each record is checked as a `Transition`."""
     obj = json.loads(text)
     window = Window(tuple((lo, hi) for lo, hi in obj["window"]))
-    transitions = tuple(
-        Transition(agent=obj["agent"],
-                   source=tuple(rec["source"]),
-                   action=tuple(tuple(z) for z in rec["action"]),
-                   target=tuple(rec["target"]),
-                   reference_points=tuple(tuple(p) for p in rec["reference_point"]))
-        for rec in obj["transitions"])
-    return TransitionSystem(agent=obj["agent"], window=window, transitions=transitions)
+    rows = [Transition(agent=obj["agent"], source=rec["source"], action=rec["action"],
+                       target=rec["target"], reference_points=rec["reference_point"])
+            for rec in obj["transitions"]]
+    return TransitionSystem.from_transitions(obj["agent"], window, rows)
 
 
 def to_dot(ts: TransitionSystem) -> str:
@@ -482,7 +541,8 @@ def to_dot(ts: TransitionSystem) -> str:
     lines = [f"digraph agent_{ts.agent} {{"]
     for z in ts.states:
         lines.append(f'  "{z}";')
-    for t in ts.transitions:
-        lines.append(f'  "{t.source}" -> "{t.target}" [label="{t.action}"];')
+    for action, target in zip(ts.action_cells.tolist(), ts.target_cells.tolist()):
+        action = tuple(map(tuple, action))
+        lines.append(f'  "{action[0]}" -> "{tuple(target)}" [label="{action}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

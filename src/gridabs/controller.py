@@ -146,10 +146,16 @@ class ControllerBank:
         return reference, self.frozen_field(reference)
 
     def _check_time(self, t):
+        # the feedback stays defined past the period by freezing at its end; one
+        # number is checked in Python floats, as numpy's per-call overhead on it
+        # would cost as much as the reference lookup that follows
+        if isinstance(t, (int, float)):
+            if t < 0.0:
+                raise ValueError("time must be nonnegative")
+            return min(float(t), self.period)
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise ValueError("time must be nonnegative")
-        # the feedback stays defined past the period by freezing at its end
         return np.minimum(t, self.period)
 
     def coupling_cancellation(self, own, neighbor_states, plant=None):
@@ -187,13 +193,13 @@ class ControllerBank:
                 + (self.offset_homing(own_start) if homing is None else homing)
                 + (self.drift_compensation(t, own_start) if drift is None else drift))
 
-    def target_cells(self):
-        """Cell of each member's reference endpoint, as ``grid.cell_of`` gives it."""
+    def target_cells(self) -> np.ndarray:
+        """Cell of each member's reference endpoint, as ``grid.cell_of`` gives it;
+        a (B, n) int64 array."""
         endpoint = self.endpoint
         if not np.all(np.isfinite(endpoint)):
             raise ValueError("reference endpoint has non-finite coordinates")
-        return tuple(tuple(int(c) for c in z)
-                     for z in self.grid.cell_indices(endpoint).tolist())
+        return self.grid.cell_indices(endpoint).astype(np.int64)
 
 
 def sample_inflated_cell(grid, cell, radius, count, rng):

@@ -84,9 +84,29 @@ def test_enumeration_cap(ref_model, ref_grid, ref_params, ref_window):
     with pytest.raises(EnumerationCap):
         build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
                                 substeps=16, max_actions=100)
-    assert len(list(enumerate_configurations(ref_window, 1, cap=81))) == 81
+    assert sum(map(len, enumerate_configurations(ref_window, 1, 7, cap=81))) == 81
     with pytest.raises(EnumerationCap):
-        enumerate_configurations(ref_window, 1, cap=80)
+        enumerate_configurations(ref_window, 1, 7, cap=80)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("chunk", [1, 7, 216])
+def test_enumeration_chunks_follow_the_product_order(degree, chunk):
+    window = Window(((2, 4), (-3, -2)))
+    chunks = list(enumerate_configurations(window, degree, chunk))
+    assert all(c.dtype == np.int64 and c.shape[1:] == (degree + 1, 2) for c in chunks)
+    assert all(1 <= len(c) <= chunk for c in chunks)
+    rows = [tuple(map(tuple, cfg)) for c in chunks for cfg in c.tolist()]
+    assert rows == list(itertools.product(window.cells(), repeat=degree + 1))
+
+
+def test_enumeration_cap_comes_before_any_bank(ref_model, ref_grid, ref_params, ref_window,
+                                              monkeypatch):
+    sizes = record_bank_sizes(monkeypatch)
+    with pytest.raises(EnumerationCap):
+        build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
+                                substeps=16, max_actions=728)
+    assert sizes == []
 
 
 def test_verify_transition_accepts_constructed_one(ref_model, ref_grid, ref_params,
@@ -395,6 +415,75 @@ def test_json_round_trip(ref_model, ref_grid, ref_params, ref_window):
     back = from_json(text)
     assert back == ts
     assert to_json(back) == text
+    empty = abstraction.TransitionSystem.from_transitions(0, ref_window, [])
+    assert from_json(to_json(empty)) == empty != ts
+
+
+def small_json_system():
+    """A two-transition agent-1 system as parsed JSON."""
+    rows = [Transition(1, (0, 0), ((0, 0), (1, 0), (-1, 1)), (0, 1),
+                       ((0.5, 0.5), (1.5, 0.5), (-0.5, 1.5))),
+            Transition(1, (1, 0), ((1, 0), (1, 0), (0, 0)), (1, 0),
+                       ((1.5, 0.5), (1.5, 0.5), (0.5, 0.5)))]
+    ts = abstraction.TransitionSystem.from_transitions(1, Window(((-1, 1), (-1, 1))), rows)
+    return json.loads(to_json(ts))
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda recs: recs[1].update(source=[0, 0]),
+    lambda recs: recs[0]["reference_point"].pop(),
+    lambda recs: recs[1].update(action=recs[1]["action"][:2],
+                                reference_point=recs[1]["reference_point"][:2]),
+], ids=["source-not-first-action-cell", "reference-count", "action-lengths-differ"])
+def test_from_json_rejects_malformed_records(tamper):
+    obj = small_json_system()
+    from_json(json.dumps(obj))
+    tamper(obj["transitions"])
+    with pytest.raises(ValueError):
+        from_json(json.dumps(obj))
+
+
+def test_post_set_of_an_unrecorded_action_is_empty():
+    ts = from_json(json.dumps(small_json_system()))
+    assert ts.post_set((0, 0), ((0, 0), (1, 0), (-1, 1))) == {(0, 1)}
+    assert ts.post_set((0, 0), ((0, 0), (1, 0), (-1, 0))) == set()
+    assert ts.post_set((0, 0), ((0, 0), (1, 0))) == set()
+    assert ts.post_set((0, 0), ((0, 0), (1, 0), (-1, 1), (0, 0))) == set()
+    assert ts.post_set((0, 0), ((0, 0), (1, 0), (-1,))) == set()
+
+
+def test_transition_rows_read_the_arrays(ref_model, ref_grid, ref_params, ref_window):
+    ts = build_transition_system(ref_model, ref_grid, ref_params, 0, ref_window,
+                                 substeps=16)
+    rows = ts.transitions
+    assert len(rows) == 81
+    listed = list(rows)
+    assert [t.action for t in listed] == list(itertools.product(ref_window.cells(), repeat=2))
+    for k, t in enumerate(listed):
+        assert t.action == tuple(map(tuple, ts.action_cells[k].tolist()))
+        assert t.target == tuple(ts.target_cells[k].tolist())
+        assert t.reference_points == tuple(map(tuple, ts.reference_points[k].tolist()))
+    assert rows[-1] == listed[-1] and rows[-81] == listed[0]
+    assert rows[10:40:3] == tuple(listed[10:40:3])
+    assert rows[::-1] == tuple(reversed(listed))
+    for k in (81, -82):
+        with pytest.raises(IndexError):
+            rows[k]
+
+
+def test_build_retains_only_its_arrays(ref_model, ref_grid, ref_params):
+    # 46,656 agent-1 transitions: three int64/float64 rows of 48 + 16 + 48 bytes
+    build_transition_system(ref_model, ref_grid, ref_params, 1, Window(((0, 0), (0, 0))),
+                            substeps=16)  # one-time allocations of a first call
+    tracemalloc.start()
+    try:
+        ts = build_transition_system(ref_model, ref_grid, ref_params, 1,
+                                     Window(((-3, 2), (-2, 3))), substeps=16)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ts.transitions) == 46656
+    assert retained <= 160 * 46656
 
 
 @st.composite
@@ -418,14 +507,23 @@ def transition_systems(draw):
             agent=agent, source=source, action=action, target=draw(any_cell),
             reference_points=draw(st.lists(point, min_size=degree + 1,
                                            max_size=degree + 1))))
-    return abstraction.TransitionSystem(agent=agent, window=window,
-                                        transitions=transitions)
+    return abstraction.TransitionSystem.from_transitions(agent, window, transitions)
 
 
 @settings(max_examples=200, deadline=None)
 @given(ts=transition_systems())
 def test_json_round_trip_of_any_small_system(ts):
     assert from_json(to_json(ts)) == ts
+
+
+@settings(max_examples=100, deadline=None)
+@given(ts=transition_systems())
+def test_actions_and_post_sets_agree_with_the_rows(ts):
+    rows = list(ts.transitions)
+    assert ts.actions == tuple(dict.fromkeys(t.action for t in rows))
+    for t in rows:
+        assert ts.post_set(t.source, t.action) == {u.target for u in rows
+                                                   if u.action == t.action}
 
 
 def test_dot_export_mentions_states_and_edges(ref_model, ref_grid, ref_params,

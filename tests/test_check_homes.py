@@ -7,6 +7,8 @@ holding one of them is a copy that a change to the check would have to find.
 Likewise only ``rk4_path`` builds a knot grid: the closed loop steps on its
 controller banks' grid instead of building its own, and only
 ``GridDecomposition`` maps cell indices to coordinates (``origin + side * ...``).
+A transition system keeps its transitions as arrays, so only its row view
+and ``from_json`` construct ``Transition`` objects.
 """
 
 import ast
@@ -96,3 +98,12 @@ def _offset_from_origin(node):
 def test_cell_coordinates_are_computed_in_the_grid():
     homes = _homes(_offset_from_origin)
     assert homes and all(h.startswith("geometry.GridDecomposition.") for h in homes), homes
+
+
+def _constructs_transition(node):
+    return isinstance(node, ast.Call) and _reads("Transition")(node.func)
+
+
+def test_transition_objects_are_built_in_two_places():
+    assert _homes(_constructs_transition) == {"abstraction.TransitionRows.__getitem__",
+                                              "abstraction.from_json"}

@@ -74,6 +74,23 @@ def test_feedback_rejects_negative_time(controller):
         controller.feedback(-0.001, x, nbrs, x)
 
 
+@pytest.mark.parametrize("t", [-1, np.array(-0.001), np.array([0.0, -0.001])])
+def test_drift_compensation_rejects_negative_int_and_array_times(controller, t):
+    with pytest.raises(ValueError, match="nonnegative"):
+        controller.drift_compensation(t, controller.reference_points[:, 0])
+
+
+@pytest.mark.parametrize("t", [0, 0.37 * 0.02, 0.02, 1, 0.05])
+def test_scalar_time_matches_the_array_path(controller, t):
+    # a Python int or float is checked in Python floats; a 0-d array takes the
+    # numpy path, and both give the same drift term bit for bit
+    rng = np.random.default_rng(4)
+    start = controller.reference_points[:, 0] + 1e-3 * rng.normal(size=2)
+    np.testing.assert_array_equal(controller.drift_compensation(t, start),
+                                  controller.drift_compensation(np.array(t), start),
+                                  strict=True)
+
+
 def test_feedback_clamps_beyond_period(controller):
     rng = np.random.default_rng(0)
     x = controller.reference_points[:, 0] + 1e-3 * rng.normal(size=2)
@@ -85,7 +102,9 @@ def test_feedback_clamps_beyond_period(controller):
 
 
 def test_target_cell_matches_endpoint(controller, ref_grid):
-    assert controller.target_cells()[0] == ref_grid.cell_of(controller.endpoint[0])
+    cells = controller.target_cells()
+    assert cells.dtype == np.int64 and cells.shape == (1, 2)
+    assert tuple(cells[0].tolist()) == ref_grid.cell_of(controller.endpoint[0])
 
 
 @pytest.mark.parametrize("origin", [(0.0, 0.0), (1e6, -1e6)])
@@ -99,10 +118,10 @@ def test_bank_bookkeeping_matches_the_per_cell_helpers(ref_model, ref_params, or
     bank = ControllerBank(ref_model, grid, ref_params, 1, configs, substeps=8)
     centers = np.array([[grid.cell_center(z) for z in cfg] for cfg in configs])
     assert bank.reference_points.tobytes() == centers.tobytes()
-    assert bank.target_cells() == tuple(grid.cell_of(p) for p in bank.endpoint)
+    assert bank.target_cells().tolist() == [list(grid.cell_of(p)) for p in bank.endpoint]
     refs = np.array([[grid.sample_in_cell(z, rng)[0] for z in cfg] for cfg in configs])
     bank = ControllerBank(ref_model, grid, ref_params, 1, configs, refs, substeps=8)
-    assert bank.target_cells() == tuple(grid.cell_of(p) for p in bank.endpoint)
+    assert bank.target_cells().tolist() == [list(grid.cell_of(p)) for p in bank.endpoint]
 
 
 def seven_configurations(grid, rng):
@@ -128,7 +147,9 @@ def test_bank_matches_individual_controllers(ref_model, ref_grid, ref_params,
                for b in range(7)]
     np.testing.assert_array_equal(bank.endpoint,
                                   np.stack([s.endpoint[0] for s in singles]))
-    assert bank.target_cells() == tuple(s.target_cells()[0] for s in singles)
+    np.testing.assert_array_equal(bank.target_cells(),
+                                  np.concatenate([s.target_cells() for s in singles]),
+                                  strict=True)
 
     x = refs[:, 0, :] + 1e-3 * rng.normal(size=(7, 2))
     nbrs = refs[:, 1:, :] + 1e-3 * rng.normal(size=(7, 2, 2))
@@ -190,7 +211,7 @@ def test_bank_input_forms_agree(ref_model, ref_grid, ref_params, random_refs):
         for name in ("times", "states", "derivs"):
             np.testing.assert_array_equal(getattr(got.dense, name),
                                           getattr(want.dense, name), strict=True)
-        assert got.target_cells() == want.target_cells()
+        np.testing.assert_array_equal(got.target_cells(), want.target_cells(), strict=True)
     assert from_array.cell_array.dtype == np.int64
 
 
@@ -222,7 +243,8 @@ def test_bank_members_match_size_one_banks(ref_model, ref_grid, ref_params):
         np.testing.assert_array_equal(member.reference_points, single.reference_points,
                                       strict=True)
         np.testing.assert_array_equal(member.endpoint, single.endpoint, strict=True)
-        assert member.target_cells() == single.target_cells()
+        np.testing.assert_array_equal(member.target_cells(), single.target_cells(),
+                                      strict=True)
         assert np.shares_memory(member.dense.states, bank.dense.states)
         assert np.shares_memory(member.dense.derivs, bank.dense.derivs)
 

@@ -40,7 +40,7 @@ def test_endpoints_match_reference(joint_setup, ref_model, ref_grid):
     trajectory, report = integrate_closed_loop(ref_model, controllers, x0)
     for i, c in enumerate(controllers):
         np.testing.assert_allclose(trajectory.states[-1, i], c.endpoint[0], atol=1e-12)
-        assert ref_grid.cell_of(trajectory.states[-1, i]) == c.target_cells()[0]
+        assert ref_grid.cell_of(trajectory.states[-1, i]) == tuple(c.target_cells()[0].tolist())
     assert max(report.endpoint_deviation) <= 1e-12
     assert max(report.interpolation_deviation) <= 1e-12
     assert all(report.containment_ok)
