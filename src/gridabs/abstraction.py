@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 from .admissibility import require_admissible
 from .controller import DEFAULT_SUBSTEPS, ControllerBank, sample_feedback_bound
 from .dynamics import project_configuration
-from .geometry import CellConfiguration, CellIndex
+from .geometry import Box, CellConfiguration, CellIndex
 from .simulate import MonitorReport, exceeds_input_bound, integrate_closed_loop_batch
 
 MAX_ACTIONS = 10**6
@@ -163,6 +164,8 @@ class TransitionSystem:
             raise ValueError(f"expected row-aligned arrays shaped (T, m+1, {n}), (T, {n}) and "
                              f"(T, m+1, {n}); got {shape}, {self.target_cells.shape} and "
                              f"{self.reference_points.shape}")
+        if not np.all(np.isfinite(self.reference_points)):
+            raise ValueError("reference points have non-finite coordinates")
 
     @classmethod
     def from_transitions(cls, agent, window, rows) -> TransitionSystem:
@@ -232,6 +235,13 @@ def agent_transition(model, grid, params, config: CellConfiguration,
     return tuple(controller.target_cells()[0].tolist()), controller
 
 
+def marginal_endpoints(grid, endpoints, cells):
+    """Whether each endpoint (..., n) lies within MARGINAL_REL * side of a face of its
+    cell in ``cells`` (integer indices, broadcast); a bool array."""
+    lo = grid.cell_lo(cells)
+    return Box(lo, lo + grid.side).face_margin(endpoints) < MARGINAL_REL * grid.side
+
+
 def enumerate_configurations(window, degree, chunk, cap=MAX_ACTIONS):
     """Every configuration (own cell plus ``degree`` neighbor cells) over the window.
 
@@ -253,27 +263,73 @@ def enumerate_configurations(window, degree, chunk, cap=MAX_ACTIONS):
             for start in range(0, total, chunk))
 
 
+def _bank_targets(model, grid, params, agent, cells, chunk, substeps):
+    """Target cells (B, n) and marginal flags (B,) of configurations ``cells``,
+    integrated in banks of at most ``chunk`` members, one bank at a time."""
+    targets = np.empty((len(cells), cells.shape[-1]), dtype=np.int64)
+    marginal = np.empty(len(cells), dtype=bool)
+    for start in range(0, len(cells), chunk):
+        bank = ControllerBank(model, grid, params, agent, cells[start:start + chunk],
+                              substeps=substeps)
+        part = slice(start, start + bank.size)
+        targets[part] = bank.target_cells()
+        marginal[part] = marginal_endpoints(grid, bank.endpoint, targets[part])
+        # free this bank's dense output before the next one is integrated
+        del bank
+    return targets, marginal
+
+
+def _offset_classes(cells, radix):
+    """Class index per configuration of ``cells`` (T, m+1, n), and the first row of
+    each class: two configurations share a class when their neighbor offsets
+    z_j - z0 agree. The m*n offsets become one int64 key in mixed radix, where
+    ``radix`` gives 2W - 1 values to an axis of W window cells."""
+    keys = np.zeros(len(cells), dtype=np.int64)
+    for column, base in zip((cells[:, 1:] - cells[:, :1]).reshape(len(cells), -1).T, radix):
+        keys *= base
+        keys += column + base // 2
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return inverse, first
+
+
 def build_transition_system(model, grid, params, agent, window,
                             substeps=DEFAULT_SUBSTEPS, max_actions=MAX_ACTIONS) -> TransitionSystem:
     """Enumerate every configuration over the window and record its transition.
 
     The enumeration covers |window|^(m+1) actions for an agent with m
-    neighbors and fails with EnumerationCap beyond ``max_actions``. The
-    configurations are integrated in banks whose dense output fits in
-    BUILD_DENSE_BYTES, one bank at a time; every member is integrated row by
-    row, so the transitions do not depend on the bank size. The system is the
-    concatenation of the banks' cell arrays, target cells and reference points.
+    neighbors and fails with EnumerationCap beyond ``max_actions``, before any
+    integration. The configurations are integrated in banks whose dense output
+    fits in BUILD_DENSE_BYTES, one bank at a time; every member is integrated
+    row by row, so the transitions do not depend on the bank size.
+
+    For a model declared ``translation_invariant`` the reference trajectory
+    from cell centers depends only on the neighbor offsets z_j - z0, so only
+    the first configuration of each offset class is integrated, and every
+    row's target is its own cell plus its class's target offset. A class whose
+    reference endpoint is marginal (`marginal_endpoints`) has all its rows
+    integrated, so ulp differences between translated trajectories never
+    change a target. Either way the rows keep the product order of
+    `enumerate_configurations` and their reference points are the cell centers.
     """
     require_admissible(params)
-    chunk = max(1, BUILD_DENSE_BYTES // (16 * (int(substeps) + 1) * model.network.dimension))
-    parts = []
-    for cells in enumerate_configurations(window, model.network.degree(agent), chunk,
-                                          max_actions):
-        bank = ControllerBank(model, grid, params, agent, cells, substeps=substeps)
-        parts.append((bank.cell_array, bank.target_cells(), bank.reference_points))
-        # free this chunk's dense output before the next chunk is integrated
-        del bank
-    return TransitionSystem(agent, window, *(np.concatenate(p) for p in zip(*parts)))
+    degree, n = model.network.degree(agent), model.network.dimension
+    chunk = max(1, BUILD_DENSE_BYTES // (16 * (int(substeps) + 1) * n))
+    cells, = enumerate_configurations(window, degree, window.size ** (degree + 1), max_actions)
+    # the keys fit in int64 while the key space prod(radix) does; that space is
+    # below the configuration count squared, so any cap below 3e9 keeps it there
+    radix = [2 * (hi - lo) + 1 for lo, hi in window.ranges] * degree
+    if model.translation_invariant and math.prod(radix) <= 2**63:
+        inverse, first = _offset_classes(cells, radix)
+        reps = cells[first]
+        targets, marginal = _bank_targets(model, grid, params, agent, reps, chunk, substeps)
+        target_cells = cells[:, 0] + (targets - reps[:, 0])[inverse]
+        redo = np.flatnonzero(marginal[inverse])
+        if len(redo):
+            target_cells[redo] = _bank_targets(model, grid, params, agent, cells[redo],
+                                               chunk, substeps)[0]
+    else:
+        target_cells = _bank_targets(model, grid, params, agent, cells, chunk, substeps)[0]
+    return TransitionSystem(agent, window, cells, target_cells, grid.cell_center(cells))
 
 
 @dataclass(frozen=True)
@@ -363,13 +419,13 @@ def verify_transition(model, grid, params, transition, window, trials=500, seed=
     # near-equal margins leave some bins empty and zero-width
     edges = np.linspace(margins.min(), margins.max(), 11)
     counts = np.bincount(np.searchsorted(edges[1:-1], margins, side="right"), minlength=10)
-    ref_margin = float(box.face_margin(controller.endpoint[0]))
     return TransitionCheck(trials=trials,
                            min_margin=float(margins.min()),
                            max_margin=float(margins.max()),
                            histogram_counts=tuple(int(c) for c in counts),
                            histogram_edges=tuple(float(e) for e in edges),
-                           marginal=ref_margin < MARGINAL_REL * grid.side)
+                           marginal=bool(marginal_endpoints(grid, controller.endpoint[0],
+                                                            transition.target)))
 
 
 def plan_controllers(model, grid, params, source_cells, target_cells,
@@ -510,20 +566,38 @@ def certify_window_input_bound(model, grid, params, agent, window, samples=10000
                             violations=tuple(violations))
 
 
+def _json_list(item, count):
+    return "[" + ",".join([item] * count) + "]"
+
+
+def _tuple_repr(item, count):
+    # Python's tuple repr, trailing comma of a 1-tuple included
+    return "(" + ", ".join([item] * count) + ("," if count == 1 else "") + ")"
+
+
 def to_json(ts: TransitionSystem) -> str:
-    """Deterministic JSON encoding of a transition system."""
-    obj = {
-        "agent": ts.agent,
-        "window": [list(r) for r in ts.window.ranges],
-        "states": [list(z) for z in ts.states],
-        "transitions": [
-            {"source": action[0], "action": action, "target": target,
-             "reference_point": refs}
-            for action, target, refs in zip(ts.action_cells.tolist(), ts.target_cells.tolist(),
-                                            ts.reference_points.tolist())
-        ],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON encoding of a transition system.
+
+    Equals ``json.dumps`` of {agent, states, transitions, window} with sorted
+    keys and no spaces. Each transition is one %-format row template filled
+    from a row's flat ``.tolist()`` values: integers through %d, floats
+    through %r, which for the finite reference points of a system is what
+    ``json.dumps`` writes.
+    """
+    width, n = ts.action_cells.shape[1:]
+    cell = _json_list("%d", n)
+    template = ('{"action":' + _json_list(cell, width)
+                + ',"reference_point":' + _json_list(_json_list("%r", n), width)
+                + ',"source":' + cell + ',"target":' + cell + "}")
+    actions = ts.action_cells.reshape(-1, width * n).tolist()
+    refs = ts.reference_points.reshape(-1, width * n).tolist()
+    rows = ",".join([template % tuple(a + r + a[:n] + t)
+                     for a, r, t in zip(actions, refs, ts.target_cells.tolist())])
+    compact = dict(separators=(",", ":"))
+    return (f'{{"agent":{json.dumps(ts.agent)},'
+            f'"states":{json.dumps([list(z) for z in ts.states], **compact)},'
+            f'"transitions":[{rows}],'
+            f'"window":{json.dumps([list(r) for r in ts.window.ranges], **compact)}}}\n')
 
 
 def from_json(text: str) -> TransitionSystem:
@@ -537,12 +611,19 @@ def from_json(text: str) -> TransitionSystem:
 
 
 def to_dot(ts: TransitionSystem) -> str:
-    """GraphViz digraph with one node per window cell and one edge per transition."""
+    """GraphViz digraph with one node per window cell and one edge per transition.
+
+    Cells and actions are labelled by their Python tuple repr; each edge is one
+    %-format row template filled from a row's flat ``.tolist()`` values.
+    """
+    width, n = ts.action_cells.shape[1:]
+    cell = _tuple_repr("%d", n)
+    template = f'  "{cell}" -> "{cell}" [label="{_tuple_repr(cell, width)}"];'
     lines = [f"digraph agent_{ts.agent} {{"]
     for z in ts.states:
         lines.append(f'  "{z}";')
-    for action, target in zip(ts.action_cells.tolist(), ts.target_cells.tolist()):
-        action = tuple(map(tuple, action))
-        lines.append(f'  "{action[0]}" -> "{tuple(target)}" [label="{action}"];')
+    actions = ts.action_cells.reshape(-1, width * n).tolist()
+    lines.extend([template % tuple(a[:n] + t + a)
+                  for a, t in zip(actions, ts.target_cells.tolist())])
     lines.append("}")
     return "\n".join(lines) + "\n"

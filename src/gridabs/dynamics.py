@@ -101,10 +101,16 @@ class DynamicsModel:
 
     ``evaluators`` may be None for a constants-only model (admissibility
     arithmetic works, trajectory evaluation does not).
+
+    ``translation_invariant`` declares that every f_i depends on the states
+    only through the differences x_j - x_i, so a common shift of all states
+    leaves it unchanged. The abstraction then integrates each class of cell
+    configurations that differ by a common cell shift once;
+    ``validate_constants`` sample-tests the declaration.
     """
 
     def __init__(self, network, evaluators, feedback_bound, neighbor_lipschitz,
-                 self_lipschitz, input_bound):
+                 self_lipschitz, input_bound, translation_invariant=False):
         feedback_bound = float(feedback_bound)
         neighbor_lipschitz = float(neighbor_lipschitz)
         self_lipschitz = float(self_lipschitz)
@@ -125,6 +131,7 @@ class DynamicsModel:
         self.neighbor_lipschitz = neighbor_lipschitz
         self.self_lipschitz = self_lipschitz
         self.input_bound = input_bound
+        self.translation_invariant = bool(translation_invariant)
 
     def evaluator(self, agent):
         if self.evaluators is None:
@@ -200,7 +207,8 @@ def saturated_consensus(network, gain, input_bound):
 
     sat_gain is the radial projection onto the ball of radius ``gain`` (hence
     1-Lipschitz), giving feedback_bound = gain * maxdeg, neighbor_lipschitz =
-    sqrt(maxdeg), self_lipschitz = maxdeg.
+    sqrt(maxdeg), self_lipschitz = maxdeg. It depends on the differences only,
+    so the model is declared translation invariant.
     """
     gain = float(gain)
     if gain <= 0.0:
@@ -225,7 +233,7 @@ def saturated_consensus(network, gain, input_bound):
                          feedback_bound=gain * maxdeg,
                          neighbor_lipschitz=float(np.sqrt(maxdeg)),
                          self_lipschitz=float(maxdeg),
-                         input_bound=input_bound)
+                         input_bound=input_bound, translation_invariant=True)
 
 
 def smooth_consensus(network, gain, input_bound, scale=1.0):
@@ -233,8 +241,9 @@ def smooth_consensus(network, gain, input_bound, scale=1.0):
 
     f_i = scale * sum_k g(x_{j_k} - x_i) with g(v) = v / sqrt(1 + |v|^2/gain^2),
     so |g| < gain and g is 1-Lipschitz. Same constants structure as
-    ``saturated_consensus`` scaled by ``scale``. The field is C^inf, which
-    makes integrator-order measurements meaningful.
+    ``saturated_consensus`` scaled by ``scale``, and translation invariant
+    too. The field is C^inf, which makes integrator-order measurements
+    meaningful.
     """
     gain = float(gain)
     scale = float(scale)
@@ -261,7 +270,7 @@ def smooth_consensus(network, gain, input_bound, scale=1.0):
                          feedback_bound=scale * gain * maxdeg,
                          neighbor_lipschitz=scale * float(np.sqrt(maxdeg)),
                          self_lipschitz=scale * float(maxdeg),
-                         input_bound=input_bound)
+                         input_bound=input_bound, translation_invariant=True)
 
 
 def project_configuration(network, cells, agent) -> CellConfiguration:
@@ -301,13 +310,18 @@ def validate_constants(model, trials=10000, sample_radius=1.0, seed=0) -> Valida
     Draws random state tuples in a ball of ``sample_radius`` per agent and
     difference-quotient pairs from single-coordinate perturbations at several
     scales, tracking |f_i| / feedback_bound and the two Lipschitz quotients.
+    A model declared ``translation_invariant`` must then keep f_i, up to
+    RATIO_EXCESS * feedback_bound, when all states move by one common shift
+    drawn at each scale; these draws come after all others, so the report of
+    the constants does not depend on the declaration.
     """
     rng = np.random.default_rng(seed)
     net = model.network
     count, dim = net.agent_count, net.dimension
     scales = (1e-3, 1e-1, 1.0, float(sample_radius))
 
-    worst = {"feedback_bound": 0.0, "neighbor_lipschitz": 0.0, "self_lipschitz": 0.0}
+    worst = {"feedback_bound": 0.0, "neighbor_lipschitz": 0.0, "self_lipschitz": 0.0,
+             "translation_invariant": 0.0}
 
     def track(kind, ratios, agent, states, perturbed):
         k = int(np.argmax(ratios))
@@ -349,6 +363,18 @@ def validate_constants(model, trials=10000, sample_radius=1.0, seed=0) -> Valida
                 quot = row_norm(moved - base) / step[:, 0]
                 track("self_lipschitz", quot / model.self_lipschitz, i,
                       states, own + step * direction)
+
+    if model.translation_invariant:
+        for i in range(count):
+            ev = model.evaluator(i)
+            nbrs = list(net.neighbors[i])
+            base = ev(states[:, i], states[:, nbrs, :])
+            for scale in scales:
+                shifted = states + _uniform_ball(rng, trials, dim, scale)[:, None, :]
+                moved = ev(shifted[:, i], shifted[:, nbrs, :])
+                track("translation_invariant",
+                      row_norm(moved - base) / (RATIO_EXCESS * model.feedback_bound), i,
+                      states, shifted)
 
     return ValidationReport(trials=trials,
                             worst_bound_ratio=worst["feedback_bound"],

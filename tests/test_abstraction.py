@@ -355,20 +355,69 @@ def budget_for(members, substeps, model):
     return members * 16 * (substeps + 1) * model.network.dimension
 
 
+def undeclared(model):
+    """``model`` without its translation-invariance declaration: full enumeration."""
+    return ga.DynamicsModel(model.network, model.evaluators, model.feedback_bound,
+                            model.neighbor_lipschitz, model.self_lipschitz,
+                            model.input_bound)
+
+
 def test_chunked_build_matches_one_bank(ref_model, ref_grid, ref_params, ref_window,
                                         monkeypatch):
     sizes = record_bank_sizes(monkeypatch)
-    whole = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
-                                    substeps=16)
-    assert sizes == [729]
-    # 729 configurations: seven chunks of 100 and a partial one of 29
-    monkeypatch.setattr(abstraction, "BUILD_DENSE_BYTES", budget_for(100, 16, ref_model))
-    sizes.clear()
-    chunked = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
-                                      substeps=16)
-    assert sizes == [100] * 7 + [29]
-    assert to_json(chunked) == to_json(whole)
-    assert to_dot(chunked) == to_dot(whole)
+    default = abstraction.BUILD_DENSE_BYTES
+    for model, one_bank, chunks in [
+            # 729 configurations: seven chunks of 100 and a partial one of 29
+            (undeclared(ref_model), [729], [100] * 7 + [29]),
+            # 361 offset classes: three chunks of 100 and a partial one of 61
+            (ref_model, [361], [100] * 3 + [61])]:
+        monkeypatch.setattr(abstraction, "BUILD_DENSE_BYTES", default)
+        sizes.clear()
+        whole = build_transition_system(model, ref_grid, ref_params, 1, ref_window,
+                                        substeps=16)
+        assert sizes == one_bank
+        monkeypatch.setattr(abstraction, "BUILD_DENSE_BYTES",
+                            budget_for(100, 16, ref_model))
+        sizes.clear()
+        chunked = build_transition_system(model, ref_grid, ref_params, 1, ref_window,
+                                          substeps=16)
+        assert sizes == chunks
+        assert to_json(chunked) == to_json(whole)
+        assert to_dot(chunked) == to_dot(whole)
+
+
+@pytest.mark.parametrize("builtin", [ga.saturated_consensus, ga.smooth_consensus])
+@pytest.mark.parametrize("origin", [(0.0, 0.0), (1e6, -1e6)])
+@pytest.mark.parametrize("width, classes", [(3, (25, 361, 25)), (5, (81, 3721, 81))])
+def test_relative_build_equals_the_full_build(path_network, ref_grid, monkeypatch, builtin,
+                                              origin, width, classes):
+    model = builtin(path_network, gain=0.5, input_bound=0.5)
+    grid = ga.GridDecomposition(2, ref_grid.side, origin)
+    params = ga.check_discretization(model, grid.diameter(), 0.02)
+    window = Window(((-1, width - 2), (-2, width - 3)))
+    sizes = record_bank_sizes(monkeypatch)
+    for agent in range(3):
+        sizes.clear()
+        relative = build_transition_system(model, grid, params, agent, window, substeps=32)
+        # one bank of the offset classes, and no marginal class integrated again
+        assert sizes == [classes[agent]]
+        full = build_transition_system(undeclared(model), grid, params, agent, window,
+                                       substeps=32)
+        assert sizes[1:] == [width ** (2 * (model.network.degree(agent) + 1))]
+        assert relative == full
+
+
+def test_marginal_classes_are_integrated_row_by_row(ref_model, ref_grid, ref_params,
+                                                   ref_window, monkeypatch):
+    full = build_transition_system(undeclared(ref_model), ref_grid, ref_params, 1,
+                                   ref_window, substeps=16)
+    sizes = record_bank_sizes(monkeypatch)
+    # every endpoint is within one side of a face: every class is marginal
+    monkeypatch.setattr(abstraction, "MARGINAL_REL", 1.0)
+    relative = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
+                                       substeps=16)
+    assert sizes == [361, 729]
+    assert relative == full
 
 
 def test_build_memory_does_not_grow_with_substeps(ref_model, ref_grid, ref_params,
@@ -486,8 +535,15 @@ def test_build_retains_only_its_arrays(ref_model, ref_grid, ref_params):
     assert retained <= 160 * 46656
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# floats whose text is easy to get wrong: signed zeros, subnormals, the extremes
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -4.94e-322, 2.2250738585072014e-308, 1e16, -1e-05, 0.1,
+               1.7976931348623157e308)
+
+
 @st.composite
-def transition_systems(draw):
+def transition_systems(draw, floats=FINITE):
     """Small windows of one or two axes with a few arbitrary transitions."""
     dim = draw(st.integers(1, 2))
     ranges = []
@@ -497,7 +553,7 @@ def transition_systems(draw):
     window = Window(tuple(ranges))
     agent = draw(st.integers(0, 5))
     any_cell = st.tuples(*[st.integers(-5, 5)] * dim)
-    point = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * dim)
+    point = st.tuples(*[floats] * dim)
     degree = draw(st.integers(0, 2))
     transitions = []
     for _ in range(draw(st.integers(0, 6))):
@@ -524,6 +580,69 @@ def test_actions_and_post_sets_agree_with_the_rows(ts):
     for t in rows:
         assert ts.post_set(t.source, t.action) == {u.target for u in rows
                                                    if u.action == t.action}
+
+
+def reference_to_json(ts):
+    """The ``json.dumps`` encoding that `to_json` writes from row templates."""
+    obj = {
+        "agent": ts.agent,
+        "window": [list(r) for r in ts.window.ranges],
+        "states": [list(z) for z in ts.states],
+        "transitions": [
+            {"source": action[0], "action": action, "target": target,
+             "reference_point": refs}
+            for action, target, refs in zip(ts.action_cells.tolist(), ts.target_cells.tolist(),
+                                            ts.reference_points.tolist())
+        ],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def reference_to_dot(ts):
+    """The f-string DOT export that `to_dot` writes from row templates."""
+    lines = [f"digraph agent_{ts.agent} {{"]
+    for z in ts.states:
+        lines.append(f'  "{z}";')
+    for action, target in zip(ts.action_cells.tolist(), ts.target_cells.tolist()):
+        action = tuple(map(tuple, action))
+        lines.append(f'  "{action[0]}" -> "{tuple(target)}" [label="{action}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(ts=transition_systems(st.one_of(st.sampled_from(EDGE_FLOATS), FINITE)))
+def test_template_writers_equal_the_reference_writers(ts):
+    assert to_json(ts) == reference_to_json(ts)
+    assert to_dot(ts) == reference_to_dot(ts)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_template_writers_on_edge_floats(dim, degree):
+    values = itertools.cycle(EDGE_FLOATS)
+    rows = [Transition(4, (k,) * dim, ((k,) * dim,) + ((-k,) * dim,) * degree, (k + 1,) * dim,
+                       [[next(values) for _ in range(dim)] for _ in range(degree + 1)])
+            for k in range(-2, 3)]
+    ts = abstraction.TransitionSystem.from_transitions(4, Window(((-2, 2),) * dim), rows)
+    text = to_json(ts)
+    assert text == reference_to_json(ts)
+    assert to_dot(ts) == reference_to_dot(ts)
+    # the text keeps the sign of zero
+    assert np.signbit(from_json(text).reference_points).tolist() == \
+        np.signbit(ts.reference_points).tolist()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_reference_points_are_rejected(bad):
+    rows = [Transition(0, (0,), ((0,), (1,)), (0,), ((0.5,), (bad,)))]
+    with pytest.raises(ValueError, match="non-finite"):
+        abstraction.TransitionSystem.from_transitions(0, Window(((0, 1),)), rows)
+    obj = small_json_system()
+    obj["transitions"][1]["reference_point"][2][0] = bad
+    text = json.dumps(obj)  # json.dumps writes Infinity and NaN, json.loads reads them
+    with pytest.raises(ValueError, match="non-finite"):
+        from_json(text)
 
 
 def test_dot_export_mentions_states_and_edges(ref_model, ref_grid, ref_params,

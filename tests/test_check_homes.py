@@ -66,7 +66,7 @@ def _not_admissible(node):
 @pytest.mark.parametrize("match, home", [
     (_reads("DISTANCE_ATOL"), "geometry.GridDecomposition.inflated_contains"),
     (_reads("INPUT_ATOL"), "simulate.exceeds_input_bound"),
-    (_reads("MARGINAL_REL"), "abstraction.verify_transition"),
+    (_reads("MARGINAL_REL"), "abstraction.marginal_endpoints"),
     (_corner_inset, "geometry.GridDecomposition.corner_inset"),
     (_not_admissible, "admissibility.require_admissible"),
 ], ids=["distance", "input", "marginal", "corner-inset", "admissibility"])

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -109,6 +110,33 @@ def test_abstract_writes_all_agents(config_path, tmp_path, capsys):
     assert main(["abstract", "--config", config_path, "--out", str(again)]) == 0
     assert ((out / "transitions_agent1.json").read_bytes()
             == (again / "transitions_agent1.json").read_bytes())
+
+
+# SHA-256 of the `abstract` files on the README config, as written by the full
+# enumeration with json.dumps-based export; the relative build and the
+# template writers must reproduce them byte for byte
+README_ABSTRACT_SHA256 = {
+    "transitions_agent0.json": "1ae77856fcb3bb66e27647e5a12e6912de47b7c1664be599d2b58c5868b5e245",
+    "transitions_agent0.dot": "c8f9c083f1dffe4800f5ff0d03cfa12ac4db50329bf5e222cfc37c64b992d751",
+    "transitions_agent1.json": "1d29eea72413b1ecf9bbfe0f3a6dc915efcdccec1777e30ea2aa728ad5c6600e",
+    "transitions_agent1.dot": "575fdb4e84fcfb4cae51e4790b0b47ab8e9706a2dbedba860229e70c72ee06bc",
+    "transitions_agent2.json": "a53953262b262db396904dee630df3da6450a4c61abb102d88346589eac32031",
+    "transitions_agent2.dot": "1dac7dfa8db5a529e0466fe04d688cb3dbdab0f01ef285d7d6c223bb7d234f8a",
+}
+
+
+def test_abstract_files_are_pinned_on_the_readme_config(tmp_path, capsys):
+    path = tmp_path / "readme.yaml"
+    path.write_text(CONFIG.format(period=0.02).replace("substeps: 64", "substeps: 256")
+                    .replace("trials: 30", "trials: 500").replace("seed: 7", "seed: 0"))
+    out = tmp_path / "abs"
+    assert main(["abstract", "--config", str(path), "--out", str(out)]) == 0
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in out.iterdir()} == README_ABSTRACT_SHA256
+    assert capsys.readouterr().out == "".join(
+        f"agent {i}: {count} actions, {count} transitions -> "
+        f"{os.path.join(str(out), f'transitions_agent{i}.json')}\n"
+        for i, count in ((0, 81), (1, 729), (2, 81)))
 
 
 def test_abstract_without_window_is_an_input_error(config_path, tmp_path, capsys):

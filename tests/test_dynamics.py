@@ -132,6 +132,49 @@ def test_validate_constants_catches_understated_bound(path_network):
         validate_constants(broken, trials=500, sample_radius=5.0, seed=0)
 
 
+def declared_copy(model, evaluators, translation_invariant, **constants):
+    """``model``'s constants (overridden by ``constants``) on other evaluators."""
+    kwargs = dict(feedback_bound=model.feedback_bound,
+                  neighbor_lipschitz=model.neighbor_lipschitz,
+                  self_lipschitz=model.self_lipschitz, input_bound=model.input_bound)
+    kwargs.update(constants)
+    return DynamicsModel(model.network, evaluators,
+                         translation_invariant=translation_invariant, **kwargs)
+
+
+@pytest.mark.parametrize("builtin", [saturated_consensus, smooth_consensus])
+def test_builtins_pass_their_translation_invariance(path_network, builtin):
+    model = builtin(path_network, gain=0.5, input_bound=0.5)
+    assert model.translation_invariant
+    report = validate_constants(model, trials=2000, seed=4)
+    assert report.ok
+    # the declaration adds draws after all others: the report does not move
+    plain = declared_copy(model, model.evaluators, False)
+    assert validate_constants(plain, trials=2000, seed=4) == report
+
+
+def test_validate_constants_catches_a_false_translation_invariance(path_network):
+    good = saturated_consensus(path_network, gain=0.5, input_bound=0.5)
+
+    def drifting(ev):
+        # an absolute-position term: small enough to keep every declared constant
+        return lambda own, nbrs: ev(own, nbrs) + 1e-3 * own
+
+    evaluators = [drifting(ev) for ev in good.evaluators]
+    constants = dict(feedback_bound=2.0 * good.feedback_bound,
+                     self_lipschitz=good.self_lipschitz + 0.01)
+    plain = declared_copy(good, evaluators, False, **constants)
+    assert not plain.translation_invariant
+    assert validate_constants(plain, trials=500, seed=0).ok
+    with pytest.raises(ConstantsViolation) as info:
+        validate_constants(declared_copy(good, evaluators, True, **constants),
+                           trials=500, seed=0)
+    assert info.value.kind == "translation_invariant"
+    assert info.value.agent == 0 and info.value.ratio > 1.0
+    witness = info.value.witness
+    assert witness["states"].shape == witness["perturbed"].shape == (3, 2)
+
+
 def test_constants_only_model(path_network):
     model = DynamicsModel(path_network, None, feedback_bound=1.0,
                           neighbor_lipschitz=1.0, self_lipschitz=1.0,
