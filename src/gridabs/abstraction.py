@@ -22,7 +22,7 @@ from .admissibility import require_admissible
 from .controller import DEFAULT_SUBSTEPS, ControllerBank, sample_feedback_bound
 from .dynamics import project_configuration
 from .geometry import Box, CellConfiguration, CellIndex
-from .simulate import MonitorReport, exceeds_input_bound, integrate_closed_loop_batch
+from .simulate import exceeds_input_bound, integrate_closed_loop_batch
 
 MAX_ACTIONS = 10**6
 
@@ -242,25 +242,23 @@ def marginal_endpoints(grid, endpoints, cells):
     return Box(lo, lo + grid.side).face_margin(endpoints) < MARGINAL_REL * grid.side
 
 
-def enumerate_configurations(window, degree, chunk, cap=MAX_ACTIONS):
+def enumerate_configurations(window, degree, cap=MAX_ACTIONS):
     """Every configuration (own cell plus ``degree`` neighbor cells) over the window.
 
-    Returns a lazy iterator over int64 arrays of at most ``chunk``
-    configurations each, shaped (B, degree+1, n), whose rows run through the
-    |window|^(degree+1) configurations in
+    Returns one int64 array shaped (T, degree+1, n) whose rows run through the
+    T = |window|^(degree+1) configurations in
     ``itertools.product(window.cells(), repeat=degree + 1)`` order. Raises
-    EnumerationCap at once, before anything is yielded, when their count
-    exceeds ``cap``.
+    EnumerationCap when T exceeds ``cap``, before any window cell is listed.
     """
-    cells = np.array(window.cells(), dtype=np.int64)
-    total = len(cells) ** (degree + 1)
+    size = window.size
+    total = size ** (degree + 1)
     if total > cap:
-        raise EnumerationCap(f"window of {len(cells)} cells gives {total} configurations "
+        raise EnumerationCap(f"window of {size} cells gives {total} configurations "
                              f"of {degree + 1} cells (cap {cap})")
+    cells = np.array(window.cells(), dtype=np.int64)
     # row r picks cell (r // W^(degree-k)) % W at position k, the last fastest
-    place = len(cells) ** np.arange(degree, -1, -1)
-    return (cells[np.arange(start, min(start + chunk, total))[:, None] // place % len(cells)]
-            for start in range(0, total, chunk))
+    place = size ** np.arange(degree, -1, -1)
+    return cells[np.arange(total)[:, None] // place % size]
 
 
 def _bank_targets(model, grid, params, agent, cells, chunk, substeps):
@@ -314,7 +312,7 @@ def build_transition_system(model, grid, params, agent, window,
     require_admissible(params)
     degree, n = model.network.degree(agent), model.network.dimension
     chunk = max(1, BUILD_DENSE_BYTES // (16 * (int(substeps) + 1) * n))
-    cells, = enumerate_configurations(window, degree, window.size ** (degree + 1), max_actions)
+    cells = enumerate_configurations(window, degree, max_actions)
     # the keys fit in int64 while the key space prod(radix) does; that space is
     # below the configuration count squared, so any cap below 3e9 keeps it there
     radix = [2 * (hi - lo) + 1 for lo, hi in window.ranges] * degree
@@ -453,8 +451,8 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
 
     The controllers come from `plan_controllers`. The joint closed loop is
     then sampled from uniform initial states in the source cells; every agent
-    must land in its target simultaneously. Returns (controllers, worst-case
-    MonitorReport).
+    must land in its target simultaneously. Returns (controllers, the
+    samples' worst-case MonitorReport, fields shaped (N,)).
     """
     net = model.network
     count = net.agent_count
@@ -469,7 +467,7 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
     for i in range(count):
         x0[:, i, :] = grid.sample_in_cell(source_cells[i], rng, samples)
 
-    trajectory, reports = integrate_closed_loop_batch(model, controllers, x0)
+    trajectory, report = integrate_closed_loop_batch(model, controllers, x0)
     endpoints = trajectory.states[-1]
     missed = grid.first_outside(endpoints, target_cells)
     if missed is not None:
@@ -481,7 +479,7 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
         raise CompositionViolation(
             f"run {b}: agent {bad} landed in {landed} instead of "
             f"{target_cells[bad]}", witness)
-    return controllers, MonitorReport.merge(reports)
+    return controllers, report.worst()
 
 
 @dataclass(frozen=True)
@@ -530,7 +528,9 @@ def certify_window_input_bound(model, grid, params, agent, window, samples=10000
     worst_witness = None
     violations = []
     checked = 0
-    for chunk in enumerate_configurations(window, m, CERTIFY_CHUNK):
+    configs = enumerate_configurations(window, m)
+    for start in range(0, len(configs), CERTIFY_CHUNK):
+        chunk = configs[start:start + CERTIFY_CHUNK]
         refs = np.empty((len(chunk), m + 1, n)) if reference_policy == "random" else None
         seeds = []
         for b, cells in enumerate(chunk):

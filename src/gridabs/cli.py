@@ -56,12 +56,12 @@ def cmd_check(cfg, args) -> int:
     print(f"coupling: {_fmt(coupling)}")
     bound = diameter_upper_bound(cfg.model)
     print(f"diameter: {_fmt(params.diameter)} (bound {_fmt(bound)})")
-    if params.diameter <= bound:
+    try:
         lo, hi = admissible_period_interval(cfg.model, params.diameter)
-        print(f"period: {_fmt(params.period)} (admissible interval "
-              f"[{_fmt(lo)}, {_fmt(hi)}])")
-    else:
-        print(f"period: {_fmt(params.period)} (no admissible interval)")
+        interval = f"admissible interval [{_fmt(lo)}, {_fmt(hi)}]"
+    except FeasibilityError:
+        interval = "no admissible interval"
+    print(f"period: {_fmt(params.period)} ({interval})")
     print(f"reach_radius: {_fmt(params.reach_radius)}")
     print(f"admissible: {'yes' if params.admissible else 'no'}")
     if not params.admissible:
@@ -122,7 +122,6 @@ def cmd_verify(cfg, args) -> int:
     if cfg.window is None:
         raise ConfigError("verify needs run.window in the config")
     params = cfg.params()
-    seed = args.seed if args.seed is not None else cfg.seed
     trials = args.trials if args.trials is not None else cfg.trials
     for agent, index in _parse_selector(args.selector, cfg.network.agent_count):
         ts = build_transition_system(cfg.model, cfg.grid, params, agent, cfg.window,
@@ -137,7 +136,7 @@ def cmd_verify(cfg, args) -> int:
             chosen = chosen[:args.limit]
         for k, transition in enumerate(chosen):
             check = verify_transition(cfg.model, cfg.grid, params, transition,
-                                      cfg.window, trials=trials, seed=seed + k,
+                                      cfg.window, trials=trials, seed=cfg.seed + k,
                                       substeps=cfg.substeps)
             flag = " (marginal)" if check.marginal else ""
             print(f"agent {agent} {transition.source} --{transition.action}--> "
@@ -223,8 +222,7 @@ def cmd_controller_dump(cfg, args) -> int:
 
 def cmd_validate_constants(cfg, args) -> int:
     trials = args.trials if args.trials is not None else 10000
-    seed = args.seed if args.seed is not None else cfg.seed
-    report = validate_constants(cfg.model, trials=trials, seed=seed)
+    report = validate_constants(cfg.model, trials=trials, seed=cfg.seed)
     print(f"trials: {report.trials}")
     print(f"worst_bound_ratio: {_fmt(report.worst_bound_ratio)}")
     print(f"worst_neighbor_ratio: {_fmt(report.worst_neighbor_ratio)}")

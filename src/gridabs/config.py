@@ -96,7 +96,6 @@ class RunConfig:
     substeps: int
     trials: int
     seed: int
-    samples: int
     window: Window | None
     simulate: dict | None
     controller_dump: dict | None
@@ -193,13 +192,12 @@ def load_config(path) -> RunConfig:
         raise ConfigError("discretization.period must be positive and finite")
 
     run_sec = _section(raw, "run", required=False) or {}
-    _check_keys(run_sec, ("substeps", "trials", "seed", "samples", "window"), "run")
+    _check_keys(run_sec, ("substeps", "trials", "seed", "window"), "run")
     substeps = _integer(run_sec, "substeps", "run", default=256)
     trials = _integer(run_sec, "trials", "run", default=500)
     seed = _integer(run_sec, "seed", "run", default=0)
-    samples = _integer(run_sec, "samples", "run", default=10000)
-    if substeps < 1 or trials < 1 or samples < 1:
-        raise ConfigError("run.substeps, run.trials, run.samples must be positive")
+    if substeps < 1 or trials < 1:
+        raise ConfigError("run.substeps and run.trials must be positive")
     window = None
     if "window" in run_sec:
         ranges = run_sec["window"]
@@ -245,5 +243,5 @@ def load_config(path) -> RunConfig:
         controller_dump = {"agent": agent, "cells": cells, "initial": initial}
 
     return RunConfig(grid=grid, network=network, model=model, period=period,
-                     substeps=substeps, trials=trials, seed=seed, samples=samples,
+                     substeps=substeps, trials=trials, seed=seed,
                      window=window, simulate=simulate, controller_dump=controller_dump)

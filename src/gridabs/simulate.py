@@ -66,12 +66,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class MonitorReport:
-    """Per-agent summary of one closed-loop run.
+    """Per-agent monitor summary of closed-loop runs.
 
-    ``containment_ok`` covers the knots strictly before the period's end;
-    ``endpoint_deviation`` is the distance between the realized endpoint and
-    the controller's reference endpoint; ``interpolation_deviation`` is the
-    worst knot residual of the linear-homing identity
+    The batched integrator returns fields shaped (B, N), one row per run;
+    `worst` reduces them to (N,). ``containment_ok`` covers the knots
+    strictly before the period's end; ``endpoint_deviation`` is the distance
+    between the realized endpoint and the controller's reference endpoint;
+    ``interpolation_deviation`` is the worst knot residual of the
+    linear-homing identity
     x_i(t) = ref_i(t) + (1 - t/period) * (x_i(0) - ref_i(0)).
     """
 
@@ -80,16 +82,12 @@ class MonitorReport:
     endpoint_deviation: np.ndarray
     interpolation_deviation: np.ndarray
 
-    @staticmethod
-    def merge(reports):
-        """Worst-case fold of several reports (maxima, containment AND)."""
-        reports = list(reports)
-        return MonitorReport(
-            max_input=np.max([r.max_input for r in reports], axis=0),
-            containment_ok=np.min([r.containment_ok for r in reports], axis=0).astype(bool),
-            endpoint_deviation=np.max([r.endpoint_deviation for r in reports], axis=0),
-            interpolation_deviation=np.max([r.interpolation_deviation for r in reports], axis=0),
-        )
+    def worst(self):
+        """Worst case over the run axis (maxima, containment AND); fields (N,)."""
+        return MonitorReport(max_input=self.max_input.max(axis=0),
+                             containment_ok=self.containment_ok.all(axis=0),
+                             endpoint_deviation=self.endpoint_deviation.max(axis=0),
+                             interpolation_deviation=self.interpolation_deviation.max(axis=0))
 
 
 def _check_setup(model, banks, batch):
@@ -149,7 +147,7 @@ def integrate_closed_loop_batch(model, controllers, x0):
     ``controllers`` holds one ControllerBank per agent, shared by all runs
     (banks of size 1 broadcast; banks of size B give run ``b`` its member
     ``b``). The runs step on the banks' knot grid. Returns a batched
-    Trajectory and one MonitorReport per run.
+    Trajectory and a MonitorReport whose fields are (B, N), one row per run.
     """
     x0 = np.asarray(x0, dtype=float)
     net = model.network
@@ -218,26 +216,27 @@ def integrate_closed_loop_batch(model, controllers, x0):
 
     trajectory = Trajectory(times=times, states=states, input_magnitudes=mags,
                             contained=contained)
-    reports = [MonitorReport(max_input=mags[:, b].max(axis=0),
-                             containment_ok=contained[:-1, b].all(axis=0),
-                             endpoint_deviation=endpoint_dev[b],
-                             interpolation_deviation=interp_dev[b])
-               for b in range(batch)]
-    return trajectory, reports
+    report = MonitorReport(max_input=mags.max(axis=0),
+                           containment_ok=contained[:-1].all(axis=0),
+                           endpoint_deviation=endpoint_dev,
+                           interpolation_deviation=interp_dev)
+    return trajectory, report
 
 
 def integrate_closed_loop(model, controllers, x0):
     """Integrate one joint run from x0 shaped (N, n).
 
-    Returns the Trajectory (states (K+1, N, n)) and its MonitorReport.
+    Returns the Trajectory (states (K+1, N, n)) and its MonitorReport
+    (fields (N,)).
     """
     x0 = np.asarray(x0, dtype=float)
-    trajectory, reports = integrate_closed_loop_batch(model, controllers, x0[None])
+    trajectory, report = integrate_closed_loop_batch(model, controllers, x0[None])
     single = Trajectory(times=trajectory.times,
                         states=trajectory.states[:, 0],
                         input_magnitudes=trajectory.input_magnitudes[:, 0],
                         contained=trajectory.contained[:, 0])
-    return single, reports[0]
+    # the worst case over a batch of one run is that run
+    return single, report.worst()
 
 
 def check_input_bound(trajectory, params) -> np.ndarray:

@@ -84,19 +84,30 @@ def test_enumeration_cap(ref_model, ref_grid, ref_params, ref_window):
     with pytest.raises(EnumerationCap):
         build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
                                 substeps=16, max_actions=100)
-    assert sum(map(len, enumerate_configurations(ref_window, 1, 7, cap=81))) == 81
+    assert len(enumerate_configurations(ref_window, 1, cap=81)) == 81
     with pytest.raises(EnumerationCap):
-        enumerate_configurations(ref_window, 1, 7, cap=80)
+        enumerate_configurations(ref_window, 1, cap=80)
+
+
+def test_enumeration_cap_comes_before_any_cell_is_listed():
+    # a 1000x1000 window lists a million cell tuples, about 100 MB
+    window = Window(((0, 999), (0, 999)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCap, match="window of 1000000 cells"):
+            enumerate_configurations(window, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
-@pytest.mark.parametrize("chunk", [1, 7, 216])
-def test_enumeration_chunks_follow_the_product_order(degree, chunk):
+def test_enumeration_follows_the_product_order(degree):
     window = Window(((2, 4), (-3, -2)))
-    chunks = list(enumerate_configurations(window, degree, chunk))
-    assert all(c.dtype == np.int64 and c.shape[1:] == (degree + 1, 2) for c in chunks)
-    assert all(1 <= len(c) <= chunk for c in chunks)
-    rows = [tuple(map(tuple, cfg)) for c in chunks for cfg in c.tolist()]
+    configs = enumerate_configurations(window, degree)
+    assert configs.dtype == np.int64 and configs.shape == (6 ** (degree + 1), degree + 1, 2)
+    rows = [tuple(map(tuple, cfg)) for cfg in configs.tolist()]
     assert rows == list(itertools.product(window.cells(), repeat=degree + 1))
 
 

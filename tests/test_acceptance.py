@@ -119,8 +119,8 @@ def test_03_input_bound_certificate(setting):
 def test_04_endpoints_match_reference(setting, closed_loop_runs):
     net, model, grid, params, window = setting
     banks, x0, trajectory, reports, elapsed = closed_loop_runs
-    merged = ga.MonitorReport.merge(reports)
-    assert len(reports) == 100
+    merged = reports.worst()
+    assert reports.endpoint_deviation.shape == (100, net.agent_count)
     assert max(merged.endpoint_deviation) <= 1e-8
 
     # fourth-order check: on a curved field the deviation from the reference
@@ -153,7 +153,7 @@ def test_04_endpoints_match_reference(setting, closed_loop_runs):
         banks2 = [ControllerBank(smooth, grid2, params2, i, cells_all[i],
                                  refs_all[i], substeps=steps) for i in range(3)]
         _, reports2 = integrate_closed_loop_batch(smooth, banks2, x0s)
-        deviations.append(max(ga.MonitorReport.merge(reports2).endpoint_deviation))
+        deviations.append(max(reports2.worst().endpoint_deviation))
     elapsed2 = time.perf_counter() - start
     assert 8.0 < deviations[0] / deviations[1] < 32.0
     assert 8.0 < deviations[1] / deviations[2] < 32.0
@@ -162,7 +162,7 @@ def test_04_endpoints_match_reference(setting, closed_loop_runs):
 
 def test_05_linear_interpolation_identity(setting, closed_loop_runs):
     banks, x0, trajectory, reports, elapsed = closed_loop_runs
-    merged = ga.MonitorReport.merge(reports)
+    merged = reports.worst()
     assert max(merged.interpolation_deviation) <= 1e-8
     assert elapsed < 60.0
 
@@ -171,7 +171,7 @@ def test_06_containment_within_reach_radius(setting, closed_loop_runs):
     net, model, grid, params, window = setting
     banks, x0, trajectory, reports, elapsed = closed_loop_runs
     assert params.reach_radius == pytest.approx(0.03, rel=1e-12)
-    merged = ga.MonitorReport.merge(reports)
+    merged = reports.worst()
     assert all(merged.containment_ok)
     # independent recheck on the stored states, all knots and all runs
     states = trajectory.states

@@ -8,7 +8,9 @@ Likewise only ``rk4_path`` builds a knot grid: the closed loop steps on its
 controller banks' grid instead of building its own, and only
 ``GridDecomposition`` maps cell indices to coordinates (``origin + side * ...``).
 A transition system keeps its transitions as arrays, so only its row view
-and ``from_json`` construct ``Transition`` objects.
+and ``from_json`` construct ``Transition`` objects; the closed loop reports
+all its runs in one batched ``MonitorReport``, so only the batched integrator
+and the worst-case reduction construct one.
 """
 
 import ast
@@ -100,10 +102,17 @@ def test_cell_coordinates_are_computed_in_the_grid():
     assert homes and all(h.startswith("geometry.GridDecomposition.") for h in homes), homes
 
 
-def _constructs_transition(node):
-    return isinstance(node, ast.Call) and _reads("Transition")(node.func)
+def _constructs(name):
+    def match(node):
+        return isinstance(node, ast.Call) and _reads(name)(node.func)
+    return match
 
 
 def test_transition_objects_are_built_in_two_places():
-    assert _homes(_constructs_transition) == {"abstraction.TransitionRows.__getitem__",
-                                              "abstraction.from_json"}
+    assert _homes(_constructs("Transition")) == {"abstraction.TransitionRows.__getitem__",
+                                                 "abstraction.from_json"}
+
+
+def test_monitor_reports_are_built_in_two_places():
+    assert _homes(_constructs("MonitorReport")) == {
+        "simulate.integrate_closed_loop_batch", "simulate.MonitorReport.worst"}

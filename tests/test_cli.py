@@ -10,7 +10,9 @@ import pytest
 
 import gridabs
 from gridabs.abstraction import from_json
+from gridabs.admissibility import diameter_upper_bound
 from gridabs.cli import main
+from gridabs.config import load_config
 
 CONFIG = """
 grid:
@@ -60,6 +62,21 @@ def test_check_prints_interval_and_passes(config_path, capsys):
     assert "admissible: yes" in out
     assert "0.0107986711" in out
     assert "0.0308679954" in out
+
+
+def test_check_agrees_with_the_verdict_just_above_the_diameter_bound(tmp_path, capsys):
+    # a diameter of bound * (1 + 5e-13): above the bound, but within the slack
+    # that admissibility allows, where the period interval shrinks to a point
+    side, period = 0.003682847818681776, 0.020833333333343747
+    path = tmp_path / "edge.yaml"
+    path.write_text(CONFIG.format(period=period).replace("0.0028284271247461903", repr(side)))
+    cfg = load_config(str(path))
+    assert cfg.grid.diameter() > diameter_upper_bound(cfg.model)
+    assert main(["check", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "no admissible interval" not in out
+    assert f"period: {period!r} (admissible interval" in out
+    assert "admissible: yes" in out
 
 
 def test_check_fails_below_interval(bad_period_path, capsys):

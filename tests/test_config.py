@@ -34,7 +34,6 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.substeps == 256
     assert cfg.trials == 500
     assert cfg.seed == 0
-    assert cfg.samples == 10000
     assert cfg.window is None
     assert cfg.model.feedback_bound == pytest.approx(1.0)
     params = cfg.params()
@@ -47,15 +46,22 @@ run:
   substeps: 64
   trials: 50
   seed: 9
-  samples: 123
   window: [[-1, 1], [0, 2]]
 """
     cfg = load_config(write(tmp_path, text))
     assert cfg.substeps == 64
     assert cfg.trials == 50
     assert cfg.seed == 9
-    assert cfg.samples == 123
     assert cfg.window.size == 9
+
+
+def test_run_samples_is_an_unknown_key(tmp_path):
+    text = BASE + """
+run:
+  samples: 123
+"""
+    with pytest.raises(ConfigError, match="unknown key.*samples"):
+        load_config(write(tmp_path, text))
 
 
 def test_neighbors_listing(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import gridabs as ga
 from gridabs.controller import ControllerBank
 from gridabs.dynamics import project_configuration
-from gridabs.geometry import DISTANCE_ATOL, CellConfiguration, box_distance
+from gridabs.geometry import DISTANCE_ATOL, CellConfiguration, box_distance, row_norm
 from gridabs.integrate import DenseTrajectory, rk4_path
 from gridabs.simulate import (InputBoundViolation, IntegrationError, check_input_bound,
                               integrate_closed_loop, integrate_closed_loop_batch)
@@ -177,9 +177,9 @@ def test_batch_matches_single_runs(ref_model, ref_grid, ref_params):
     B = 6
     banks, x0 = random_banks(ref_model, ref_grid, ref_params, B,
                              np.random.default_rng(15), 32)
-    batched, reports = integrate_closed_loop_batch(ref_model, banks, x0)
+    batched, report = integrate_closed_loop_batch(ref_model, banks, x0)
     assert batched.states.shape == (33, B, 3, 2)
-    assert len(reports) == B
+    assert report.max_input.shape == (B, 3)
     for b in range(B):
         singles = [ControllerBank(
             ref_model, ref_grid, ref_params, i, banks[i].cell_array[b][None],
@@ -187,6 +187,48 @@ def test_batch_matches_single_runs(ref_model, ref_grid, ref_params):
             for i in range(3)]
         single, _ = integrate_closed_loop(ref_model, singles, x0[b])
         np.testing.assert_allclose(batched.states[:, b], single.states, atol=1e-14)
+
+
+def test_batched_report_reduces_each_run(ref_model, ref_grid, ref_params):
+    B = 5
+    banks, x0 = random_banks(ref_model, ref_grid, ref_params, B,
+                             np.random.default_rng(16), 32)
+    trajectory, report = integrate_closed_loop_batch(ref_model, banks, x0)
+    for field in dataclasses.fields(report):
+        assert getattr(report, field.name).shape == (B, 3)
+    for b in range(B):
+        np.testing.assert_array_equal(report.max_input[b],
+                                      trajectory.input_magnitudes[:, b].max(axis=0))
+        np.testing.assert_array_equal(report.containment_ok[b],
+                                      trajectory.contained[:-1, b].all(axis=0))
+        for i, bank in enumerate(banks):
+            assert report.endpoint_deviation[b, i] == row_norm(
+                trajectory.states[-1, b, i] - bank.endpoint[b])
+
+
+def merged(reports):
+    """The list fold of per-run reports that `MonitorReport.worst` replaces."""
+    return ga.MonitorReport(
+        max_input=np.max([r.max_input for r in reports], axis=0),
+        containment_ok=np.min([r.containment_ok for r in reports], axis=0).astype(bool),
+        endpoint_deviation=np.max([r.endpoint_deviation for r in reports], axis=0),
+        interpolation_deviation=np.max([r.interpolation_deviation for r in reports], axis=0))
+
+
+def test_worst_equals_the_fold_of_per_run_reports(ref_model, ref_grid, ref_params):
+    banks, x0 = random_banks(ref_model, ref_grid, ref_params, 6,
+                             np.random.default_rng(17), 32)
+    _, report = integrate_closed_loop_batch(ref_model, banks, x0)
+    # one run's containment lost, so the AND has a False to keep
+    report.containment_ok[2, 1] = False
+    rows = [ga.MonitorReport(*(getattr(report, f.name)[b] for f in dataclasses.fields(report)))
+            for b in range(6)]
+    worst, reference = report.worst(), merged(rows)
+    for field in dataclasses.fields(report):
+        got, want = getattr(worst, field.name), getattr(reference, field.name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert not worst.containment_ok[1]
 
 
 def test_closed_loop_is_deterministic(joint_setup, ref_model):
@@ -223,10 +265,10 @@ def test_stage_reuse_is_bit_identical(path_network, ref_grid, bank_substeps,
     params = ga.check_discretization(model, ref_grid.diameter(), 0.02)
     banks, x0 = random_banks(model, ref_grid, params, 4, np.random.default_rng(21),
                              bank_substeps)
-    trajectory, reports = integrate_closed_loop_batch(model, banks, x0)
+    trajectory, report = integrate_closed_loop_batch(model, banks, x0)
     states = plain_closed_loop(model, banks, x0, loop_substeps)
     np.testing.assert_array_equal(trajectory.states, states)
-    assert max(r.endpoint_deviation.max() for r in reports) <= 1e-12
+    assert report.endpoint_deviation.max() <= 1e-12
     # the monitors log the full feedback at the knot states, not at a stage
     for i, bank in enumerate(banks):
         nbrs = list(path_network.neighbors[i])
