@@ -103,12 +103,35 @@ def test_enumeration_cap_comes_before_any_cell_is_listed():
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])
-def test_enumeration_follows_the_product_order(degree):
+@pytest.mark.parametrize("chunk", [1, 7, 216])
+def test_enumeration_chunks_follow_the_product_order(degree, chunk, ref_grid, monkeypatch):
     window = Window(((2, 4), (-3, -2)))
     configs = enumerate_configurations(window, degree)
     assert configs.dtype == np.int64 and configs.shape == (6 ** (degree + 1), degree + 1, 2)
-    rows = [tuple(map(tuple, cfg)) for cfg in configs.tolist()]
-    assert rows == list(itertools.product(window.cells(), repeat=degree + 1))
+    product = list(itertools.product(window.cells(), repeat=degree + 1))
+    assert [tuple(map(tuple, cfg)) for cfg in configs.tolist()] == product
+
+    # the build cuts the array into banks of at most ``chunk`` consecutive rows
+    chunks = []
+
+    class StubBank:
+        def __init__(self, model, grid, params, agent, cells, substeps):
+            chunks.append(cells)
+            self.size = len(cells)
+            self.endpoint = grid.cell_center(cells[:, 0])
+
+        def target_cells(self):
+            return chunks[-1][:, 0]
+
+    monkeypatch.setattr(abstraction, "ControllerBank", StubBank)
+    targets, marginal = abstraction._bank_targets(None, ref_grid, None, 0, configs,
+                                                  chunk, 1)
+    np.testing.assert_array_equal(targets, configs[:, 0])
+    assert not marginal.any()
+    assert all(c.dtype == np.int64 and c.shape[1:] == (degree + 1, 2) for c in chunks)
+    assert all(1 <= len(c) <= chunk for c in chunks)
+    rows = [tuple(map(tuple, cfg)) for c in chunks for cfg in c.tolist()]
+    assert rows == product
 
 
 def test_enumeration_cap_comes_before_any_bank(ref_model, ref_grid, ref_params, ref_window,
