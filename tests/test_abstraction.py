@@ -535,6 +535,36 @@ def test_post_set_of_an_unrecorded_action_is_empty():
     assert ts.post_set((0, 0), ((0, 0), (1, 0), (-1,))) == set()
 
 
+@pytest.fixture(scope="module")
+def agent1_5x5(ref_model, ref_grid, ref_params):
+    """The 15,625-row agent-1 system of a 5x5 window."""
+    return build_transition_system(ref_model, ref_grid, ref_params, 1,
+                                   Window(((-2, 2), (-2, 2))), substeps=16)
+
+
+def column_scan_post_set(ts, action):
+    """Successor cells of ``action`` found by comparing every action row, one column
+    at a time."""
+    hits = np.ones(len(ts.action_cells), dtype=bool)
+    for k, cell in enumerate(action):
+        for axis, c in enumerate(cell):
+            hits &= ts.action_cells[:, k, axis] == c
+    return set(map(tuple, ts.target_cells[hits].tolist()))
+
+
+def test_post_set_equals_a_column_scan(agent1_5x5):
+    ts = agent1_5x5
+    rows = np.random.default_rng(14).choice(len(ts.action_cells), 2000, replace=False)
+    for k in rows:
+        action = tuple(map(tuple, ts.action_cells[k].tolist()))
+        assert ts.post_set(action[0], action) == column_scan_post_set(ts, action) != set()
+        # the same action moved off the window is unrecorded
+        moved = tuple((a + 5, b) for a, b in action)
+        assert ts.post_set(moved[0], moved) == column_scan_post_set(ts, moved) == set()
+    huge = ((2**63, 0),) * 3
+    assert ts.post_set(huge[0], huge) == column_scan_post_set(ts, huge) == set()
+
+
 def test_transition_rows_read_the_arrays(ref_model, ref_grid, ref_params, ref_window):
     ts = build_transition_system(ref_model, ref_grid, ref_params, 0, ref_window,
                                  substeps=16)
@@ -665,6 +695,48 @@ def test_template_writers_on_edge_floats(dim, degree):
     # the text keeps the sign of zero
     assert np.signbit(from_json(text).reference_points).tolist() == \
         np.signbit(ts.reference_points).tolist()
+
+
+def assert_same_text(text, expected):
+    """``text == expected``; a mismatch names the first differing character, since
+    pytest's diff of two long one-line strings takes minutes."""
+    if text != expected:
+        k = next((k for k, (a, b) in enumerate(zip(text, expected)) if a != b),
+                 min(len(text), len(expected)))
+        pytest.fail(f"texts differ at character {k}: {text[k - 30:k + 30]!r} "
+                    f"!= {expected[k - 30:k + 30]!r}")
+
+
+def test_writers_keep_signed_zeros_among_repeated_values():
+    rng = np.random.default_rng(5)
+    cells = rng.integers(-1, 2, (4000, 3, 2))
+    refs = np.array([0.0, -0.0, 0.5, -1.25])[rng.integers(0, 4, cells.shape)]
+    refs[:2, 0, 0] = 0.0, -0.0
+    ts = abstraction.TransitionSystem(2, Window(((-1, 1), (-1, 1))), cells, cells[:, 1], refs)
+    text = to_json(ts)
+    assert_same_text(text, reference_to_json(ts))
+    assert_same_text(to_dot(ts), reference_to_dot(ts))
+    assert np.array_equal(np.signbit(from_json(text).reference_points), np.signbit(refs))
+
+
+def test_writers_where_no_reference_point_repeats(ref_model, ref_grid, ref_params, ref_window):
+    ts = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window, substeps=16)
+    refs = ref_grid.uniform_in_cells(ts.action_cells, np.random.default_rng(3))
+    drawn = abstraction.TransitionSystem(1, ref_window, ts.action_cells, ts.target_cells, refs)
+    assert len(np.unique(refs)) == refs.size == 729 * 3 * 2
+    assert_same_text(to_json(drawn), reference_to_json(drawn))
+    assert_same_text(to_dot(drawn), reference_to_dot(drawn))
+
+
+def test_json_export_memory_stays_near_its_output(agent1_5x5):
+    to_json(agent1_5x5)  # one-time allocations of a first call
+    tracemalloc.start()
+    try:
+        text = to_json(agent1_5x5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
