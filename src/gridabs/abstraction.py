@@ -15,7 +15,6 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -147,8 +146,6 @@ class TransitionSystem:
     ``action_cells`` (T, m+1, n) int64, the action's cells with the source
     cell first; ``target_cells`` (T, n) int64; and ``reference_points``
     (T, m+1, n) float64. ``transitions`` reads them as `Transition` rows.
-    The arrays are not changed once the system is made: `post_set` keeps a
-    sorted index of the action rows.
     """
 
     agent: int
@@ -214,22 +211,13 @@ class TransitionSystem:
         width, n = self.action_cells.shape[1:]
         if len(action) != width or any(len(z) != n for z in action):
             return set()
-        try:
-            query = _row_keys(np.array(action, dtype=np.int64).ravel())
-        except OverflowError:  # a cell beyond int64 is in no recorded action
-            return set()
-        keys, order = self._action_index
-        lo = np.searchsorted(keys, query, "left")
-        hi = np.searchsorted(keys, query, "right")
-        return set(map(tuple, self.target_cells[order[lo:hi]].tolist()))
-
-    @cached_property
-    def _action_index(self):
-        """Sorted byte keys of the action rows and the row order that sorts them;
-        computed by the first `post_set` call."""
-        keys = _row_keys(self.action_cells.reshape(len(self.action_cells), -1))
-        order = np.argsort(keys)
-        return keys[order], order
+        # one column at a time: a comparison reduced over the short (m+1, n)
+        # axes pays numpy's per-row overhead
+        hits = np.ones(len(self.action_cells), dtype=bool)
+        for k, cell in enumerate(action):
+            for axis, c in enumerate(cell):
+                hits &= self.action_cells[:, k, axis] == c
+        return set(map(tuple, self.target_cells[hits].tolist()))
 
 
 def agent_transition(model, grid, params, config: CellConfiguration,
@@ -578,31 +566,17 @@ def certify_window_input_bound(model, grid, params, agent, window, samples=10000
                             violations=tuple(violations))
 
 
-def _row_keys(a):
-    """One ``np.void`` key per row of the last axis of ``a``: the row's bytes, so
-    rows are equal keys exactly when their bits agree (-0.0 and 0.0 differ)."""
+def _row_text(a, template):
+    """``template % row`` of each row of the last axis of ``a``, as nested lists
+    of strings shaped ``a.shape[:-1]``; each distinct row is formatted once,
+    from its values' ``.tolist()``. Rows are told apart by their bytes (an
+    ``np.void`` view), so -0.0 and 0.0 differ."""
     a = np.ascontiguousarray(a)
-    return a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
-
-
-def _row_text(a, text):
-    """``text(row)`` of each row of the last axis of ``a``, as nested lists of
-    strings shaped ``a.shape[:-1]``; each distinct row (by `_row_keys`) is
-    formatted once, from its values' ``.tolist()``."""
-    keys = _row_keys(a)
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    table = np.array([text(row) for row in a.reshape(-1, a.shape[-1])[first].tolist()],
-                     dtype=object)
+    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
+    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+    rows = distinct.view(a.dtype).reshape(-1, a.shape[-1]).tolist()
+    table = np.array([template % tuple(row) for row in rows], dtype=object)
     return table[inverse.reshape(keys.shape)].tolist()
-
-
-def _json_text(values):
-    # repr of a Python int, or of a finite float, is what json.dumps writes
-    return "[" + ",".join(map(repr, values)) + "]"
-
-
-def _tuple_text(values):
-    return repr(tuple(values))
 
 
 def _json_list(item, count):
@@ -619,16 +593,18 @@ def to_json(ts: TransitionSystem) -> str:
 
     Equals ``json.dumps`` of {agent, states, transitions, window} with sorted
     keys and no spaces. Each distinct cell and reference point is written once
-    (`_row_text`); each transition is one %s row template filled with those
-    strings.
+    (`_row_text`) through %r, which for a Python int, or for the finite
+    reference points of a system, is what ``json.dumps`` writes; each
+    transition is one %s row template filled with those strings.
     """
-    width = ts.action_cells.shape[1]
+    width, n = ts.action_cells.shape[1:]
     template = ('{"action":' + _json_list("%s", width)
                 + ',"reference_point":' + _json_list("%s", width)
                 + ',"source":%s,"target":%s}')
-    actions = _row_text(ts.action_cells, _json_text)
-    refs = _row_text(ts.reference_points, _json_text)
-    targets = _row_text(ts.target_cells, _json_text)
+    point = _json_list("%r", n)
+    actions = _row_text(ts.action_cells, point)
+    refs = _row_text(ts.reference_points, point)
+    targets = _row_text(ts.target_cells, point)
     rows = ",".join([template % (*a, *r, a[0], t) for a, r, t in zip(actions, refs, targets)])
     compact = dict(separators=(",", ":"))
     return (f'{{"agent":{json.dumps(ts.agent)},'
@@ -654,10 +630,11 @@ def to_dot(ts: TransitionSystem) -> str:
     cell is written once (`_row_text`) and each edge is one %s row template
     filled with those strings.
     """
-    width = ts.action_cells.shape[1]
+    width, n = ts.action_cells.shape[1:]
     template = f'  "%s" -> "%s" [label="{_tuple_repr("%s", width)}"];'
-    actions = _row_text(ts.action_cells, _tuple_text)
-    targets = _row_text(ts.target_cells, _tuple_text)
+    cell = _tuple_repr("%d", n)
+    actions = _row_text(ts.action_cells, cell)
+    targets = _row_text(ts.target_cells, cell)
     lines = [f"digraph agent_{ts.agent} {{"]
     for z in ts.states:
         lines.append(f'  "{z}";')
