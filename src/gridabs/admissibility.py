@@ -119,11 +119,12 @@ def check_discretization(model, diameter, period) -> DiscretizationParams:
     reach = period * (model.feedback_bound + model.input_bound)
     reasons = []
 
-    bound = diameter_upper_bound(model)
-    if diameter > bound * (1.0 + ATOL):
-        reasons.append(f"diameter {diameter:.12g} exceeds bound {bound:.12g}")
-    else:
+    try:
         lo, hi = admissible_period_interval(model, diameter)
+    except FeasibilityError:
+        reasons.append(f"diameter {diameter:.12g} exceeds bound "
+                       f"{diameter_upper_bound(model):.12g}")
+    else:
         if period < lo - ATOL:
             reasons.append(f"period {period:.12g} below admissible interval "
                            f"[{lo:.12g}, {hi:.12g}]")

@@ -30,7 +30,7 @@ from .admissibility import (FeasibilityError, admissible_period_interval,
 from .config import ConfigError, load_config
 from .dynamics import ConstantsViolation, validate_constants
 from .geometry import CellConfiguration
-from .simulate import InputBoundViolation, integrate_closed_loop
+from .simulate import InputBoundViolation, check_input_bound, integrate_closed_loop
 
 
 def _fmt(x) -> str:
@@ -182,6 +182,7 @@ def cmd_simulate(cfg, args) -> int:
                   f"{_fmt(report.interpolation_deviation[i])}"]
     _write(os.path.join(out, "report.txt"), "\n".join(lines) + "\n")
     print("\n".join(lines))
+    check_input_bound(trajectory, params)
     return 0 if success else 1
 
 

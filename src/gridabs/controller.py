@@ -21,7 +21,6 @@ neighbors do inside their declared cells.
 from __future__ import annotations
 
 import copy
-import functools
 
 import numpy as np
 
@@ -122,11 +121,6 @@ class ControllerBank:
         """Field with neighbors frozen at their reference points; batched."""
         return self._evaluate(y, self._nbr_ref)
 
-    @functools.cached_property
-    def _knots(self) -> dict:
-        # knot time -> its index in the stored dense output
-        return {t: m for m, t in enumerate(self.dense.times.tolist())}
-
     def _reference_and_field(self, t):
         """ref(t) and its frozen field f(ref(t), frozen neighbors).
 
@@ -135,7 +129,7 @@ class ControllerBank:
         times (S,) needs a size-1 bank and gives (S, n).
         """
         if np.ndim(t) == 0:
-            knot = self._knots.get(t)
+            knot = self.dense.knot(t)
             if knot is not None:
                 return self.dense.states[knot], self.dense.derivs[knot]
             reference = self.dense.at(t)
@@ -150,11 +144,11 @@ class ControllerBank:
         # number is checked in Python floats, as numpy's per-call overhead on it
         # would cost as much as the reference lookup that follows
         if isinstance(t, (int, float)):
-            if t < 0.0:
+            if not t >= 0.0:
                 raise ValueError("time must be nonnegative")
             return min(float(t), self.period)
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
+        if not np.all(t >= 0.0):
             raise ValueError("time must be nonnegative")
         return np.minimum(t, self.period)
 

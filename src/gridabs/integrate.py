@@ -8,6 +8,7 @@ the integration itself.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,15 @@ def rk4_path(field, y0, t0, t1, steps):
     return times, states, derivs
 
 
+def _hermite_weights(theta, width):
+    """Weights of states[i], derivs[i], states[i + 1], derivs[i + 1] at ``theta``
+    of the way across a knot interval of ``width``; floats or arrays alike."""
+    t2 = theta * theta
+    t3 = t2 * theta
+    return (2.0 * t3 - 3.0 * t2 + 1.0, (t3 - 2.0 * t2 + theta) * width,
+            -2.0 * t3 + 3.0 * t2, (t3 - t2) * width)
+
+
 @dataclass(frozen=True)
 class DenseTrajectory:
     """Knot states plus derivatives, queryable anywhere in the time span.
@@ -90,56 +100,40 @@ class DenseTrajectory:
         slack = 1e-9 * max(hi - lo, 1.0)
         if isinstance(t, (int, float)) or np.ndim(t) == 0:
             t = float(t)
-            if t < lo - slack or t > hi + slack:
+            if not lo - slack <= t <= hi + slack:
                 raise ValueError(f"time out of range [{lo}, {hi}]")
             t = min(max(t, lo), hi)
-            i = self._interval(t, lo, hi)
+            i = self._interval(t)
             t_lo, t_hi = self.times[i:i + 2].tolist()
             width = t_hi - t_lo
-            theta = (t - t_lo) / width
-            t2 = theta * theta
-            t3 = t2 * theta
-            return ((2.0 * t3 - 3.0 * t2 + 1.0) * self.states[i]
-                    + ((t3 - 2.0 * t2 + theta) * width) * self.derivs[i]
-                    + (-2.0 * t3 + 3.0 * t2) * self.states[i + 1]
-                    + ((t3 - t2) * width) * self.derivs[i + 1])
+            a, b, c, d = _hermite_weights((t - t_lo) / width, width)
+            return (a * self.states[i] + b * self.derivs[i]
+                    + c * self.states[i + 1] + d * self.derivs[i + 1])
         tq = np.asarray(t, dtype=float)
-        if np.any(tq < lo - slack) or np.any(tq > hi + slack):
+        if not np.all((lo - slack <= tq) & (tq <= hi + slack)):
             raise ValueError(f"time out of range [{lo}, {hi}]")
         tq = np.clip(tq, lo, hi)
         idx, t_lo, t_hi = self._intervals(tq, lo, hi)
         # the gathered interval ends are fresh copies: they become width and theta
         width = np.subtract(t_hi, t_lo, out=t_hi)
         theta = np.divide(np.subtract(tq, t_lo, out=t_lo), width, out=t_lo)
-        t2 = theta * theta
-        t3 = t2 * theta
-        # weights of states[idx], derivs[idx], states[idx + 1], derivs[idx + 1]
-        weights = (2.0 * t3 - 3.0 * t2 + 1.0, (t3 - 2.0 * t2 + theta) * width,
-                   -2.0 * t3 + 3.0 * t2, (t3 - t2) * width)
-        return self._at_many(idx, weights)
+        return self._at_many(idx, _hermite_weights(theta, width))
 
     # The knot interval of a time t in the span is
     # clip(searchsorted(times, t, "right") - 1, 0, K - 1): the last knot at
-    # or before t, short of the end knot. On the uniform knots of knot_times
-    # a floor finds it to within one; the guess is moved one knot against
-    # its neighbours and checked, and knots that fail the check (a grid not
-    # built by knot_times) are searched.
+    # or before t, short of the end knot. One time bisects the knots; an
+    # array of times floors onto the uniform knots of knot_times, moves each
+    # guess one knot against its neighbours and checks it, and searches the
+    # knots when a check fails (a grid not built by knot_times).
 
-    def _interval(self, t, lo, hi):
-        """Knot interval of one time ``t``, a float in the span [lo, hi]."""
-        times = self.times
-        last = len(times) - 2
-        # a span too narrow for its scale makes the guess NaN (0 * inf) or inf
-        guess = (t - lo) * ((last + 1) / (hi - lo)) if hi > lo else np.nan
-        if guess == guess:
-            i = int(min(guess, last))
-            if times[i] > t:
-                i -= 1
-            elif i < last and times[i + 1] <= t:
-                i += 1
-            if times[i] <= t and (i == last or t < times[i + 1]):
-                return i
-        return min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), last)
+    def _interval(self, t):
+        """Knot interval of one time ``t``, a float in the span."""
+        return min(max(bisect.bisect_right(self.times, t) - 1, 0), len(self.times) - 2)
+
+    def knot(self, t):
+        """Index of the first knot equal to the time ``t``, or None."""
+        m = bisect.bisect_left(self.times, t)
+        return m if m < len(self.times) and self.times[m] == t else None
 
     def _intervals(self, tq, lo, hi):
         """Knot intervals of the times ``tq`` in the span [lo, hi], with their end knots."""

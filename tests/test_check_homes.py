@@ -1,11 +1,13 @@
 """Each guarantee check of the package is defined in exactly one function.
 
 The checks are found in the parsed source of ``gridabs``: a reference to a
-tolerance constant, the corner-inset expression ``1e-9 * <grid>.side``, or a
+tolerance constant, the corner-inset expression ``1e-9 * <grid>.side``, the
+diameter bound with its slack ``bound * (1.0 + ATOL)``, or a
 ``FeasibilityError`` whose message says "not admissible". A second function
 holding one of them is a copy that a change to the check would have to find.
 Likewise only ``rk4_path`` builds a knot grid: the closed loop steps on its
-controller banks' grid instead of building its own, and only
+controller banks' grid instead of building its own; only ``DenseTrajectory``
+matches one time to its knots, by bisection; and only
 ``GridDecomposition`` maps cell indices to coordinates (``origin + side * ...``).
 A transition system keeps its transitions as arrays, so only its row view
 and ``from_json`` construct ``Transition`` objects; the closed loop reports
@@ -57,6 +59,14 @@ def _corner_inset(node):
             and any(isinstance(o, ast.Attribute) and o.attr == "side" for o in operands))
 
 
+def _bound_with_slack(node):
+    """``bound * (1.0 + ATOL)``: the diameter bound with its slack."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and _reads("bound")(node.left) and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Add) and _reads("ATOL")(node.right.right)
+            and isinstance(node.right.left, ast.Constant) and node.right.left.value == 1.0)
+
+
 def _not_admissible(node):
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "FeasibilityError"
@@ -71,17 +81,26 @@ def _not_admissible(node):
     (_reads("MARGINAL_REL"), "abstraction.marginal_endpoints"),
     (_corner_inset, "geometry.GridDecomposition.corner_inset"),
     (_not_admissible, "admissibility.require_admissible"),
-], ids=["distance", "input", "marginal", "corner-inset", "admissibility"])
+    (_bound_with_slack, "admissibility.admissible_period_interval"),
+], ids=["distance", "input", "marginal", "corner-inset", "admissibility", "diameter-bound"])
 def test_each_check_has_one_home(match, home):
     assert _homes(match) == {home}
 
 
-def _calls_knot_times(node):
-    return isinstance(node, ast.Call) and _reads("knot_times")(node.func)
+def _calls(name):
+    def match(node):
+        return isinstance(node, ast.Call) and _reads(name)(node.func)
+    return match
 
 
 def test_knot_grid_is_built_in_one_place():
-    assert _homes(_calls_knot_times) == {"integrate.rk4_path"}
+    assert _homes(_calls("knot_times")) == {"integrate.rk4_path"}
+
+
+def test_one_time_is_matched_to_its_knots_in_the_dense_output():
+    # a bank reads its stored knots through DenseTrajectory.knot, not a table of its own
+    assert _homes(_calls("bisect_right")) == {"integrate.DenseTrajectory._interval"}
+    assert _homes(_calls("bisect_left")) == {"integrate.DenseTrajectory.knot"}
 
 
 def _offset_from_origin(node):
@@ -102,17 +121,11 @@ def test_cell_coordinates_are_computed_in_the_grid():
     assert homes and all(h.startswith("geometry.GridDecomposition.") for h in homes), homes
 
 
-def _constructs(name):
-    def match(node):
-        return isinstance(node, ast.Call) and _reads(name)(node.func)
-    return match
-
-
 def test_transition_objects_are_built_in_two_places():
-    assert _homes(_constructs("Transition")) == {"abstraction.TransitionRows.__getitem__",
-                                                 "abstraction.from_json"}
+    assert _homes(_calls("Transition")) == {"abstraction.TransitionRows.__getitem__",
+                                            "abstraction.from_json"}
 
 
 def test_monitor_reports_are_built_in_two_places():
-    assert _homes(_constructs("MonitorReport")) == {
+    assert _homes(_calls("MonitorReport")) == {
         "simulate.integrate_closed_loop_batch", "simulate.MonitorReport.worst"}

@@ -193,6 +193,16 @@ def test_simulate_writes_outputs(config_path, tmp_path, capsys):
     assert float(first[1]) == pytest.approx(0.001)
 
 
+def test_simulate_exits_one_when_an_input_breaks_the_budget(config_path, tmp_path, capsys,
+                                                            monkeypatch):
+    # with a negative slack every logged |k| breaks the budget
+    monkeypatch.setattr(gridabs.simulate, "INPUT_ATOL", -1.0)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", config_path, "--out", str(out)]) == 1
+    assert "applied |input|" in capsys.readouterr().err
+    assert (out / "trajectory.csv").exists() and (out / "report.txt").exists()
+
+
 def test_simulate_rejects_wrong_target(config_path, tmp_path, capsys):
     text = CONFIG.format(period=0.02).replace("[0, -1]", "[4, 4]")
     path = tmp_path / "wrong.yaml"

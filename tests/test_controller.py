@@ -74,7 +74,8 @@ def test_feedback_rejects_negative_time(controller):
         controller.feedback(-0.001, x, nbrs, x)
 
 
-@pytest.mark.parametrize("t", [-1, np.array(-0.001), np.array([0.0, -0.001])])
+@pytest.mark.parametrize("t", [-1, np.array(-0.001), np.array([0.0, -0.001]), np.nan,
+                               np.array([0.01, np.nan])])
 def test_drift_compensation_rejects_negative_int_and_array_times(controller, t):
     with pytest.raises(ValueError, match="nonnegative"):
         controller.drift_compensation(t, controller.reference_points[:, 0])
@@ -99,6 +100,7 @@ def test_feedback_clamps_beyond_period(controller):
     late = controller.feedback(controller.period * 2.0, x, nbrs, start)
     at_end = controller.feedback(controller.period, x, nbrs, start)
     np.testing.assert_array_equal(late, at_end)
+    np.testing.assert_array_equal(controller.feedback(np.inf, x, nbrs, start), at_end)
 
 
 def test_target_cell_matches_endpoint(controller, ref_grid):

@@ -132,6 +132,21 @@ def test_validate_constants_catches_understated_bound(path_network):
         validate_constants(broken, trials=500, sample_radius=5.0, seed=0)
 
 
+def test_validate_constants_catches_a_field_that_returns_nan():
+    # NaN is argmax's pick in its batch and fails every comparison, so it hid
+    # every finite ratio beside it
+    def unbounded(own, nbrs):
+        f = nbrs[:, 0, :] - own
+        return np.where(np.abs(f) > 0.5, np.nan, f)
+
+    model = DynamicsModel(AgentNetwork.from_edges(2, 2, [(0, 1)]), [unbounded] * 2,
+                          feedback_bound=1.0, neighbor_lipschitz=1.0, self_lipschitz=1.0,
+                          input_bound=0.5)
+    with pytest.raises(ConstantsViolation) as info:
+        validate_constants(model, trials=500, seed=0)
+    assert info.value.kind == "feedback_bound" and np.isnan(info.value.ratio)
+
+
 def declared_copy(model, evaluators, translation_invariant, **constants):
     """``model``'s constants (overridden by ``constants``) on other evaluators."""
     kwargs = dict(feedback_bound=model.feedback_bound,

@@ -104,6 +104,10 @@ def test_dense_rejects_out_of_domain():
         dense.at(-0.1)
     with pytest.raises(ValueError):
         dense.at(1.1)
+    # every comparison with NaN is false, so the span check must be one NaN fails
+    for t in (np.nan, np.inf, np.array([0.5, np.nan]), np.array([0.5, np.inf])):
+        with pytest.raises(ValueError, match="out of range"):
+            dense.at(t)
 
 
 def test_integration_is_bit_reproducible():
@@ -168,7 +172,10 @@ def assert_interval_lookup_is_exact(data, times):
     clipped = np.clip(queries, lo, hi)
     expected = searched_interval(times, clipped)
     np.testing.assert_array_equal(dense._intervals(clipped, lo, hi)[0], expected)
-    assert [dense._interval(float(t), lo, hi) for t in clipped] == expected.tolist()
+    assert [dense._interval(float(t)) for t in clipped] == expected.tolist()
+    knots = times.tolist()
+    for t in queries.tolist():
+        assert dense.knot(t) == (knots.index(t) if t in knots else None)
 
 
 @settings(max_examples=300, deadline=None)
