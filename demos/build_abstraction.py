@@ -49,14 +49,15 @@ for _ in range(3):
           f"worst landing margin {check.min_margin:.2e}"
           + (" (marginal)" if check.marginal else ""))
 
-out = tempfile.mkdtemp(prefix="abstraction_")
-for ts in systems:
-    base = os.path.join(out, f"transitions_agent{ts.agent}")
-    with open(base + ".json", "w") as fh:
-        fh.write(ga.to_json(ts))
-    with open(base + ".dot", "w") as fh:
-        fh.write(ga.to_dot(ts))
-print(f"\nwrote JSON and DOT exports to {out}")
+with tempfile.TemporaryDirectory(prefix="abstraction_") as out:
+    for ts in systems:
+        base = os.path.join(out, f"transitions_agent{ts.agent}")
+        with open(base + ".json", "w") as fh:
+            fh.write(ga.to_json(ts))
+        with open(base + ".dot", "w") as fh:
+            fh.write(ga.to_dot(ts))
+    written = sorted(os.listdir(out))
+print(f"\nwrote and removed {len(written)} JSON and DOT exports: {', '.join(written)}")
 
 round_trip = ga.from_json(ga.to_json(middle))
 print(f"JSON round trip preserves the system: {round_trip == middle}")

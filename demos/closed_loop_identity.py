@@ -45,5 +45,5 @@ print(f"\nmax |input| over the run = {max(report.max_input):.6f} "
       f"(bound {model.input_bound})")
 print(f"all states stayed within reach radius {params.reach_radius}: "
       f"{all(report.containment_ok)}")
-ga.check_input_bound(trajectory, params)
+ga.check_input_bound(trajectory, model)
 print("input bound check passed")

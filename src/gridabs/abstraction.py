@@ -25,6 +25,7 @@ from .geometry import Box, CellConfiguration, CellIndex
 from .simulate import exceeds_input_bound, integrate_closed_loop_batch
 
 MAX_ACTIONS = 10**6
+DEFAULT_TRIALS = 500
 
 # Configurations integrated together by certify_window_input_bound: one bank
 # of this many members keeps memory bounded up to MAX_ACTIONS.
@@ -342,7 +343,7 @@ class TransitionCheck:
     marginal: bool
 
 
-def verify_transition(model, grid, params, transition, window, trials=500, seed=0,
+def verify_transition(model, grid, params, transition, window, trials=DEFAULT_TRIALS, seed=0,
                       substeps=DEFAULT_SUBSTEPS) -> TransitionCheck:
     """Try to falsify the universal landing guarantee of one transition.
 

@@ -86,15 +86,10 @@ def period_lower_bound(model, diameter) -> float:
 
 @dataclass(frozen=True)
 class DiscretizationParams:
-    """A (diameter, period) pair with the model constants and the verdict."""
+    """What a (diameter, period) pair decides; the constants stay on the model."""
 
     diameter: float
     period: float
-    feedback_bound: float
-    neighbor_lipschitz: float
-    self_lipschitz: float
-    input_bound: float
-    coupling: float
     reach_radius: float
     admissible: bool
     reason: str
@@ -115,7 +110,6 @@ def check_discretization(model, diameter, period) -> DiscretizationParams:
     if not (period > 0.0 and math.isfinite(period)):
         raise ValueError("period must be positive and finite")
 
-    _, coupling = coupling_constants(model)
     reach = period * (model.feedback_bound + model.input_bound)
     reasons = []
 
@@ -134,16 +128,8 @@ def check_discretization(model, diameter, period) -> DiscretizationParams:
     if reach + ATOL < diameter:
         reasons.append(f"reach radius {reach:.12g} smaller than diameter {diameter:.12g}")
 
-    return DiscretizationParams(diameter=diameter,
-                                period=period,
-                                feedback_bound=model.feedback_bound,
-                                neighbor_lipschitz=model.neighbor_lipschitz,
-                                self_lipschitz=model.self_lipschitz,
-                                input_bound=model.input_bound,
-                                coupling=coupling,
-                                reach_radius=reach,
-                                admissible=not reasons,
-                                reason="; ".join(reasons))
+    return DiscretizationParams(diameter=diameter, period=period, reach_radius=reach,
+                                admissible=not reasons, reason="; ".join(reasons))
 
 
 def require_admissible(params):

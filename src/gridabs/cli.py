@@ -28,7 +28,7 @@ from .abstraction import (CompositionViolation, EnumerationCap, WellPosednessVio
 from .admissibility import (FeasibilityError, admissible_period_interval,
                             coupling_constants, diameter_upper_bound)
 from .config import ConfigError, load_config
-from .dynamics import ConstantsViolation, validate_constants
+from .dynamics import DEFAULT_VALIDATION_TRIALS, ConstantsViolation, validate_constants
 from .geometry import CellConfiguration
 from .simulate import InputBoundViolation, check_input_bound, integrate_closed_loop
 
@@ -182,7 +182,7 @@ def cmd_simulate(cfg, args) -> int:
                   f"{_fmt(report.interpolation_deviation[i])}"]
     _write(os.path.join(out, "report.txt"), "\n".join(lines) + "\n")
     print("\n".join(lines))
-    check_input_bound(trajectory, params)
+    check_input_bound(trajectory, cfg.model)
     return 0 if success else 1
 
 
@@ -222,8 +222,8 @@ def cmd_controller_dump(cfg, args) -> int:
 
 
 def cmd_validate_constants(cfg, args) -> int:
-    trials = args.trials if args.trials is not None else 10000
-    report = validate_constants(cfg.model, trials=trials, seed=cfg.seed)
+    given = {} if args.trials is None else {"trials": args.trials}
+    report = validate_constants(cfg.model, seed=cfg.seed, **given)
     print(f"trials: {report.trials}")
     print(f"worst_bound_ratio: {_fmt(report.worst_bound_ratio)}")
     print(f"worst_neighbor_ratio: {_fmt(report.worst_neighbor_ratio)}")
@@ -236,8 +236,8 @@ def cmd_validate_constants(cfg, args) -> int:
 FLAGS = {
     "seed": dict(type=int, help="override run.seed"),
     "substeps": dict(type=int, help="override run.substeps"),
-    "trials": dict(type=int, help="trial count (verify: default run.trials; "
-                                  "validate-constants: default 10000)"),
+    "trials": dict(type=int, help=f"trial count (verify: default run.trials; "
+                                  f"validate-constants: default {DEFAULT_VALIDATION_TRIALS})"),
     "samples": dict(type=int, help="rows of the region sweep (default 200)"),
     "limit": dict(type=int, help="check at most this many transitions per agent"),
     "out": dict(help="output directory (default .)"),

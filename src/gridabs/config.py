@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .abstraction import Window
+from .abstraction import DEFAULT_TRIALS, Window
 from .admissibility import check_discretization, DiscretizationParams
+from .controller import DEFAULT_SUBSTEPS
 from .dynamics import AgentNetwork, DynamicsModel, saturated_consensus, smooth_consensus
 from .geometry import GridDecomposition
 
@@ -193,8 +194,8 @@ def load_config(path) -> RunConfig:
 
     run_sec = _section(raw, "run", required=False) or {}
     _check_keys(run_sec, ("substeps", "trials", "seed", "window"), "run")
-    substeps = _integer(run_sec, "substeps", "run", default=256)
-    trials = _integer(run_sec, "trials", "run", default=500)
+    substeps = _integer(run_sec, "substeps", "run", default=DEFAULT_SUBSTEPS)
+    trials = _integer(run_sec, "trials", "run", default=DEFAULT_TRIALS)
     seed = _integer(run_sec, "seed", "run", default=0)
     if substeps < 1 or trials < 1:
         raise ConfigError("run.substeps and run.trials must be positive")

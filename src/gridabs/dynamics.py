@@ -23,6 +23,7 @@ import numpy as np
 from .geometry import CellConfiguration, component_sum_squares, row_norm
 
 _TINY = np.finfo(float).tiny
+DEFAULT_VALIDATION_TRIALS = 10000
 
 # Observed Lipschitz quotients can exceed the declared constant by float
 # roundoff (the saturated-consensus self block attains it exactly), so a
@@ -34,8 +35,9 @@ class ConstantsViolation(RuntimeError):
     """A sampled state falsified one of the declared constants."""
 
     def __init__(self, kind, ratio, agent, witness):
+        observed = "is not a number" if np.isnan(ratio) else f"{ratio:.6g} > 1"
         super().__init__(f"declared constant {kind!r} violated at agent {agent}: "
-                         f"observed ratio {ratio:.6g} > 1")
+                         f"observed ratio {observed}")
         self.kind = kind
         self.ratio = ratio
         self.agent = agent
@@ -304,7 +306,8 @@ def _uniform_ball(rng, count, dim, radius):
     return direction * r
 
 
-def validate_constants(model, trials=10000, sample_radius=1.0, seed=0) -> ValidationReport:
+def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, sample_radius=1.0,
+                       seed=0) -> ValidationReport:
     """Sample-test the declared constants; raise ConstantsViolation on a witness.
 
     Draws random state tuples in a ball of ``sample_radius`` per agent and

@@ -9,6 +9,7 @@ the integration itself.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,9 +140,11 @@ class DenseTrajectory:
         """Knot intervals of the times ``tq`` in the span [lo, hi], with their end knots."""
         times = self.times
         last = len(times) - 2
-        if hi > lo:
+        # no finite rate on a span too narrow for its scale (knots 0, 5e-324): search
+        rate = (last + 1) / (hi - lo) if hi > lo else math.inf
+        if math.isfinite(rate):
             # fmin maps a NaN guess to the last interval, where the check fails
-            guess = np.fmin(np.floor((tq - lo) * ((last + 1) / (hi - lo))), last)
+            guess = np.fmin(np.floor((tq - lo) * rate), last)
             idx = guess.astype(np.intp)
             idx -= times[idx] > tq
             idx += (idx < last) & (times[idx + 1] <= tq)

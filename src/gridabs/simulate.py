@@ -239,15 +239,15 @@ def integrate_closed_loop(model, controllers, x0):
     return single, report.worst()
 
 
-def check_input_bound(trajectory, params) -> np.ndarray:
+def check_input_bound(trajectory, model) -> np.ndarray:
     """Per-agent maxima of the logged input magnitudes; raise on violation.
 
-    The certificate is |input| <= input_bound at every knot of every agent.
+    The certificate is |input| <= model.input_bound at every knot of every agent.
     """
     mags = trajectory.input_magnitudes
     maxima = mags.max(axis=0)
     worst = np.unravel_index(np.argmax(mags), mags.shape)
-    if exceeds_input_bound(mags[worst], params.input_bound):
+    if exceeds_input_bound(mags[worst], model.input_bound):
         raise InputBoundViolation(worst[-1], float(trajectory.times[worst[0]]),
-                                  float(mags[worst]), params.input_bound)
+                                  float(mags[worst]), model.input_bound)
     return maxima

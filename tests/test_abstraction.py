@@ -441,6 +441,63 @@ def test_relative_build_equals_the_full_build(path_network, ref_grid, monkeypatc
         assert relative == full
 
 
+def drifting(model, drift):
+    """``model`` plus the constant field ``drift``: M grows by |drift|, L1 and L2
+    stay, and each field still depends on the state differences only."""
+    drift = np.asarray(drift, dtype=float)
+
+    def shifted(evaluate):
+        return lambda own, nbrs: evaluate(own, nbrs) + drift
+
+    return ga.DynamicsModel(model.network, [shifted(e) for e in model.evaluators],
+                            model.feedback_bound + float(np.linalg.norm(drift)),
+                            model.neighbor_lipschitz, model.self_lipschitz,
+                            model.input_bound, translation_invariant=True)
+
+
+@pytest.fixture(scope="module")
+def drift_setup(ref_model, ref_grid):
+    """The reference model drifting by (0.3, 0), at the midpoint of its period interval."""
+    model = drifting(ref_model, (0.3, 0.0))
+    lo, hi = ga.admissible_period_interval(model, ref_grid.diameter())
+    return model, ga.check_discretization(model, ref_grid.diameter(), 0.5 * (lo + hi))
+
+
+def test_drifting_model_is_admissible_and_keeps_its_constants(drift_setup):
+    model, params = drift_setup
+    assert params.admissible
+    assert ga.validate_constants(model, trials=2000, seed=0).ok
+
+
+@pytest.mark.parametrize("origin", [(0.0, 0.0), (1e6, -1e6)])
+def test_relative_build_equals_the_full_build_where_targets_move(drift_setup, ref_grid,
+                                                                 ref_window, origin):
+    model, params = drift_setup
+    grid = ga.GridDecomposition(2, ref_grid.side, origin)
+    for agent in range(3):
+        relative = build_transition_system(model, grid, params, agent, ref_window,
+                                           substeps=32)
+        moves = relative.target_cells - relative.action_cells[:, 0]
+        # targets leave their sources, so the comparison sees the class offsets
+        assert np.any(moves != 0)
+        assert relative == build_transition_system(undeclared(model), grid, params, agent,
+                                                    ref_window, substeps=32)
+        # one period of drift carries every agent two cells along +x
+        assert np.all(moves == (2, 0))
+
+
+def test_verify_transition_accepts_moved_transitions(drift_setup, ref_grid, ref_window):
+    model, params = drift_setup
+    for agent in range(3):
+        ts = build_transition_system(model, ref_grid, params, agent, ref_window,
+                                     substeps=64)
+        transition = ts.transitions[len(ts.transitions) // 2]
+        assert transition.target != transition.source
+        check = verify_transition(model, ref_grid, params, transition, ref_window,
+                                  trials=100, seed=agent, substeps=64)
+        assert check.min_margin > 0.0 and not check.marginal
+
+
 def test_marginal_classes_are_integrated_row_by_row(ref_model, ref_grid, ref_params,
                                                    ref_window, monkeypatch):
     full = build_transition_system(undeclared(ref_model), ref_grid, ref_params, 1,

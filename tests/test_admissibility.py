@@ -78,7 +78,7 @@ def test_check_discretization_accepts_reference(ref_model, ref_params):
     assert ref_params.period == 0.02
     assert ref_params.reach_radius == pytest.approx(0.03, rel=1e-12)
     assert ref_params.reach_radius >= ref_params.diameter
-    assert ref_params.coupling == pytest.approx(12.0, rel=1e-12)
+    assert ga.coupling_constants(ref_model)[1] == pytest.approx(12.0, rel=1e-12)
 
 
 def test_check_discretization_boundary_periods(ref_model):

@@ -12,10 +12,13 @@ matches one time to its knots, by bisection; and only
 A transition system keeps its transitions as arrays, so only its row view
 and ``from_json`` construct ``Transition`` objects; the closed loop reports
 all its runs in one batched ``MonitorReport``, so only the batched integrator
-and the worst-case reduction construct one.
+and the worst-case reduction construct one. The input budget v has one home,
+the model: both budget checks read ``model.input_bound``, and the
+discretization parameters hold no copy of it.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -124,6 +127,29 @@ def test_cell_coordinates_are_computed_in_the_grid():
 def test_transition_objects_are_built_in_two_places():
     assert _homes(_calls("Transition")) == {"abstraction.TransitionRows.__getitem__",
                                             "abstraction.from_json"}
+
+
+def _input_bound_of(owner):
+    """``<owner>.input_bound``."""
+    def match(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "input_bound"
+                and _reads(owner)(node.value))
+    return match
+
+
+def test_the_input_budget_is_read_from_the_model():
+    # both budget checks judge |k| against model.input_bound, and the
+    # discretization parameters keep no copy of it to read instead
+    def budget_check(node):
+        return (_calls("exceeds_input_bound")(node) and len(node.args) == 2
+                and _input_bound_of("model")(node.args[1]))
+
+    checks = {"simulate.check_input_bound", "abstraction.certify_window_input_bound"}
+    assert _homes(_calls("exceeds_input_bound")) == checks
+    assert _homes(budget_check) == checks
+    assert _homes(_input_bound_of("params")) == set()
+    fields = {f.name for f in dataclasses.fields(gridabs.DiscretizationParams)}
+    assert fields == {"diameter", "period", "reach_radius", "admissible", "reason"}
 
 
 def test_monitor_reports_are_built_in_two_places():

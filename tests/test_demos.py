@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion and leaves no temporary files behind."""
 
 import contextlib
 import io
@@ -13,9 +13,10 @@ DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, tmp_path, monkeypatch):
-    # build_abstraction.py exports into a mkdtemp directory
+    # build_abstraction.py exports into a temporary directory, which it removes
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue()
+    assert list(tmp_path.iterdir()) == []

@@ -145,6 +145,7 @@ def test_validate_constants_catches_a_field_that_returns_nan():
     with pytest.raises(ConstantsViolation) as info:
         validate_constants(model, trials=500, seed=0)
     assert info.value.kind == "feedback_bound" and np.isnan(info.value.ratio)
+    assert str(info.value).endswith("observed ratio is not a number")
 
 
 def declared_copy(model, evaluators, translation_invariant, **constants):

@@ -191,3 +191,15 @@ def test_knot_interval_lookup_matches_the_search_on_uniform_knots(data, t0, span
 def test_knot_interval_lookup_matches_the_search_on_other_knots(data, times):
     times = np.sort(times)
     assert_interval_lookup_is_exact(data, times)
+
+
+def test_knot_interval_lookup_on_a_span_too_narrow_for_its_scale():
+    # (last + 1) / (hi - lo) overflows to inf here, and 0 * inf would be NaN
+    times = np.array([0.0, 5e-324])
+    dense = DenseTrajectory(times, np.array([1.0, 2.0]), np.zeros(2))
+    queries = np.array([0.0, 5e-324, 0.0])
+    with np.errstate(all="raise"):
+        idx = dense._intervals(queries, *dense.span)[0]
+        values = dense.at(queries)
+    np.testing.assert_array_equal(idx, searched_interval(times, queries))
+    np.testing.assert_array_equal(values, [1.0, 2.0, 1.0])

@@ -122,9 +122,12 @@ def test_trajectory_shapes(ref_model, ref_grid, ref_params):
 def test_input_bound_checker_flags_tight_budget(joint_setup, ref_model, ref_params):
     cells, controllers, x0 = joint_setup
     trajectory, report = integrate_closed_loop(ref_model, controllers, x0)
-    maxima = check_input_bound(trajectory, ref_params)
+    maxima = check_input_bound(trajectory, ref_model)
     np.testing.assert_allclose(maxima, report.max_input, rtol=1e-12)
-    squeezed = dataclasses.replace(ref_params, input_bound=0.5 * max(maxima))
+    # the budget lives on the model: the same constants with half the logged maximum
+    squeezed = ga.DynamicsModel(ref_model.network, None, ref_model.feedback_bound,
+                                ref_model.neighbor_lipschitz, ref_model.self_lipschitz,
+                                input_bound=0.5 * max(maxima))
     with pytest.raises(InputBoundViolation) as info:
         check_input_bound(trajectory, squeezed)
     assert info.value.magnitude > squeezed.input_bound
