@@ -26,7 +26,7 @@ for i in range(3):
                                          reference_points=refs, substeps=512))
 
 x0 = np.stack([grid.sample_in_cell(z, rng)[0] for z in cells])
-trajectory, report = ga.integrate_closed_loop(model, controllers, x0)
+trajectory, report = ga.integrate_closed_loop(controllers, x0)
 
 print("agent  start cell  ->  landed cell   (declared successor)")
 for i, c in enumerate(controllers):

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .admissibility import require_admissible
-from .controller import DEFAULT_SUBSTEPS, ControllerBank, sample_feedback_bound
+from .controller import (DEFAULT_BOUND_SAMPLES, DEFAULT_SUBSTEPS, ControllerBank,
+                         sample_feedback_bound)
 from .dynamics import project_configuration
-from .geometry import Box, CellConfiguration, CellIndex
+from .geometry import CellConfiguration, CellIndex
 from .simulate import exceeds_input_bound, integrate_closed_loop_batch
 
 MAX_ACTIONS = 10**6
@@ -239,23 +239,22 @@ def agent_transition(model, grid, params, config: CellConfiguration,
 def marginal_endpoints(grid, endpoints, cells):
     """Whether each endpoint (..., n) lies within MARGINAL_REL * side of a face of its
     cell in ``cells`` (integer indices, broadcast); a bool array."""
-    lo = grid.cell_lo(cells)
-    return Box(lo, lo + grid.side).face_margin(endpoints) < MARGINAL_REL * grid.side
+    return grid.cell_box(cells).face_margin(endpoints) < MARGINAL_REL * grid.side
 
 
-def enumerate_configurations(window, degree, cap=MAX_ACTIONS):
+def enumerate_configurations(window, degree):
     """Every configuration (own cell plus ``degree`` neighbor cells) over the window.
 
     Returns one int64 array shaped (T, degree+1, n) whose rows run through the
     T = |window|^(degree+1) configurations in
     ``itertools.product(window.cells(), repeat=degree + 1)`` order. Raises
-    EnumerationCap when T exceeds ``cap``, before any window cell is listed.
+    EnumerationCap when T exceeds MAX_ACTIONS, before any window cell is listed.
     """
     size = window.size
     total = size ** (degree + 1)
-    if total > cap:
+    if total > MAX_ACTIONS:
         raise EnumerationCap(f"window of {size} cells gives {total} configurations "
-                             f"of {degree + 1} cells (cap {cap})")
+                             f"of {degree + 1} cells (cap {MAX_ACTIONS})")
     cells = np.array(window.cells(), dtype=np.int64)
     # row r picks cell (r // W^(degree-k)) % W at position k, the last fastest
     place = size ** np.arange(degree, -1, -1)
@@ -282,7 +281,8 @@ def _offset_classes(cells, radix):
     """Class index per configuration of ``cells`` (T, m+1, n), and the first row of
     each class: two configurations share a class when their neighbor offsets
     z_j - z0 agree. The m*n offsets become one int64 key in mixed radix, where
-    ``radix`` gives 2W - 1 values to an axis of W window cells."""
+    ``radix`` gives 2W - 1 values to an axis of W window cells; the key space
+    prod(radix) is below T^2 <= MAX_ACTIONS^2, so the keys fit in int64."""
     keys = np.zeros(len(cells), dtype=np.int64)
     for column, base in zip((cells[:, 1:] - cells[:, :1]).reshape(len(cells), -1).T, radix):
         keys *= base
@@ -292,11 +292,11 @@ def _offset_classes(cells, radix):
 
 
 def build_transition_system(model, grid, params, agent, window,
-                            substeps=DEFAULT_SUBSTEPS, max_actions=MAX_ACTIONS) -> TransitionSystem:
+                            substeps=DEFAULT_SUBSTEPS) -> TransitionSystem:
     """Enumerate every configuration over the window and record its transition.
 
     The enumeration covers |window|^(m+1) actions for an agent with m
-    neighbors and fails with EnumerationCap beyond ``max_actions``, before any
+    neighbors and fails with EnumerationCap beyond MAX_ACTIONS, before any
     integration. The configurations are integrated in banks whose dense output
     fits in BUILD_DENSE_BYTES, one bank at a time; every member is integrated
     row by row, so the transitions do not depend on the bank size.
@@ -313,11 +313,9 @@ def build_transition_system(model, grid, params, agent, window,
     require_admissible(params)
     degree, n = model.network.degree(agent), model.network.dimension
     chunk = max(1, BUILD_DENSE_BYTES // (16 * (int(substeps) + 1) * n))
-    cells = enumerate_configurations(window, degree, max_actions)
-    # the keys fit in int64 while the key space prod(radix) does; that space is
-    # below the configuration count squared, so any cap below 3e9 keeps it there
-    radix = [2 * (hi - lo) + 1 for lo, hi in window.ranges] * degree
-    if model.translation_invariant and math.prod(radix) <= 2**63:
+    cells = enumerate_configurations(window, degree)
+    if model.translation_invariant:
+        radix = [2 * (hi - lo) + 1 for lo, hi in window.ranges] * degree
         inverse, first = _offset_classes(cells, radix)
         reps = cells[first]
         targets, marginal = _bank_targets(model, grid, params, agent, reps, chunk, substeps)
@@ -399,7 +397,7 @@ def verify_transition(model, grid, params, transition, window, trials=DEFAULT_TR
     take = min(trials, len(corners))
     x0[:take, i] = corners[:take]
 
-    trajectory, _ = integrate_closed_loop_batch(model, controllers, x0)
+    trajectory, _ = integrate_closed_loop_batch(controllers, x0)
     endpoints = trajectory.states[-1, :, i, :]
 
     missed = grid.first_outside(endpoints, transition.target)
@@ -412,8 +410,7 @@ def verify_transition(model, grid, params, transition, window, trials=DEFAULT_TR
             f"trial {b}: agent {i} landed in {witness['landed']} instead of "
             f"{transition.target}", witness)
 
-    box = grid.cell_box(transition.target)
-    margins = box.face_margin(endpoints)
+    margins = grid.cell_box(transition.target).face_margin(endpoints)
     # ten bins between the extremes, as np.histogram draws them; equal or
     # near-equal margins leave some bins empty and zero-width
     edges = np.linspace(margins.min(), margins.max(), 11)
@@ -468,7 +465,7 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
     for i in range(count):
         x0[:, i, :] = grid.sample_in_cell(source_cells[i], rng, samples)
 
-    trajectory, report = integrate_closed_loop_batch(model, controllers, x0)
+    trajectory, report = integrate_closed_loop_batch(controllers, x0)
     endpoints = trajectory.states[-1]
     missed = grid.first_outside(endpoints, target_cells)
     if missed is not None:
@@ -501,9 +498,9 @@ class BoundCertificate:
         return not self.violations
 
 
-def certify_window_input_bound(model, grid, params, agent, window, samples=10000,
-                               seed=0, reference_policy="center",
-                               substeps=DEFAULT_SUBSTEPS,
+def certify_window_input_bound(model, grid, params, agent, window,
+                               samples=DEFAULT_BOUND_SAMPLES, seed=0,
+                               reference_policy="center", substeps=DEFAULT_SUBSTEPS,
                                stop_on_violation=False) -> BoundCertificate:
     """Sample |feedback| over every configuration of the window for one agent.
 

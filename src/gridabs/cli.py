@@ -32,6 +32,8 @@ from .dynamics import DEFAULT_VALIDATION_TRIALS, ConstantsViolation, validate_co
 from .geometry import CellConfiguration
 from .simulate import InputBoundViolation, check_input_bound, integrate_closed_loop
 
+DEFAULT_REGION_ROWS = 200
+
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -73,7 +75,7 @@ def cmd_region(cfg, args) -> int:
     bound = diameter_upper_bound(cfg.model)
     if not np.isfinite(bound):
         raise ConfigError("the model is decoupled; every diameter is admissible")
-    rows = args.samples if args.samples is not None else 200
+    rows = args.samples if args.samples is not None else DEFAULT_REGION_ROWS
     v = cfg.model.input_bound
     m = cfg.model.feedback_bound
     lines = ["diameter,period_min,period_max,reach_line,input_line"]
@@ -106,11 +108,11 @@ def cmd_abstract(cfg, args) -> int:
 def _parse_selector(selector, agent_count):
     if selector == "all":
         return [(i, None) for i in range(agent_count)]
-    parts = selector.split(":")
+    head, colon, tail = selector.partition(":")
     try:
-        agent = int(parts[0])
-        index = int(parts[1]) if len(parts) > 1 else None
-    except (ValueError, IndexError):
+        agent = int(head)
+        index = int(tail) if colon else None
+    except ValueError:
         raise ConfigError(f"bad selector {selector!r}; use 'all', 'AGENT', or "
                           f"'AGENT:INDEX'")
     if not 0 <= agent < agent_count:
@@ -156,7 +158,7 @@ def cmd_simulate(cfg, args) -> int:
     source_cells = tuple(cfg.grid.cell_of(initial[i]) for i in range(count))
     controllers = plan_controllers(cfg.model, cfg.grid, params, source_cells, targets,
                                    cfg.substeps)
-    trajectory, report = integrate_closed_loop(cfg.model, controllers, initial)
+    trajectory, report = integrate_closed_loop(controllers, initial)
     out = _out_dir(args)
     n = cfg.network.dimension
     header = ["t"] + [f"x{i}_{d}" for i in range(count) for d in range(n)]
@@ -238,7 +240,7 @@ FLAGS = {
     "substeps": dict(type=int, help="override run.substeps"),
     "trials": dict(type=int, help=f"trial count (verify: default run.trials; "
                                   f"validate-constants: default {DEFAULT_VALIDATION_TRIALS})"),
-    "samples": dict(type=int, help="rows of the region sweep (default 200)"),
+    "samples": dict(type=int, help=f"rows of the region sweep (default {DEFAULT_REGION_ROWS})"),
     "limit": dict(type=int, help="check at most this many transitions per agent"),
     "out": dict(help="output directory (default .)"),
 }

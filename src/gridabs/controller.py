@@ -30,6 +30,7 @@ from .integrate import DenseTrajectory, rk4_path
 _TINY = np.finfo(float).tiny
 
 DEFAULT_SUBSTEPS = 256
+DEFAULT_BOUND_SAMPLES = 10000
 
 
 class ControllerBank:
@@ -236,7 +237,7 @@ def sample_inflated_cell(grid, cell, radius, count, rng):
     return out
 
 
-def sample_feedback_bound(bank, samples=10000, seed=0):
+def sample_feedback_bound(bank, samples=DEFAULT_BOUND_SAMPLES, seed=0):
     """Sampled maximum of |feedback| over a size-1 bank's operating region.
 
     The region is: own state in the own cell inflated by the reach radius,

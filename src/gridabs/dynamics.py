@@ -119,7 +119,7 @@ class DynamicsModel:
         input_bound = float(input_bound)
         if not (feedback_bound > 0.0 and np.isfinite(feedback_bound)):
             raise ValueError("feedback_bound must be positive and finite")
-        if neighbor_lipschitz < 0.0 or self_lipschitz < 0.0:
+        if not (neighbor_lipschitz >= 0.0 and self_lipschitz >= 0.0):
             raise ValueError("Lipschitz constants must be nonnegative")
         if not (0.0 < input_bound < feedback_bound):
             raise ValueError("input_bound must satisfy 0 < input_bound < feedback_bound")

@@ -27,13 +27,6 @@ def _as_point(x, dimension):
     return x
 
 
-def _as_cell(z, dimension):
-    z = tuple(int(c) for c in z)
-    if len(z) != dimension:
-        raise ValueError(f"expected a cell index of length {dimension}, got {len(z)}")
-    return z
-
-
 def components(x):
     """The n component arrays ``x[..., k]`` of points ``x`` shaped (..., n).
 
@@ -216,7 +209,12 @@ class GridDecomposition:
         return self.origin + self.side * np.asarray(z, dtype=float)
 
     def cell_box(self, z) -> Box:
-        lo = self.cell_lo(_as_cell(z, self.dimension))
+        """Bounds of integer cells shaped ``(..., n)``; the one home of the upper face."""
+        z = np.asarray(z, dtype=np.int64)
+        if z.shape[-1:] != (self.dimension,):
+            raise ValueError(f"expected cell indices of length {self.dimension}, "
+                             f"got shape {z.shape}")
+        lo = self.cell_lo(z)
         return Box(lo=lo, hi=lo + self.side)
 
     def cell_center(self, z) -> np.ndarray:
@@ -234,12 +232,11 @@ class GridDecomposition:
         takes, broadcast against points ``x`` shaped ``(..., n)``; one cell and
         one point give a float.
         """
-        z, x = np.asarray(z), np.asarray(x, dtype=float)
-        if z.shape[-1:] != (self.dimension,) or x.shape[-1:] != (self.dimension,):
-            raise ValueError(f"expected cells and points in R^{self.dimension}, got "
-                             f"shapes {z.shape} and {x.shape}")
-        lo = self.cell_lo(z)
-        out = box_distance(lo, lo + self.side, x)
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dimension,):
+            raise ValueError(f"expected points in R^{self.dimension}, got shape {x.shape}")
+        box = self.cell_box(z)
+        out = box_distance(box.lo, box.hi, x)
         return float(out) if out.ndim == 0 else out
 
     def inflated_contains(self, z, radius, x):
@@ -260,8 +257,7 @@ class GridDecomposition:
     def cell_corners(self, z, inset=0.0) -> np.ndarray:
         """The 2^n corner points of cell ``z``, pulled inward by ``inset``."""
         box = self.cell_box(z)
-        corners = np.array(list(itertools.product(*zip(box.lo + inset, box.hi - inset))))
-        return corners
+        return np.array(list(itertools.product(*zip(box.lo + inset, box.hi - inset))))
 
     def sample_in_cell(self, z, rng, count=1) -> np.ndarray:
         """Uniform samples inside cell ``z``, shape (count, n)."""
@@ -275,8 +271,8 @@ class GridDecomposition:
         bit for bit: one ``rng.random`` draw per entry in C order, mapped to
         ``lo + (hi - lo) * u``.
         """
-        lo = self.cell_lo(z)
-        out = rng.random(lo.shape)
-        out *= (lo + self.side) - lo
-        out += lo
+        box = self.cell_box(z)
+        out = rng.random(box.lo.shape)
+        out *= box.hi - box.lo
+        out += box.lo
         return out

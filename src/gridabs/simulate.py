@@ -1,8 +1,8 @@
 """Closed-loop integration of all agents under their hybrid controllers.
 
 Every agent runs its own controller simultaneously; the integrator samples
-the true coupled dynamics (feedback term plus controller) on the knot grid
-its controller banks were integrated on, which they must share, and logs, at
+the coupled dynamics of the model its controller banks were built from on
+the knot grid they were integrated on, both of which they share, and logs, at
 every knot, each agent's applied input magnitude and whether it still lies in
 its declared cell inflated by the reach radius.
 
@@ -90,19 +90,29 @@ class MonitorReport:
                              interpolation_deviation=self.interpolation_deviation.max(axis=0))
 
 
-def _check_setup(model, banks, batch):
-    net = model.network
-    if len(banks) != net.agent_count:
-        raise ValueError(f"need one controller per agent ({net.agent_count}), "
-                         f"got {len(banks)}")
+def _check_setup(banks, x0):
+    """Model, grid, reach radius and own cells (B, N, n) of banks that fit ``x0``."""
     for bank in banks:
         if not isinstance(bank, ControllerBank):
             raise TypeError(f"expected a ControllerBank, got {type(bank).__name__}")
+    if not banks or len(banks) != banks[0].model.network.agent_count:
+        raise ValueError(f"need one controller per agent, got {len(banks)}")
+    # the plant is the banks' model: their coupling cancellation is exact only there
+    model = banks[0].model
+    net = model.network
+    count, dim = net.agent_count, net.dimension
+    if x0.ndim != 3 or x0.shape[1:] != (count, dim):
+        raise ValueError(f"expected x0 shaped (B, {count}, {dim}), got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("initial states have non-finite entries")
+    batch = x0.shape[0]
     grid, reach = banks[0].grid, banks[0].params.reach_radius
     shared = (banks[0].period, reach, banks[0].substeps)
     for i, bank in enumerate(banks):
         if bank.agent != i:
             raise ValueError(f"controller at position {i} is for agent {bank.agent}")
+        if bank.model is not model:
+            raise ValueError("controllers disagree on the model")
         if bank.size not in (1, batch):
             raise ValueError(f"agent {i} bank has size {bank.size}, expected 1 or {batch}")
         if (bank.period, bank.params.reach_radius, bank.substeps) != shared:
@@ -125,7 +135,12 @@ def _check_setup(model, banks, batch):
         expected = tuple(map(tuple, own[b, list(net.neighbors[i])].tolist()))
         raise ValueError(f"agent {i} declares neighbor cells {declared} "
                          f"but the shared configuration implies {expected}")
-    return grid, reach, own
+    bad = grid.first_outside(x0, own)
+    if bad is not None:
+        b, i = bad
+        raise ValueError(f"run {b}: agent {i} starts at {x0[b, i].tolist()} "
+                         f"outside its declared cell {tuple(own[b, i].tolist())}")
+    return model, grid, reach, own
 
 
 def _interpolation_deviation(bank, own_states):
@@ -141,30 +156,19 @@ def _interpolation_deviation(bank, own_states):
     return row_norm(resid).max(axis=0)
 
 
-def integrate_closed_loop_batch(model, controllers, x0):
+def integrate_closed_loop_batch(controllers, x0):
     """Integrate a batch of joint runs; x0 has shape (B, N, n).
 
     ``controllers`` holds one ControllerBank per agent, shared by all runs
     (banks of size 1 broadcast; banks of size B give run ``b`` its member
-    ``b``). The runs step on the banks' knot grid. Returns a batched
-    Trajectory and a MonitorReport whose fields are (B, N), one row per run.
+    ``b``), all built from one model: the plant. The runs step on the banks'
+    knot grid. Returns a batched Trajectory and a MonitorReport whose fields
+    are (B, N), one row per run.
     """
     x0 = np.asarray(x0, dtype=float)
-    net = model.network
-    count, dim = net.agent_count, net.dimension
-    if x0.ndim != 3 or x0.shape[1:] != (count, dim):
-        raise ValueError(f"expected x0 shaped (B, {count}, {dim}), got {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("initial states have non-finite entries")
-    batch = x0.shape[0]
     banks = list(controllers)
-    grid, reach, own_cells = _check_setup(model, banks, batch)
-    bad = grid.first_outside(x0, own_cells)
-    if bad is not None:
-        b, i = bad
-        raise ValueError(f"run {b}: agent {i} starts at {x0[b, i].tolist()} "
-                         f"outside its declared cell {tuple(own_cells[b, i].tolist())}")
-
+    model, grid, reach, own_cells = _check_setup(banks, x0)
+    net, count = model.network, len(banks)
     times = banks[0].dense.times
     neighbor_idx = [list(net.neighbors[i]) for i in range(count)]
     evaluators = [model.evaluator(i) for i in range(count)]
@@ -196,9 +200,9 @@ def integrate_closed_loop_batch(model, controllers, x0):
             u[:, i] = plant + feedback[i]
         return u
 
-    states = np.empty(times.shape + (batch, count, dim))
-    mags = np.empty(times.shape + (batch, count))
-    contained = np.empty(times.shape + (batch, count), dtype=bool)
+    states = np.empty(times.shape + x0.shape)
+    mags = np.empty(times.shape + x0.shape[:2])
+    contained = np.empty(times.shape + x0.shape[:2], dtype=bool)
     # rate's last call was at the yielded knot: ``feedback`` holds its values there
     for m, (y, _) in enumerate(rk4_steps(rate, x0, times)):
         if not np.all(np.isfinite(y)):
@@ -208,8 +212,8 @@ def integrate_closed_loop_batch(model, controllers, x0):
         for i in range(count):
             mags[m, :, i] = row_norm(feedback[i])
 
-    endpoint_dev = np.empty((batch, count))
-    interp_dev = np.empty((batch, count))
+    endpoint_dev = np.empty(x0.shape[:2])
+    interp_dev = np.empty(x0.shape[:2])
     for i, bank in enumerate(banks):
         interp_dev[:, i] = _interpolation_deviation(bank, states[:, :, i, :])
         endpoint_dev[:, i] = row_norm(states[-1, :, i, :] - bank.endpoint)
@@ -223,14 +227,14 @@ def integrate_closed_loop_batch(model, controllers, x0):
     return trajectory, report
 
 
-def integrate_closed_loop(model, controllers, x0):
+def integrate_closed_loop(controllers, x0):
     """Integrate one joint run from x0 shaped (N, n).
 
     Returns the Trajectory (states (K+1, N, n)) and its MonitorReport
     (fields (N,)).
     """
     x0 = np.asarray(x0, dtype=float)
-    trajectory, report = integrate_closed_loop_batch(model, controllers, x0[None])
+    trajectory, report = integrate_closed_loop_batch(controllers, x0[None])
     single = Trajectory(times=trajectory.times,
                         states=trajectory.states[:, 0],
                         input_magnitudes=trajectory.input_magnitudes[:, 0],

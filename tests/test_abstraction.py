@@ -80,13 +80,16 @@ def test_post_set_rejects_mismatched_source(ref_model, ref_grid, ref_params,
         ts.post_set((1, 1) if t.source != (1, 1) else (0, 0), t.action)
 
 
-def test_enumeration_cap(ref_model, ref_grid, ref_params, ref_window):
+def test_enumeration_cap(ref_model, ref_grid, ref_params, ref_window, monkeypatch):
+    monkeypatch.setattr(abstraction, "MAX_ACTIONS", 100)
     with pytest.raises(EnumerationCap):
         build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
-                                substeps=16, max_actions=100)
-    assert len(enumerate_configurations(ref_window, 1, cap=81)) == 81
+                                substeps=16)
+    monkeypatch.setattr(abstraction, "MAX_ACTIONS", 81)
+    assert len(enumerate_configurations(ref_window, 1)) == 81
+    monkeypatch.setattr(abstraction, "MAX_ACTIONS", 80)
     with pytest.raises(EnumerationCap):
-        enumerate_configurations(ref_window, 1, cap=80)
+        enumerate_configurations(ref_window, 1)
 
 
 def test_enumeration_cap_comes_before_any_cell_is_listed():
@@ -137,9 +140,10 @@ def test_enumeration_chunks_follow_the_product_order(degree, chunk, ref_grid, mo
 def test_enumeration_cap_comes_before_any_bank(ref_model, ref_grid, ref_params, ref_window,
                                               monkeypatch):
     sizes = record_bank_sizes(monkeypatch)
+    monkeypatch.setattr(abstraction, "MAX_ACTIONS", 728)
     with pytest.raises(EnumerationCap):
         build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
-                                substeps=16, max_actions=728)
+                                substeps=16)
     assert sizes == []
 
 

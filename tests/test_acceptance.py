@@ -63,7 +63,7 @@ def closed_loop_runs(setting):
     start = time.perf_counter()
     banks, x0 = random_joint_banks(net, model, grid, params, window, 100, rng,
                                    SUBSTEPS)
-    trajectory, reports = integrate_closed_loop_batch(model, banks, x0)
+    trajectory, reports = integrate_closed_loop_batch(banks, x0)
     elapsed = time.perf_counter() - start
     return banks, x0, trajectory, reports, elapsed
 
@@ -152,7 +152,7 @@ def test_04_endpoints_match_reference(setting, closed_loop_runs):
     for steps in (2, 4, 8):
         banks2 = [ControllerBank(smooth, grid2, params2, i, cells_all[i],
                                  refs_all[i], substeps=steps) for i in range(3)]
-        _, reports2 = integrate_closed_loop_batch(smooth, banks2, x0s)
+        _, reports2 = integrate_closed_loop_batch(banks2, x0s)
         deviations.append(max(reports2.worst().endpoint_deviation))
     elapsed2 = time.perf_counter() - start
     assert 8.0 < deviations[0] / deviations[1] < 32.0
@@ -257,7 +257,7 @@ def test_09_endpoint_ignores_neighbor_behavior(setting):
             x0[:, i, :] = grid.sample_in_cell(z, rng)[0]
         else:
             x0[:, i, :] = grid.sample_in_cell(z, rng, count=B)
-    trajectory, _ = integrate_closed_loop_batch(model, banks, x0)
+    trajectory, _ = integrate_closed_loop_batch(banks, x0)
     endpoints = trajectory.states[-1, :, 1, :]
     spread = np.max(np.linalg.norm(endpoints - endpoints[0], axis=-1))
     elapsed = time.perf_counter() - start

@@ -1,10 +1,11 @@
 """Each guarantee check of the package is defined in exactly one function.
 
 The checks are found in the parsed source of ``gridabs``: a reference to a
-tolerance constant, the corner-inset expression ``1e-9 * <grid>.side``, the
-diameter bound with its slack ``bound * (1.0 + ATOL)``, or a
-``FeasibilityError`` whose message says "not admissible". A second function
-holding one of them is a copy that a change to the check would have to find.
+tolerance constant, the corner-inset expression ``1e-9 * <grid>.side``, a
+cell's upper face ``<x> + <grid>.side``, the diameter bound with its slack
+``bound * (1.0 + ATOL)``, or a ``FeasibilityError`` whose message says "not
+admissible". A second function holding one of them is a copy that a change
+to the check would have to find.
 Likewise only ``rk4_path`` builds a knot grid: the closed loop steps on its
 controller banks' grid instead of building its own; only ``DenseTrajectory``
 matches one time to its knots, by bisection; and only
@@ -62,6 +63,12 @@ def _corner_inset(node):
             and any(isinstance(o, ast.Attribute) and o.attr == "side" for o in operands))
 
 
+def _upper_face(node):
+    """``<x> + <grid>.side``: a cell's upper face from its lower one."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and any(_reads("side")(o) for o in (node.left, node.right)))
+
+
 def _bound_with_slack(node):
     """``bound * (1.0 + ATOL)``: the diameter bound with its slack."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
@@ -83,9 +90,11 @@ def _not_admissible(node):
     (_reads("INPUT_ATOL"), "simulate.exceeds_input_bound"),
     (_reads("MARGINAL_REL"), "abstraction.marginal_endpoints"),
     (_corner_inset, "geometry.GridDecomposition.corner_inset"),
+    (_upper_face, "geometry.GridDecomposition.cell_box"),
     (_not_admissible, "admissibility.require_admissible"),
     (_bound_with_slack, "admissibility.admissible_period_interval"),
-], ids=["distance", "input", "marginal", "corner-inset", "admissibility", "diameter-bound"])
+], ids=["distance", "input", "marginal", "corner-inset", "upper-face", "admissibility",
+        "diameter-bound"])
 def test_each_check_has_one_home(match, home):
     assert _homes(match) == {home}
 

@@ -85,6 +85,21 @@ def test_check_fails_below_interval(bad_period_path, capsys):
     assert "admissible: no" in out
 
 
+@pytest.mark.parametrize("key", ["neighbor_lipschitz", "self_lipschitz"])
+def test_check_rejects_a_nan_lipschitz_constant(tmp_path, capsys, key):
+    constants = {"feedback_bound": "1.0", "neighbor_lipschitz": "1.4142135623730951",
+                 "self_lipschitz": "2.0", "input_bound": "0.5", key: ".nan"}
+    block = "".join(f"    {k}: {v}\n" for k, v in constants.items())
+    path = tmp_path / "nan.yaml"
+    path.write_text(CONFIG.format(period=0.02).replace(
+        "  builtin: saturated_consensus\n  gain: 0.5\n  input_bound: 0.5\n",
+        "  constants:\n" + block))
+    assert main(["check", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "Lipschitz constants must be nonnegative" in captured.err
+    assert "admissible" not in captured.out
+
+
 def test_missing_config_is_an_input_error(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "nope.yaml")]) == 2
 
@@ -173,6 +188,7 @@ def test_verify_single_transition(config_path, capsys):
 def test_verify_bad_selector(config_path, capsys):
     assert main(["verify", "--config", config_path, "9"]) == 2
     assert main(["verify", "--config", config_path, "one:two"]) == 2
+    assert main(["verify", "--config", config_path, "0:1:junk"]) == 2
 
 
 def test_verify_inadmissible_period_exits_one(bad_period_path, capsys):

@@ -91,6 +91,13 @@ def test_feedback_stacks_agents(path_network):
                                model.evaluator(1)(states[1], states[[0, 2]]))
 
 
+@pytest.mark.parametrize("neighbor, own", [(-1.0, 2.0), (1.0, -2.0), (np.nan, 2.0),
+                                           (1.0, np.nan)])
+def test_lipschitz_constants_must_be_nonnegative(path_network, neighbor, own):
+    with pytest.raises(ValueError, match="Lipschitz constants must be nonnegative"):
+        DynamicsModel(path_network, None, 1.0, neighbor, own, 0.5)
+
+
 def test_input_bound_must_be_below_feedback_bound(path_network):
     with pytest.raises(ValueError):
         saturated_consensus(path_network, gain=0.5, input_bound=1.0)

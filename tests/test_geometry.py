@@ -82,6 +82,30 @@ def test_vectorized_cells_match_cell_of_and_cell_box():
                                       grid.cell_box(grid.cell_of(p)).lo)
 
 
+@pytest.mark.parametrize("origin", [[0.0, 0.0], [1e6, -1e6]])
+def test_cell_box_of_cell_arrays_equals_the_per_cell_boxes(origin):
+    grid = GridDecomposition(2, 0.004 / np.sqrt(2.0), origin=origin)
+    cells = np.random.default_rng(5).integers(-10**6, 10**6, size=(4, 3, 2))
+    box = grid.cell_box(cells)
+    assert box.lo.shape == box.hi.shape == (4, 3, 2)
+    singles = [grid.cell_box(tuple(int(c) for c in z)) for z in cells.reshape(-1, 2)]
+    # bit for bit, signed zeros included
+    assert box.lo.tobytes() == np.array([b.lo for b in singles]).tobytes()
+    assert box.hi.tobytes() == np.array([b.hi for b in singles]).tobytes()
+
+
+def test_cell_box_of_one_cell():
+    grid = GridDecomposition(2, 0.3, origin=[0.05, -1.0])
+    lo = grid.origin + grid.side * np.array([3.0, -2.0])
+    for z in [(3, -2), [3, -2], np.array([3, -2]), (np.int64(3), np.int32(-2))]:
+        box = grid.cell_box(z)
+        assert box.lo.tobytes() == lo.tobytes()
+        assert box.hi.tobytes() == (lo + grid.side).tobytes()
+    for bad in [(1, 2, 3), (1,), 4, np.zeros((5, 1), dtype=int), np.zeros((2, 3), dtype=int)]:
+        with pytest.raises(ValueError):
+            grid.cell_box(bad)
+
+
 def test_box_distance_values():
     lo = np.zeros(2)
     hi = np.ones(2)

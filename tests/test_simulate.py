@@ -37,7 +37,7 @@ def joint_setup(ref_model, ref_grid, ref_params):
 
 def test_endpoints_match_reference(joint_setup, ref_model, ref_grid):
     cells, controllers, x0 = joint_setup
-    trajectory, report = integrate_closed_loop(ref_model, controllers, x0)
+    trajectory, report = integrate_closed_loop(controllers, x0)
     for i, c in enumerate(controllers):
         np.testing.assert_allclose(trajectory.states[-1, i], c.endpoint[0], atol=1e-12)
         assert ref_grid.cell_of(trajectory.states[-1, i]) == tuple(c.target_cells()[0].tolist())
@@ -47,30 +47,30 @@ def test_endpoints_match_reference(joint_setup, ref_model, ref_grid):
     assert max(report.max_input) <= ref_model.input_bound + 1e-12
 
 
-def test_interpolation_identity_holds_along_the_run(joint_setup, ref_model):
+def test_interpolation_identity_holds_along_the_run(joint_setup):
     cells, controllers, x0 = joint_setup
-    _, report = integrate_closed_loop(ref_model, controllers, x0)
+    _, report = integrate_closed_loop(controllers, x0)
     residuals = report.interpolation_deviation
     assert residuals.shape == (3,)
     assert residuals.max() <= 1e-12
 
 
-def test_initial_state_must_match_declared_cell(joint_setup, ref_model):
+def test_initial_state_must_match_declared_cell(joint_setup):
     cells, controllers, x0 = joint_setup
     shifted = x0.copy()
     shifted[0] += 10.0
     with pytest.raises(ValueError):
-        integrate_closed_loop(ref_model, controllers, shifted)
+        integrate_closed_loop(controllers, shifted)
 
 
-def test_start_check_names_the_first_stray_run(joint_setup, ref_model):
+def test_start_check_names_the_first_stray_run(joint_setup):
     cells, controllers, x0 = joint_setup
     batch = np.repeat(x0[None], 4, axis=0)
     batch[3, 0] += 10.0
     batch[2, 2] += 10.0
     batch[2, 1] += 10.0
     with pytest.raises(ValueError, match=r"run 2: agent 1 starts at"):
-        integrate_closed_loop_batch(ref_model, controllers, batch)
+        integrate_closed_loop_batch(controllers, batch)
 
 
 def test_neighbor_declarations_must_agree(ref_model, ref_grid, ref_params):
@@ -83,14 +83,14 @@ def test_neighbor_declarations_must_agree(ref_model, ref_grid, ref_params):
     rng = np.random.default_rng(8)
     x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
     with pytest.raises(ValueError):
-        integrate_closed_loop(ref_model, controllers, x0)
+        integrate_closed_loop(controllers, x0)
 
 
-def test_controllers_must_be_banks(joint_setup, ref_model):
+def test_controllers_must_be_banks(joint_setup):
     cells, controllers, x0 = joint_setup
     controllers[1] = object()
     with pytest.raises(TypeError):
-        integrate_closed_loop(ref_model, controllers, x0)
+        integrate_closed_loop(controllers, x0)
 
 
 def test_controllers_must_share_the_period(ref_model, ref_grid, ref_params):
@@ -103,7 +103,19 @@ def test_controllers_must_share_the_period(ref_model, ref_grid, ref_params):
     rng = np.random.default_rng(8)
     x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
     with pytest.raises(ValueError):
-        integrate_closed_loop(ref_model, controllers, x0)
+        integrate_closed_loop(controllers, x0)
+
+
+def test_controllers_must_share_the_model(ref_model, ref_grid, ref_params):
+    # the plant is the banks' model, so a bank built from another model is refused
+    cells = ((0, 0), (1, 0), (1, 1))
+    controllers = make_controllers(ref_model, ref_grid, ref_params, cells)
+    other = ga.smooth_consensus(ref_model.network, 0.5, 0.5, scale=3.0)
+    controllers[1] = make_controllers(other, ref_grid, ref_params, cells)[1]
+    rng = np.random.default_rng(8)
+    x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
+    with pytest.raises(ValueError, match="disagree on the model"):
+        integrate_closed_loop(controllers, x0)
 
 
 def test_trajectory_shapes(ref_model, ref_grid, ref_params):
@@ -111,7 +123,7 @@ def test_trajectory_shapes(ref_model, ref_grid, ref_params):
     controllers = make_controllers(ref_model, ref_grid, ref_params, cells, substeps=32)
     rng = np.random.default_rng(8)
     x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
-    trajectory, _ = integrate_closed_loop(ref_model, controllers, x0)
+    trajectory, _ = integrate_closed_loop(controllers, x0)
     assert trajectory.times.shape == (33,)
     assert trajectory.states.shape == (33, 3, 2)
     assert trajectory.input_magnitudes.shape == (33, 3)
@@ -121,7 +133,7 @@ def test_trajectory_shapes(ref_model, ref_grid, ref_params):
 
 def test_input_bound_checker_flags_tight_budget(joint_setup, ref_model, ref_params):
     cells, controllers, x0 = joint_setup
-    trajectory, report = integrate_closed_loop(ref_model, controllers, x0)
+    trajectory, report = integrate_closed_loop(controllers, x0)
     maxima = check_input_bound(trajectory, ref_model)
     np.testing.assert_allclose(maxima, report.max_input, rtol=1e-12)
     # the budget lives on the model: the same constants with half the logged maximum
@@ -156,7 +168,7 @@ def test_non_finite_state_raises_at_its_knot(ref_model, ref_grid, ref_params):
     assert all(np.all(np.isfinite(c.dense.states)) for c in controllers)
     x0 = centers + 0.1 * ref_grid.side
     with pytest.raises(IntegrationError, match=r"^non-finite state after t = 0\.00125$"):
-        integrate_closed_loop(model, controllers, x0)
+        integrate_closed_loop(controllers, x0)
 
 
 def random_banks(model, grid, params, runs, rng, substeps):
@@ -180,7 +192,7 @@ def test_batch_matches_single_runs(ref_model, ref_grid, ref_params):
     B = 6
     banks, x0 = random_banks(ref_model, ref_grid, ref_params, B,
                              np.random.default_rng(15), 32)
-    batched, report = integrate_closed_loop_batch(ref_model, banks, x0)
+    batched, report = integrate_closed_loop_batch(banks, x0)
     assert batched.states.shape == (33, B, 3, 2)
     assert report.max_input.shape == (B, 3)
     for b in range(B):
@@ -188,7 +200,7 @@ def test_batch_matches_single_runs(ref_model, ref_grid, ref_params):
             ref_model, ref_grid, ref_params, i, banks[i].cell_array[b][None],
             reference_points=banks[i].reference_points[b][None], substeps=32)
             for i in range(3)]
-        single, _ = integrate_closed_loop(ref_model, singles, x0[b])
+        single, _ = integrate_closed_loop(singles, x0[b])
         np.testing.assert_allclose(batched.states[:, b], single.states, atol=1e-14)
 
 
@@ -196,7 +208,7 @@ def test_batched_report_reduces_each_run(ref_model, ref_grid, ref_params):
     B = 5
     banks, x0 = random_banks(ref_model, ref_grid, ref_params, B,
                              np.random.default_rng(16), 32)
-    trajectory, report = integrate_closed_loop_batch(ref_model, banks, x0)
+    trajectory, report = integrate_closed_loop_batch(banks, x0)
     for field in dataclasses.fields(report):
         assert getattr(report, field.name).shape == (B, 3)
     for b in range(B):
@@ -221,7 +233,7 @@ def merged(reports):
 def test_worst_equals_the_fold_of_per_run_reports(ref_model, ref_grid, ref_params):
     banks, x0 = random_banks(ref_model, ref_grid, ref_params, 6,
                              np.random.default_rng(17), 32)
-    _, report = integrate_closed_loop_batch(ref_model, banks, x0)
+    _, report = integrate_closed_loop_batch(banks, x0)
     # one run's containment lost, so the AND has a False to keep
     report.containment_ok[2, 1] = False
     rows = [ga.MonitorReport(*(getattr(report, f.name)[b] for f in dataclasses.fields(report)))
@@ -234,10 +246,10 @@ def test_worst_equals_the_fold_of_per_run_reports(ref_model, ref_grid, ref_param
     assert not worst.containment_ok[1]
 
 
-def test_closed_loop_is_deterministic(joint_setup, ref_model):
+def test_closed_loop_is_deterministic(joint_setup):
     cells, controllers, x0 = joint_setup
-    a, _ = integrate_closed_loop(ref_model, controllers, x0)
-    b, _ = integrate_closed_loop(ref_model, controllers, x0)
+    a, _ = integrate_closed_loop(controllers, x0)
+    b, _ = integrate_closed_loop(controllers, x0)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.input_magnitudes, b.input_magnitudes)
 
@@ -268,7 +280,7 @@ def test_stage_reuse_is_bit_identical(path_network, ref_grid, bank_substeps,
     params = ga.check_discretization(model, ref_grid.diameter(), 0.02)
     banks, x0 = random_banks(model, ref_grid, params, 4, np.random.default_rng(21),
                              bank_substeps)
-    trajectory, report = integrate_closed_loop_batch(model, banks, x0)
+    trajectory, report = integrate_closed_loop_batch(banks, x0)
     states = plain_closed_loop(model, banks, x0, loop_substeps)
     np.testing.assert_array_equal(trajectory.states, states)
     assert report.endpoint_deviation.max() <= 1e-12
@@ -320,7 +332,7 @@ def test_stage_values_are_evaluated_once(ref_model, ref_grid, ref_params, monkey
 
     monkeypatch.setattr(DenseTrajectory, "at", counting_at)
     calls.update(eval=0, at=0)
-    integrate_closed_loop_batch(model, banks, x0)
+    integrate_closed_loop_batch(banks, x0)
     assert calls["eval"] == 3 * (evals * steps + first_evals)
     assert calls["at"] == 3 * (queries * steps + first_queries)
 
@@ -341,4 +353,4 @@ def test_controllers_must_share_the_substeps(ref_model, ref_grid, ref_params):
     rng = np.random.default_rng(8)
     x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
     with pytest.raises(ValueError, match="substeps"):
-        integrate_closed_loop(ref_model, controllers, x0)
+        integrate_closed_loop(controllers, x0)
