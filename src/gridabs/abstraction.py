@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .admissibility import require_admissible
 from .controller import (DEFAULT_BOUND_SAMPLES, DEFAULT_SUBSTEPS, ControllerBank,
-                         sample_feedback_bound)
+                         endpoint_cells, reference_endpoints, sample_feedback_bound)
 from .dynamics import project_configuration
 from .geometry import CellConfiguration, CellIndex
 from .simulate import exceeds_input_bound, integrate_closed_loop_batch
@@ -31,10 +32,11 @@ DEFAULT_TRIALS = 500
 # of this many members keeps memory bounded up to MAX_ACTIONS.
 CERTIFY_CHUNK = 64
 
-# Dense output (states and derivatives, 16 bytes per knot, member and axis)
-# of one build_transition_system bank; the build integrates its window in
-# banks that fit, so its peak memory does not grow with the action count.
-BUILD_DENSE_BYTES = 16 * 2**20
+# Rows whose reference endpoints build_transition_system integrates together.
+# A batch holds O(rows * (m+1) * n) floats whatever the substeps, so the build's
+# peak memory does not grow with the action count; 2**14 rows take the 15,625
+# configurations of a 5x5 window for an agent with two neighbors in one batch.
+BUILD_ROWS = 2**14
 
 # A reference endpoint this close to a cell face (relative to the side) marks
 # the transition as marginal.
@@ -200,8 +202,13 @@ class TransitionSystem:
     @property
     def actions(self) -> tuple[tuple[CellIndex, ...], ...]:
         """Distinct actions in the order they are first recorded."""
-        _, first = np.unique(self.action_cells, axis=0, return_index=True)
-        return tuple(tuple(map(tuple, a)) for a in self.action_cells[np.sort(first)].tolist())
+        first = np.sort(_distinct_rows(self.action_cells)[0])
+        return tuple(tuple(map(tuple, a)) for a in self.action_cells[first].tolist())
+
+    @property
+    def action_count(self) -> int:
+        """``len(actions)``, counted without building the actions."""
+        return len(_distinct_rows(self.action_cells)[0])
 
     def post_set(self, source, action) -> set[CellIndex]:
         """Recorded successor cells of (source, action); empty when unrecorded."""
@@ -261,19 +268,16 @@ def enumerate_configurations(window, degree):
     return cells[np.arange(total)[:, None] // place % size]
 
 
-def _bank_targets(model, grid, params, agent, cells, chunk, substeps):
-    """Target cells (B, n) and marginal flags (B,) of configurations ``cells``,
-    integrated in banks of at most ``chunk`` members, one bank at a time."""
-    targets = np.empty((len(cells), cells.shape[-1]), dtype=np.int64)
-    marginal = np.empty(len(cells), dtype=bool)
-    for start in range(0, len(cells), chunk):
-        bank = ControllerBank(model, grid, params, agent, cells[start:start + chunk],
-                              substeps=substeps)
-        part = slice(start, start + bank.size)
-        targets[part] = bank.target_cells()
-        marginal[part] = marginal_endpoints(grid, bank.endpoint, targets[part])
-        # free this bank's dense output before the next one is integrated
-        del bank
+def _reference_targets(model, grid, params, agent, refs, substeps):
+    """Target cells (B, n) and marginal flags (B,) of the configurations with
+    reference points ``refs`` (B, m+1, n), integrated BUILD_ROWS rows at a time."""
+    targets = np.empty((len(refs), refs.shape[-1]), dtype=np.int64)
+    marginal = np.empty(len(refs), dtype=bool)
+    for start in range(0, len(refs), BUILD_ROWS):
+        part = slice(start, start + BUILD_ROWS)
+        endpoint = reference_endpoints(model, params, agent, refs[part], substeps)
+        targets[part] = endpoint_cells(grid, endpoint)
+        marginal[part] = marginal_endpoints(grid, endpoint, targets[part])
     return targets, marginal
 
 
@@ -297,9 +301,10 @@ def build_transition_system(model, grid, params, agent, window,
 
     The enumeration covers |window|^(m+1) actions for an agent with m
     neighbors and fails with EnumerationCap beyond MAX_ACTIONS, before any
-    integration. The configurations are integrated in banks whose dense output
-    fits in BUILD_DENSE_BYTES, one bank at a time; every member is integrated
-    row by row, so the transitions do not depend on the bank size.
+    integration. Only the reference endpoints are integrated
+    (`reference_endpoints`, no dense output), BUILD_ROWS configurations at a
+    time; every row is integrated elementwise, so the transitions do not depend
+    on the batch size and equal the controllers' `ControllerBank.target_cells`.
 
     For a model declared ``translation_invariant`` the reference trajectory
     from cell centers depends only on the neighbor offsets z_j - z0, so only
@@ -311,22 +316,22 @@ def build_transition_system(model, grid, params, agent, window,
     `enumerate_configurations` and their reference points are the cell centers.
     """
     require_admissible(params)
-    degree, n = model.network.degree(agent), model.network.dimension
-    chunk = max(1, BUILD_DENSE_BYTES // (16 * (int(substeps) + 1) * n))
+    degree = model.network.degree(agent)
     cells = enumerate_configurations(window, degree)
+    refs = grid.cell_center(cells)
     if model.translation_invariant:
         radix = [2 * (hi - lo) + 1 for lo, hi in window.ranges] * degree
         inverse, first = _offset_classes(cells, radix)
-        reps = cells[first]
-        targets, marginal = _bank_targets(model, grid, params, agent, reps, chunk, substeps)
-        target_cells = cells[:, 0] + (targets - reps[:, 0])[inverse]
+        targets, marginal = _reference_targets(model, grid, params, agent, refs[first],
+                                               substeps)
+        target_cells = cells[:, 0] + (targets - cells[first, 0])[inverse]
         redo = np.flatnonzero(marginal[inverse])
         if len(redo):
-            target_cells[redo] = _bank_targets(model, grid, params, agent, cells[redo],
-                                               chunk, substeps)[0]
+            target_cells[redo] = _reference_targets(model, grid, params, agent, refs[redo],
+                                                    substeps)[0]
     else:
-        target_cells = _bank_targets(model, grid, params, agent, cells, chunk, substeps)[0]
-    return TransitionSystem(agent, window, cells, target_cells, grid.cell_center(cells))
+        target_cells = _reference_targets(model, grid, params, agent, refs, substeps)[0]
+    return TransitionSystem(agent, window, cells, target_cells, refs)
 
 
 @dataclass(frozen=True)
@@ -564,17 +569,33 @@ def certify_window_input_bound(model, grid, params, agent, window,
                             violations=tuple(violations))
 
 
+def _distinct_rows(a):
+    """Distinct rows of ``a`` (R, ...), an array of 8-byte items, told apart by
+    their bits, so -0.0 and 0.0 differ. Returns (first, inverse): row
+    ``first[k]`` is the first occurrence of the k-th distinct row, and
+    ``inverse`` maps each row to its distinct row. Each row is read as int64
+    columns and the rows are ordered by `np.lexsort`."""
+    keys = np.ascontiguousarray(a).view(np.int64).reshape(len(a), math.prod(a.shape[1:]))
+    order = np.lexsort(keys.T[::-1])
+    # a sorted row starts a new distinct row where any column changes
+    new = np.zeros(len(keys), dtype=bool)
+    new[:1] = True
+    for column in keys.T:
+        ranked = column[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def _row_text(a, template):
     """``template % row`` of each row of the last axis of ``a``, as nested lists
-    of strings shaped ``a.shape[:-1]``; each distinct row is formatted once,
-    from its values' ``.tolist()``. Rows are told apart by their bytes (an
-    ``np.void`` view), so -0.0 and 0.0 differ."""
-    a = np.ascontiguousarray(a)
-    keys = a.view(np.dtype((np.void, a.itemsize * a.shape[-1])))[..., 0]
-    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
-    rows = distinct.view(a.dtype).reshape(-1, a.shape[-1]).tolist()
-    table = np.array([template % tuple(row) for row in rows], dtype=object)
-    return table[inverse.reshape(keys.shape)].tolist()
+    of strings shaped ``a.shape[:-1]``; each distinct row (`_distinct_rows`) is
+    formatted once, from its values' ``.tolist()``."""
+    rows = a.reshape(-1, a.shape[-1])
+    first, inverse = _distinct_rows(rows)
+    table = np.array([template % tuple(row) for row in rows[first].tolist()], dtype=object)
+    return table[inverse.reshape(a.shape[:-1])].tolist()
 
 
 def _json_list(item, count):

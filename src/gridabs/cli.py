@@ -100,7 +100,7 @@ def cmd_abstract(cfg, args) -> int:
         base = os.path.join(_out_dir(args), f"transitions_agent{i}")
         _write(base + ".json", to_json(ts))
         _write(base + ".dot", to_dot(ts))
-        print(f"agent {i}: {len(ts.actions)} actions, {len(ts.transitions)} "
+        print(f"agent {i}: {ts.action_count} actions, {len(ts.transitions)} "
               f"transitions -> {base}.json")
     return 0
 

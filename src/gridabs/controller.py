@@ -25,12 +25,36 @@ import copy
 import numpy as np
 
 from .geometry import box_distance, components, from_components, row_norm, uniform_in_box
-from .integrate import DenseTrajectory, rk4_path
+from .integrate import DenseTrajectory, rk4_endpoint, rk4_path
 
 _TINY = np.finfo(float).tiny
 
 DEFAULT_SUBSTEPS = 256
 DEFAULT_BOUND_SAMPLES = 10000
+
+
+def _reference_problem(evaluate, refs, period, substeps):
+    """Arguments (field, y0, t0, t1, steps) of an RK4 integrator for the reference
+    trajectories of configurations with reference points ``refs`` (B, m+1, n): each
+    own point moves under ``evaluate`` with its neighbors frozen at theirs, over one
+    period in ``substeps`` steps. Every row is integrated elementwise."""
+    frozen = refs[:, 1:, :]
+    return (lambda t, y: evaluate(y, frozen)), refs[:, 0, :], 0.0, period, substeps
+
+
+def reference_endpoints(model, params, agent, refs, substeps):
+    """Reference endpoint (B, n) of each configuration with reference points ``refs``
+    (B, m+1, n): a bank's ``endpoint``, bit for bit, without its dense output."""
+    return rk4_endpoint(*_reference_problem(model.evaluator(agent), refs, params.period,
+                                            substeps))
+
+
+def endpoint_cells(grid, endpoint):
+    """Cell of each reference endpoint (B, n), as ``grid.cell_of`` gives it; a (B, n)
+    int64 array. A non-finite endpoint raises ValueError."""
+    if not np.all(np.isfinite(endpoint)):
+        raise ValueError("reference endpoint has non-finite coordinates")
+    return grid.cell_indices(endpoint).astype(np.int64)
 
 
 class ControllerBank:
@@ -84,8 +108,8 @@ class ControllerBank:
         self._nbr_ref = refs[:, 1:, :]
         self._evaluate = model.evaluator(self.agent)
 
-        times, states, derivs = rk4_path(lambda t, y: self.frozen_field(y),
-                                         self._own_ref, 0.0, params.period, self.substeps)
+        times, states, derivs = rk4_path(*_reference_problem(self._evaluate, refs,
+                                                             params.period, self.substeps))
         self.dense = DenseTrajectory(times, states, derivs)
 
     @property
@@ -191,10 +215,7 @@ class ControllerBank:
     def target_cells(self) -> np.ndarray:
         """Cell of each member's reference endpoint, as ``grid.cell_of`` gives it;
         a (B, n) int64 array."""
-        endpoint = self.endpoint
-        if not np.all(np.isfinite(endpoint)):
-            raise ValueError("reference endpoint has non-finite coordinates")
-        return self.grid.cell_indices(endpoint).astype(np.int64)
+        return endpoint_cells(self.grid, self.endpoint)
 
 
 def sample_inflated_cell(grid, cell, radius, count, rng):

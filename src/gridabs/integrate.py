@@ -44,19 +44,35 @@ def knot_times(t0, t1, steps):
     return np.linspace(float(t0), float(t1), steps + 1)
 
 
+def _uniform_steps(field, y0, t0, t1, steps):
+    """The uniform knots of [t0, t1] and the `rk4_steps` generator through them."""
+    times = knot_times(t0, t1, steps)
+    return times, rk4_steps(field, y0, times)
+
+
 def rk4_path(field, y0, t0, t1, steps):
     """Integrate dy/dt = field(t, y) on [t0, t1] with ``steps`` uniform RK4 steps.
 
     Returns (times, states, derivs) with the field also evaluated at every
     knot; ``y0`` may have any shape as long as ``field`` preserves it.
     """
-    times = knot_times(t0, t1, steps)
+    times, knots = _uniform_steps(field, y0, t0, t1, steps)
     states = np.empty(times.shape + np.shape(y0))
     derivs = np.empty_like(states)
-    for m, (y, dy) in enumerate(rk4_steps(field, y0, times)):
+    for m, (y, dy) in enumerate(knots):
         states[m] = y
         derivs[m] = dy
     return times, states, derivs
+
+
+def rk4_endpoint(field, y0, t0, t1, steps):
+    """The state at t1 of `rk4_path` with the same arguments, bit for bit.
+
+    Only the current knot is kept, so memory does not grow with ``steps``.
+    """
+    for y, _ in _uniform_steps(field, y0, t0, t1, steps)[1]:
+        pass
+    return y
 
 
 def _hermite_weights(theta, width):

@@ -114,32 +114,28 @@ def test_enumeration_chunks_follow_the_product_order(degree, chunk, ref_grid, mo
     product = list(itertools.product(window.cells(), repeat=degree + 1))
     assert [tuple(map(tuple, cfg)) for cfg in configs.tolist()] == product
 
-    # the build cuts the array into banks of at most ``chunk`` consecutive rows
+    # the build cuts the reference points into batches of at most ``chunk``
+    # consecutive rows
     chunks = []
 
-    class StubBank:
-        def __init__(self, model, grid, params, agent, cells, substeps):
-            chunks.append(cells)
-            self.size = len(cells)
-            self.endpoint = grid.cell_center(cells[:, 0])
+    def stub_endpoints(model, params, agent, refs, substeps):
+        chunks.append(refs)
+        return refs[:, 0]
 
-        def target_cells(self):
-            return chunks[-1][:, 0]
-
-    monkeypatch.setattr(abstraction, "ControllerBank", StubBank)
-    targets, marginal = abstraction._bank_targets(None, ref_grid, None, 0, configs,
-                                                  chunk, 1)
+    monkeypatch.setattr(abstraction, "reference_endpoints", stub_endpoints)
+    monkeypatch.setattr(abstraction, "BUILD_ROWS", chunk)
+    refs = ref_grid.cell_center(configs)
+    targets, marginal = abstraction._reference_targets(None, ref_grid, None, 0, refs, 1)
     np.testing.assert_array_equal(targets, configs[:, 0])
     assert not marginal.any()
-    assert all(c.dtype == np.int64 and c.shape[1:] == (degree + 1, 2) for c in chunks)
+    assert all(c.shape[1:] == (degree + 1, 2) for c in chunks)
     assert all(1 <= len(c) <= chunk for c in chunks)
-    rows = [tuple(map(tuple, cfg)) for c in chunks for cfg in c.tolist()]
-    assert rows == product
+    np.testing.assert_array_equal(ref_grid.cell_indices(np.concatenate(chunks)), configs)
 
 
 def test_enumeration_cap_comes_before_any_bank(ref_model, ref_grid, ref_params, ref_window,
                                               monkeypatch):
-    sizes = record_bank_sizes(monkeypatch)
+    sizes = record_batch_sizes(monkeypatch)
     monkeypatch.setattr(abstraction, "MAX_ACTIONS", 728)
     with pytest.raises(EnumerationCap):
         build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
@@ -376,21 +372,17 @@ def test_certification_memory_does_not_grow_with_the_window(ref_model, ref_grid,
     assert large <= 1.25 * small
 
 
-def record_bank_sizes(monkeypatch):
-    """Sizes of the banks the abstraction builds, in order."""
+def record_batch_sizes(monkeypatch):
+    """Sizes of the batches of reference endpoints the build integrates, in order."""
     sizes = []
+    integrate = abstraction.reference_endpoints
 
-    def recording_bank(model, grid, params, agent, configs, *args, **kwargs):
-        sizes.append(len(configs))
-        return ControllerBank(model, grid, params, agent, configs, *args, **kwargs)
+    def recording_endpoints(model, params, agent, refs, substeps):
+        sizes.append(len(refs))
+        return integrate(model, params, agent, refs, substeps)
 
-    monkeypatch.setattr(abstraction, "ControllerBank", recording_bank)
+    monkeypatch.setattr(abstraction, "reference_endpoints", recording_endpoints)
     return sizes
-
-
-def budget_for(members, substeps, model):
-    """A dense-output budget that holds ``members`` configurations at ``substeps``."""
-    return members * 16 * (substeps + 1) * model.network.dimension
 
 
 def undeclared(model):
@@ -402,20 +394,19 @@ def undeclared(model):
 
 def test_chunked_build_matches_one_bank(ref_model, ref_grid, ref_params, ref_window,
                                         monkeypatch):
-    sizes = record_bank_sizes(monkeypatch)
-    default = abstraction.BUILD_DENSE_BYTES
+    sizes = record_batch_sizes(monkeypatch)
+    default = abstraction.BUILD_ROWS
     for model, one_bank, chunks in [
             # 729 configurations: seven chunks of 100 and a partial one of 29
             (undeclared(ref_model), [729], [100] * 7 + [29]),
             # 361 offset classes: three chunks of 100 and a partial one of 61
             (ref_model, [361], [100] * 3 + [61])]:
-        monkeypatch.setattr(abstraction, "BUILD_DENSE_BYTES", default)
+        monkeypatch.setattr(abstraction, "BUILD_ROWS", default)
         sizes.clear()
         whole = build_transition_system(model, ref_grid, ref_params, 1, ref_window,
                                         substeps=16)
         assert sizes == one_bank
-        monkeypatch.setattr(abstraction, "BUILD_DENSE_BYTES",
-                            budget_for(100, 16, ref_model))
+        monkeypatch.setattr(abstraction, "BUILD_ROWS", 100)
         sizes.clear()
         chunked = build_transition_system(model, ref_grid, ref_params, 1, ref_window,
                                           substeps=16)
@@ -433,11 +424,11 @@ def test_relative_build_equals_the_full_build(path_network, ref_grid, monkeypatc
     grid = ga.GridDecomposition(2, ref_grid.side, origin)
     params = ga.check_discretization(model, grid.diameter(), 0.02)
     window = Window(((-1, width - 2), (-2, width - 3)))
-    sizes = record_bank_sizes(monkeypatch)
+    sizes = record_batch_sizes(monkeypatch)
     for agent in range(3):
         sizes.clear()
         relative = build_transition_system(model, grid, params, agent, window, substeps=32)
-        # one bank of the offset classes, and no marginal class integrated again
+        # one batch of the offset classes, and no marginal class integrated again
         assert sizes == [classes[agent]]
         full = build_transition_system(undeclared(model), grid, params, agent, window,
                                        substeps=32)
@@ -502,11 +493,51 @@ def test_verify_transition_accepts_moved_transitions(drift_setup, ref_grid, ref_
         assert check.min_margin > 0.0 and not check.marginal
 
 
+@pytest.mark.parametrize("origin", [(0.0, 0.0), (1e6, -1e6)])
+@pytest.mark.parametrize("builtin", [ga.saturated_consensus, ga.smooth_consensus, None],
+                         ids=["saturated_consensus", "smooth_consensus", "drifting"])
+def test_build_targets_are_the_controllers_targets(path_network, ref_grid, ref_window,
+                                                   request, monkeypatch, builtin, origin):
+    grid = ga.GridDecomposition(2, ref_grid.side, origin)
+    if builtin is None:
+        model, params = request.getfixturevalue("drift_setup")
+    else:
+        model = builtin(path_network, gain=0.5, input_bound=0.5)
+        params = ga.check_discretization(model, grid.diameter(), 0.02)
+    integrate = abstraction.reference_endpoints
+    batches = []
+
+    def recording_endpoints(model, params, agent, refs, substeps):
+        endpoint = integrate(model, params, agent, refs, substeps)
+        batches.append((refs, endpoint))
+        return endpoint
+
+    monkeypatch.setattr(abstraction, "reference_endpoints", recording_endpoints)
+    moved = False
+    for agent in range(3):
+        for m in (model, undeclared(model)):
+            batches.clear()
+            ts = build_transition_system(m, grid, params, agent, ref_window, substeps=32)
+            bank = ControllerBank(m, grid, params, agent, ts.action_cells, substeps=32)
+            np.testing.assert_array_equal(ts.target_cells, bank.target_cells())
+            # each integrated row, found by its reference points, ends where the
+            # bank's member ends, bit for bit
+            row_of = {r.tobytes(): k for k, r in enumerate(ts.reference_points)}
+            rows = [row_of[r.tobytes()] for refs, _ in batches for r in refs]
+            endpoints = np.concatenate([e for _, e in batches])
+            assert endpoints.shape == (len(rows), 2)
+            np.testing.assert_array_equal(endpoints.view(np.int64),
+                                          bank.endpoint[rows].view(np.int64))
+            moved |= bool(np.any(ts.target_cells != ts.action_cells[:, 0]))
+    # only the drifting model's targets leave their sources
+    assert moved == (builtin is None)
+
+
 def test_marginal_classes_are_integrated_row_by_row(ref_model, ref_grid, ref_params,
                                                    ref_window, monkeypatch):
     full = build_transition_system(undeclared(ref_model), ref_grid, ref_params, 1,
                                    ref_window, substeps=16)
-    sizes = record_bank_sizes(monkeypatch)
+    sizes = record_batch_sizes(monkeypatch)
     # every endpoint is within one side of a face: every class is marginal
     monkeypatch.setattr(abstraction, "MARGINAL_REL", 1.0)
     relative = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
@@ -517,8 +548,8 @@ def test_marginal_classes_are_integrated_row_by_row(ref_model, ref_grid, ref_par
 
 def test_build_memory_does_not_grow_with_substeps(ref_model, ref_grid, ref_params,
                                                   ref_window, monkeypatch):
-    # a budget of 64 configurations at 128 substeps splits the 729 at either count
-    monkeypatch.setattr(abstraction, "BUILD_DENSE_BYTES", budget_for(64, 128, ref_model))
+    # batches of 64 rows split the 361 offset classes at either count
+    monkeypatch.setattr(abstraction, "BUILD_ROWS", 64)
 
     def peak(substeps):
         tracemalloc.start()

@@ -6,8 +6,9 @@ cell's upper face ``<x> + <grid>.side``, the diameter bound with its slack
 ``bound * (1.0 + ATOL)``, or a ``FeasibilityError`` whose message says "not
 admissible". A second function holding one of them is a copy that a change
 to the check would have to find.
-Likewise only ``rk4_path`` builds a knot grid: the closed loop steps on its
-controller banks' grid instead of building its own; only ``DenseTrajectory``
+Likewise only the uniform-step generator behind ``rk4_path`` and
+``rk4_endpoint`` builds a knot grid: the closed loop steps on its controller
+banks' grid instead of building its own; only ``DenseTrajectory``
 matches one time to its knots, by bisection; and only
 ``GridDecomposition`` maps cell indices to coordinates (``origin + side * ...``).
 A transition system keeps its transitions as arrays, so only its row view
@@ -106,7 +107,7 @@ def _calls(name):
 
 
 def test_knot_grid_is_built_in_one_place():
-    assert _homes(_calls("knot_times")) == {"integrate.rk4_path"}
+    assert _homes(_calls("knot_times")) == {"integrate._uniform_steps"}
 
 
 def test_one_time_is_matched_to_its_knots_in_the_dense_output():
