@@ -23,7 +23,7 @@ from .controller import (DEFAULT_BOUND_SAMPLES, DEFAULT_SUBSTEPS, ControllerBank
                          endpoint_cells, reference_endpoints, sample_feedback_bound)
 from .dynamics import project_configuration
 from .geometry import CellConfiguration, CellIndex
-from .simulate import exceeds_input_bound, integrate_closed_loop_batch
+from .simulate import check_input_bound, exceeds_input_bound, integrate_closed_loop_batch
 
 MAX_ACTIONS = 10**6
 DEFAULT_TRIALS = 500
@@ -281,20 +281,6 @@ def _reference_targets(model, grid, params, agent, refs, substeps):
     return targets, marginal
 
 
-def _offset_classes(cells, radix):
-    """Class index per configuration of ``cells`` (T, m+1, n), and the first row of
-    each class: two configurations share a class when their neighbor offsets
-    z_j - z0 agree. The m*n offsets become one int64 key in mixed radix, where
-    ``radix`` gives 2W - 1 values to an axis of W window cells; the key space
-    prod(radix) is below T^2 <= MAX_ACTIONS^2, so the keys fit in int64."""
-    keys = np.zeros(len(cells), dtype=np.int64)
-    for column, base in zip((cells[:, 1:] - cells[:, :1]).reshape(len(cells), -1).T, radix):
-        keys *= base
-        keys += column + base // 2
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return inverse, first
-
-
 def build_transition_system(model, grid, params, agent, window,
                             substeps=DEFAULT_SUBSTEPS) -> TransitionSystem:
     """Enumerate every configuration over the window and record its transition.
@@ -306,31 +292,32 @@ def build_transition_system(model, grid, params, agent, window,
     time; every row is integrated elementwise, so the transitions do not depend
     on the batch size and equal the controllers' `ControllerBank.target_cells`.
 
-    For a model declared ``translation_invariant`` the reference trajectory
-    from cell centers depends only on the neighbor offsets z_j - z0, so only
-    the first configuration of each offset class is integrated, and every
-    row's target is its own cell plus its class's target offset. A class whose
-    reference endpoint is marginal (`marginal_endpoints`) has all its rows
-    integrated, so ulp differences between translated trajectories never
-    change a target. Either way the rows keep the product order of
+    Every model takes one path. The rows fall into classes (`_distinct_rows`
+    of a class key); the first row of each class is integrated, and every row's
+    target is its own cell plus its class's target offset. A class whose
+    reference endpoint is marginal (`marginal_endpoints`) has its other rows
+    integrated too, each on its own, so ulp differences between translated
+    trajectories never change a target. The key is the only branch: for a model declared
+    ``translation_invariant`` the reference trajectory from cell centers
+    depends only on the neighbor offsets z_j - z0, which are the key; for any
+    other model the key is the whole configuration, so each row is its own
+    class. Either way the rows keep the product order of
     `enumerate_configurations` and their reference points are the cell centers.
     """
     require_admissible(params)
-    degree = model.network.degree(agent)
-    cells = enumerate_configurations(window, degree)
+    cells = enumerate_configurations(window, model.network.degree(agent))
     refs = grid.cell_center(cells)
-    if model.translation_invariant:
-        radix = [2 * (hi - lo) + 1 for lo, hi in window.ranges] * degree
-        inverse, first = _offset_classes(cells, radix)
-        targets, marginal = _reference_targets(model, grid, params, agent, refs[first],
-                                               substeps)
-        target_cells = cells[:, 0] + (targets - cells[first, 0])[inverse]
-        redo = np.flatnonzero(marginal[inverse])
-        if len(redo):
-            target_cells[redo] = _reference_targets(model, grid, params, agent, refs[redo],
-                                                    substeps)[0]
-    else:
-        target_cells = _reference_targets(model, grid, params, agent, refs, substeps)[0]
+    # the class key: the own cell's zero offset keeps it nonempty for an agent
+    # without neighbors, and it is freed before the integration
+    first, inverse = _distinct_rows(cells - cells[:, :1] if model.translation_invariant
+                                    else cells)
+    targets, marginal = _reference_targets(model, grid, params, agent, refs[first], substeps)
+    target_cells = cells[:, 0] + (targets - cells[first, 0])[inverse]
+    # a class's first row would integrate to its first endpoint again, bit for bit
+    redo = marginal[inverse]
+    redo[first] = False
+    target_cells[redo] = _reference_targets(model, grid, params, agent, refs[redo],
+                                            substeps)[0]
     return TransitionSystem(agent, window, cells, target_cells, refs)
 
 
@@ -356,7 +343,9 @@ def verify_transition(model, grid, params, transition, window, trials=DEFAULT_TR
     gets a constructive controller with reference points drawn uniformly
     inside its cells, and the global configuration is redrawn per trial from
     the window, consistent with the verified action. A run whose endpoint
-    leaves the declared target cell raises WellPosednessViolation.
+    leaves the declared target cell raises WellPosednessViolation; then an
+    input beyond the model's budget at any knot of any agent raises
+    InputBoundViolation (`check_input_bound`).
     """
     rng = np.random.default_rng(seed)
     net = model.network
@@ -375,14 +364,11 @@ def verify_transition(model, grid, params, transition, window, trials=DEFAULT_TR
     # global cell assignment per trial, consistent with the verified action,
     # as integer cells shaped (trials, N, n)
     assignment = np.empty((trials, count, n), dtype=np.int64)
-    fixed = {i: transition.source}
-    for k, j in enumerate(net.neighbors[i]):
-        fixed[j] = transition.action[k + 1]
+    acting = [i, *net.neighbors[i]]
+    assignment[:, acting] = transition.action
     window_cells = np.array(cells, dtype=np.int64)
     for j in range(count):
-        if j in fixed:
-            assignment[:, j] = fixed[j]
-        else:
+        if j not in acting:
             assignment[:, j] = window_cells[rng.integers(0, len(cells), size=trials)]
 
     controllers = []
@@ -414,6 +400,7 @@ def verify_transition(model, grid, params, transition, window, trials=DEFAULT_TR
         raise WellPosednessViolation(
             f"trial {b}: agent {i} landed in {witness['landed']} instead of "
             f"{transition.target}", witness)
+    check_input_bound(trajectory, model)
 
     margins = grid.cell_box(transition.target).face_margin(endpoints)
     # ten bins between the extremes, as np.histogram draws them; equal or

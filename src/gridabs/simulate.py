@@ -18,6 +18,7 @@ evaluating the full feedback afresh at every stage.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,19 +175,15 @@ def integrate_closed_loop_batch(controllers, x0):
     evaluators = [model.evaluator(i) for i in range(count)]
     starts = [np.ascontiguousarray(x0[:, i]) for i in range(count)]
     homing = [bank.offset_homing(starts[i]) for i, bank in enumerate(banks)]
-    drift_memo = {}
     feedback = [None] * count
 
+    @functools.lru_cache(maxsize=1)
     def drifts(t):
         # per agent: the drift compensation at t, which depends only on t. RK4
         # asks for each stage time twice in a row: k2 and k3 at the half step,
         # then k4 and the knot at t + h == t_next (the knots start at 0, so h is
-        # exact). One memo entry is enough.
-        if t not in drift_memo:
-            drift_memo.clear()
-            drift_memo[t] = [bank.drift_compensation(t, starts[i])
-                             for i, bank in enumerate(banks)]
-        return drift_memo[t]
+        # exact). One cached entry is enough.
+        return [bank.drift_compensation(t, starts[i]) for i, bank in enumerate(banks)]
 
     def rate(t, y):
         drift = drifts(t)

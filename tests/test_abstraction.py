@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import gridabs as ga
 import gridabs.abstraction as abstraction
+import gridabs.simulate as simulate
 from gridabs.abstraction import (CompositionViolation, EnumerationCap, Transition,
                                  Window, WellPosednessViolation,
                                  agent_transition, build_transition_system,
@@ -21,7 +22,7 @@ from gridabs.admissibility import FeasibilityError
 from gridabs.controller import ControllerBank, sample_feedback_bound
 from gridabs.dynamics import project_configuration
 from gridabs.geometry import CellConfiguration
-from gridabs.simulate import INPUT_ATOL
+from gridabs.simulate import INPUT_ATOL, InputBoundViolation
 
 
 def test_window_enumeration():
@@ -194,6 +195,17 @@ def test_verify_transition_rejects_tampered_target(ref_model, ref_grid, ref_para
     with pytest.raises(ValueError):
         verify_transition(ref_model, ref_grid, ref_params, tampered, ref_window,
                           trials=10, seed=0, substeps=32)
+
+
+def test_verify_transition_checks_the_input_budget(ref_model, ref_grid, ref_params,
+                                                   ref_window, monkeypatch):
+    ts = build_transition_system(ref_model, ref_grid, ref_params, 0, ref_window,
+                                 substeps=16)
+    # a negative slack puts every logged |k| over the budget
+    monkeypatch.setattr(simulate, "INPUT_ATOL", -1.0)
+    with pytest.raises(InputBoundViolation):
+        verify_transition(ref_model, ref_grid, ref_params, ts.transitions[10], ref_window,
+                          trials=10, seed=0, substeps=16)
 
 
 def pushed_endpoints(monkeypatch, moves):
@@ -481,6 +493,46 @@ def test_relative_build_equals_the_full_build_where_targets_move(drift_setup, re
         assert np.all(moves == (2, 0))
 
 
+@pytest.fixture(scope="module")
+def spread_setup(path_network):
+    """Smooth consensus on cells of a tenth of the largest admissible diameter, at
+    0.9 of the longest period: agent 1's targets on a 5x5 window move by
+    different offsets from class to class."""
+    model = ga.smooth_consensus(path_network, gain=0.1, input_bound=0.198, scale=1.0)
+    side = 0.1 * ga.diameter_upper_bound(model) / np.sqrt(2.0)
+    diameter = ga.GridDecomposition(2, side).diameter()
+    period = 0.9 * ga.admissible_period_interval(model, diameter)[1]
+    params = ga.check_discretization(model, diameter, period)
+    return model, side, params, Window(((-2, 2), (-2, 2)))
+
+
+@pytest.mark.parametrize("origin", [(0.0, 0.0), (1e6, -1e6)])
+def test_relative_build_equals_the_full_build_where_offsets_differ(spread_setup, origin):
+    model, side, params, window = spread_setup
+    grid = ga.GridDecomposition(2, side, origin)
+    relative = build_transition_system(model, grid, params, 1, window, substeps=32)
+    moves = relative.target_cells - relative.action_cells[:, 0]
+    # classes move by different offsets, so a row given another class's offset shows
+    assert len(set(map(tuple, moves.tolist()))) > 1
+    assert relative == build_transition_system(undeclared(model), grid, params, 1, window,
+                                                substeps=32)
+    # both builds share the gather; the controllers integrate every row on their own
+    bank = ControllerBank(model, grid, params, 1, relative.action_cells, substeps=32)
+    np.testing.assert_array_equal(relative.target_cells, bank.target_cells())
+
+
+def test_verify_transition_accepts_transitions_of_differing_offsets(spread_setup):
+    model, side, params, window = spread_setup
+    grid = ga.GridDecomposition(2, side)
+    ts = build_transition_system(model, grid, params, 1, window, substeps=64)
+    moved = np.flatnonzero(np.any(ts.target_cells != ts.action_cells[:, 0], axis=1))
+    for k in moved[::len(moved) // 4][:4]:
+        transition = ts.transitions[k]
+        check = verify_transition(model, grid, params, transition, window, trials=100,
+                                  seed=0, substeps=64)
+        assert check.min_margin > 0.0 and not check.marginal
+
+
 def test_verify_transition_accepts_moved_transitions(drift_setup, ref_grid, ref_window):
     model, params = drift_setup
     for agent in range(3):
@@ -538,12 +590,25 @@ def test_marginal_classes_are_integrated_row_by_row(ref_model, ref_grid, ref_par
     full = build_transition_system(undeclared(ref_model), ref_grid, ref_params, 1,
                                    ref_window, substeps=16)
     sizes = record_batch_sizes(monkeypatch)
-    # every endpoint is within one side of a face: every class is marginal
+    # every endpoint is within one side of a face: every class is marginal, and the
+    # 729 - 361 rows that are not a class's first are integrated again
     monkeypatch.setattr(abstraction, "MARGINAL_REL", 1.0)
     relative = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
                                        substeps=16)
-    assert sizes == [361, 729]
+    assert sizes == [361, 368]
     assert relative == full
+
+
+def test_an_agent_without_neighbors_is_one_class(ref_grid, ref_window, monkeypatch):
+    model = ga.saturated_consensus(ga.AgentNetwork.from_edges(2, 3, [(0, 1)]), gain=0.5,
+                                   input_bound=0.4)
+    lo, hi = ga.admissible_period_interval(model, ref_grid.diameter())
+    params = ga.check_discretization(model, ref_grid.diameter(), 0.5 * (lo + hi))
+    sizes = record_batch_sizes(monkeypatch)
+    relative = build_transition_system(model, ref_grid, params, 2, ref_window, substeps=8)
+    assert sizes == [1]
+    assert relative == build_transition_system(undeclared(model), ref_grid, params, 2,
+                                                ref_window, substeps=8)
 
 
 def test_build_memory_does_not_grow_with_substeps(ref_model, ref_grid, ref_params,

@@ -14,7 +14,9 @@ matches one time to its knots, by bisection; and only
 A transition system keeps its transitions as arrays, so only its row view
 and ``from_json`` construct ``Transition`` objects; the closed loop reports
 all its runs in one batched ``MonitorReport``, so only the batched integrator
-and the worst-case reduction construct one. The input budget v has one home,
+and the worst-case reduction construct one. Rows are told apart in one
+place, ``_distinct_rows``: the build's classes, the distinct actions and the
+writers' tables all come from it. The input budget v has one home,
 the model: both budget checks read ``model.input_bound``, and the
 discretization parameters hold no copy of it.
 """
@@ -165,3 +167,8 @@ def test_the_input_budget_is_read_from_the_model():
 def test_monitor_reports_are_built_in_two_places():
     assert _homes(_calls("MonitorReport")) == {
         "simulate.integrate_closed_loop_batch", "simulate.MonitorReport.worst"}
+
+
+def test_rows_are_deduplicated_in_one_place():
+    assert _homes(_calls("lexsort")) == {"abstraction._distinct_rows"}
+    assert _homes(_calls("unique")) == set()
