@@ -55,12 +55,8 @@ class WellPosednessViolation(RuntimeError):
         self.witness = witness
 
 
-class CompositionViolation(RuntimeError):
+class CompositionViolation(WellPosednessViolation):
     """A jointly executed plan missed at least one declared target."""
-
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -441,7 +437,9 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
 
     The controllers come from `plan_controllers`. The joint closed loop is
     then sampled from uniform initial states in the source cells; every agent
-    must land in its target simultaneously. Returns (controllers, the
+    must land in its target simultaneously, else CompositionViolation, and
+    then every input must stay within the model's budget, else
+    InputBoundViolation (`check_input_bound`). Returns (controllers, the
     samples' worst-case MonitorReport, fields shaped (N,)).
     """
     net = model.network
@@ -469,6 +467,7 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
         raise CompositionViolation(
             f"run {b}: agent {bad} landed in {landed} instead of "
             f"{target_cells[bad]}", witness)
+    check_input_bound(trajectory, model)
     return controllers, report.worst()
 
 
@@ -479,7 +478,6 @@ class BoundCertificate:
     agent: int
     configurations: int
     samples_per_configuration: int
-    input_bound: float
     max_magnitude: float
     worst_configuration: tuple[CellIndex, ...]
     worst_witness: dict
@@ -492,14 +490,14 @@ class BoundCertificate:
 
 def certify_window_input_bound(model, grid, params, agent, window,
                                samples=DEFAULT_BOUND_SAMPLES, seed=0,
-                               reference_policy="center", substeps=DEFAULT_SUBSTEPS,
-                               stop_on_violation=False) -> BoundCertificate:
+                               reference_policy="center",
+                               substeps=DEFAULT_SUBSTEPS) -> BoundCertificate:
     """Sample |feedback| over every configuration of the window for one agent.
 
     ``reference_policy`` "center" uses cell centers; "random" draws the
     reference points uniformly inside the declared cells, exercising the
-    whole constructive controller family. Violations collect configurations
-    whose sampled maximum exceeds the input budget.
+    whole constructive controller family. Every configuration is sampled;
+    violations collect each one whose sampled maximum exceeds the input budget.
 
     The configurations are integrated in banks of at most CERTIFY_CHUNK
     members and sampled one member at a time, each from its own seed; the
@@ -517,7 +515,6 @@ def certify_window_input_bound(model, grid, params, agent, window,
     worst_cfg = None
     worst_witness = None
     violations = []
-    checked = 0
     configs = enumerate_configurations(window, m)
     for start in range(0, len(configs), CERTIFY_CHUNK):
         chunk = configs[start:start + CERTIFY_CHUNK]
@@ -531,7 +528,6 @@ def certify_window_input_bound(model, grid, params, agent, window,
         for b, cells in enumerate(chunk):
             magnitude, witness = sample_feedback_bound(bank.member(b), samples=samples,
                                                        seed=seeds[b])
-            checked += 1
             cfg = tuple(map(tuple, cells.tolist()))
             if magnitude > best:
                 best = magnitude
@@ -539,17 +535,12 @@ def certify_window_input_bound(model, grid, params, agent, window,
                 worst_witness = witness
             if exceeds_input_bound(magnitude, model.input_bound):
                 violations.append((cfg, magnitude))
-                if stop_on_violation:
-                    break
         # free this chunk's dense output before the next chunk is integrated
         del bank
-        if violations and stop_on_violation:
-            break
 
     return BoundCertificate(agent=agent,
-                            configurations=checked,
+                            configurations=len(configs),
                             samples_per_configuration=samples,
-                            input_bound=model.input_bound,
                             max_magnitude=best,
                             worst_configuration=worst_cfg,
                             worst_witness=worst_witness,

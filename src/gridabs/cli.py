@@ -22,9 +22,9 @@ import sys
 
 import numpy as np
 
-from .abstraction import (CompositionViolation, EnumerationCap, WellPosednessViolation,
-                          agent_transition, build_transition_system, plan_controllers,
-                          to_dot, to_json, verify_transition)
+from .abstraction import (EnumerationCap, WellPosednessViolation, agent_transition,
+                          build_transition_system, plan_controllers, to_dot, to_json,
+                          verify_transition)
 from .admissibility import (FeasibilityError, admissible_period_interval,
                             coupling_constants, diameter_upper_bound)
 from .config import ConfigError, load_config
@@ -294,8 +294,8 @@ def main(argv=None) -> int:
     except EnumerationCap as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FeasibilityError, WellPosednessViolation, CompositionViolation,
-            InputBoundViolation, ConstantsViolation) as exc:
+    except (FeasibilityError, WellPosednessViolation, InputBoundViolation,
+            ConstantsViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ValueError, TypeError) as exc:

@@ -24,6 +24,9 @@ from .geometry import CellConfiguration, component_sum_squares, row_norm
 
 _TINY = np.finfo(float).tiny
 DEFAULT_VALIDATION_TRIALS = 10000
+# Radius of the ball per agent from which validate_constants draws its states;
+# it is also the largest perturbation scale.
+SAMPLE_RADIUS = 1.0
 
 # Observed Lipschitz quotients can exceed the declared constant by float
 # roundoff (the saturated-consensus self block attains it exactly), so a
@@ -139,19 +142,6 @@ class DynamicsModel:
         if self.evaluators is None:
             raise RuntimeError("model declares constants only and has no evaluators")
         return self.evaluators[agent]
-
-    def feedback(self, agent, states) -> np.ndarray:
-        """Evaluate f_agent on stacked states shaped ``(..., N, n)``."""
-        states = np.asarray(states, dtype=float)
-        net = self.network
-        if states.shape[-2:] != (net.agent_count, net.dimension):
-            raise ValueError(f"expected states shaped (..., {net.agent_count}, "
-                             f"{net.dimension}), got {states.shape}")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("states have non-finite entries")
-        own = states[..., agent, :]
-        nbrs = states[..., list(net.neighbors[agent]), :]
-        return self.evaluator(agent)(own, nbrs)
 
 
 def _sum_in_order(parts, out=None):
@@ -306,11 +296,10 @@ def _uniform_ball(rng, count, dim, radius):
     return direction * r
 
 
-def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, sample_radius=1.0,
-                       seed=0) -> ValidationReport:
+def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, seed=0) -> ValidationReport:
     """Sample-test the declared constants; raise ConstantsViolation on a witness.
 
-    Draws random state tuples in a ball of ``sample_radius`` per agent and
+    Draws random state tuples in a ball of SAMPLE_RADIUS per agent and
     difference-quotient pairs from single-coordinate perturbations at several
     scales, tracking |f_i| / feedback_bound and the two Lipschitz quotients.
     A model declared ``translation_invariant`` must then keep f_i, up to
@@ -321,7 +310,7 @@ def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, sample_radius=1.
     rng = np.random.default_rng(seed)
     net = model.network
     count, dim = net.agent_count, net.dimension
-    scales = (1e-3, 1e-1, 1.0, float(sample_radius))
+    scales = (1e-3, 1e-1, 1.0, SAMPLE_RADIUS)
 
     worst = {"feedback_bound": 0.0, "neighbor_lipschitz": 0.0, "self_lipschitz": 0.0,
              "translation_invariant": 0.0}
@@ -335,7 +324,7 @@ def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, sample_radius=1.
             witness = {"states": states[k], "perturbed": None if perturbed is None else perturbed[k]}
             raise ConstantsViolation(kind, float(ratios[k]), agent, witness)
 
-    states = np.stack([_uniform_ball(rng, trials, dim, sample_radius)
+    states = np.stack([_uniform_ball(rng, trials, dim, SAMPLE_RADIUS)
                        for _ in range(count)], axis=1)  # (T, N, n)
     for i in range(count):
         ev = model.evaluator(i)

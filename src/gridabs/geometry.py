@@ -115,17 +115,12 @@ def first_true(mask):
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned half-open box [lo, hi); distances use its closure."""
+    """Axis-aligned box between corners ``lo`` and ``hi``; distances use its closure.
+
+    Which cell holds a point is decided by `GridDecomposition.cell_indices` alone."""
 
     lo: np.ndarray
     hi: np.ndarray
-
-    @property
-    def center(self):
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x):
-        return bool(np.all(x >= self.lo) and np.all(x < self.hi))
 
     def face_margin(self, x):
         """Distance from points ``x`` (..., n) to the nearest face; negative outside."""

@@ -208,6 +208,18 @@ def test_verify_transition_checks_the_input_budget(ref_model, ref_grid, ref_para
                           trials=10, seed=0, substeps=16)
 
 
+def test_compose_plan_checks_the_input_budget(ref_model, ref_grid, ref_params, monkeypatch):
+    source = ((0, 0), (1, 0), (0, 1))
+    targets = tuple(agent_transition(ref_model, ref_grid, ref_params,
+                                     project_configuration(ref_model.network, source, i),
+                                     substeps=16)[0] for i in range(3))
+    # a negative slack puts every logged |k| over the budget; the plan still lands
+    monkeypatch.setattr(simulate, "INPUT_ATOL", -1.0)
+    with pytest.raises(InputBoundViolation):
+        compose_plan(ref_model, ref_grid, ref_params, source, targets, samples=8,
+                     seed=1, substeps=16)
+
+
 def pushed_endpoints(monkeypatch, moves):
     """Make the closed loop shift the final state of (run, agent) by a vector."""
     integrate = abstraction.integrate_closed_loop_batch
@@ -293,14 +305,13 @@ def test_certificate_fails_below_admissible_period(ref_model, ref_grid, ref_wind
     bad = ga.check_discretization(ref_model, 0.004, 0.005)
     cert = certify_window_input_bound(ref_model, ref_grid, bad, 1, ref_window,
                                       samples=1500, seed=0,
-                                      reference_policy="random", substeps=16,
-                                      stop_on_violation=True)
+                                      reference_policy="random", substeps=16)
     assert not cert.ok
     assert cert.max_magnitude > ref_model.input_bound
 
 
 def per_configuration_certificate(model, grid, params, agent, window, samples, seed,
-                                  reference_policy, substeps, stop_on_violation=False):
+                                  reference_policy, substeps):
     """The certificate as one size-1 bank per configuration, same draws in order."""
     rng = np.random.default_rng(seed)
     degree = model.network.degree(agent)
@@ -317,8 +328,6 @@ def per_configuration_certificate(model, grid, params, agent, window, samples, s
             best, worst_cfg, worst_witness = magnitude, cfg, witness
         if magnitude > model.input_bound + INPUT_ATOL:
             violations.append((cfg, magnitude))
-            if stop_on_violation:
-                break
     return checked, best, worst_cfg, worst_witness, tuple(violations)
 
 
@@ -347,23 +356,21 @@ def test_chunked_certificate_matches_per_configuration_loop(ref_model, ref_grid,
     assert cert.ok
 
 
-@pytest.mark.parametrize("period, samples, seed, substeps, stops_at", [
-    (0.005, 2000, 17, 32, 1),     # the acceptance suite's negative control
-    (0.0075, 100, 1, 8, 144),     # first violation in the third chunk
+@pytest.mark.parametrize("period, samples, seed, substeps, violations", [
+    (0.005, 2000, 17, 32, 645),   # the acceptance suite's negative control
+    (0.0075, 100, 1, 8, 12),      # first violation in the third chunk
 ])
-def test_chunked_certificate_stops_at_the_same_configuration(
-        ref_model, ref_grid, ref_window, period, samples, seed, substeps, stops_at):
+def test_chunked_certificate_reports_every_violation(
+        ref_model, ref_grid, ref_window, period, samples, seed, substeps, violations):
     bad = ga.check_discretization(ref_model, 0.004, period)
     cert = certify_window_input_bound(ref_model, ref_grid, bad, 1, ref_window,
                                       samples=samples, seed=seed,
-                                      reference_policy="random", substeps=substeps,
-                                      stop_on_violation=True)
+                                      reference_policy="random", substeps=substeps)
     expected = per_configuration_certificate(ref_model, ref_grid, bad, 1, ref_window,
-                                             samples, seed, "random", substeps,
-                                             stop_on_violation=True)
+                                             samples, seed, "random", substeps)
     assert_same_certificate(cert, expected)
-    assert cert.configurations == stops_at
-    assert len(cert.violations) == 1
+    assert cert.configurations == 729
+    assert len(cert.violations) == violations
 
 
 def test_certification_memory_does_not_grow_with_the_window(ref_model, ref_grid,

@@ -306,8 +306,7 @@ def test_11_short_period_violates_the_bound(setting, tmp_path):
     assert not bad.admissible
     cert = ga.certify_window_input_bound(model, grid, bad, 1, window,
                                          samples=2000, seed=17,
-                                         reference_policy="random", substeps=32,
-                                         stop_on_violation=True)
+                                         reference_policy="random", substeps=32)
     assert not cert.ok
     assert cert.max_magnitude > model.input_bound
 

@@ -17,8 +17,10 @@ all its runs in one batched ``MonitorReport``, so only the batched integrator
 and the worst-case reduction construct one. Rows are told apart in one
 place, ``_distinct_rows``: the build's classes, the distinct actions and the
 writers' tables all come from it. The input budget v has one home,
-the model: both budget checks read ``model.input_bound``, and the
-discretization parameters hold no copy of it.
+the model: both budget checks read ``model.input_bound``, and neither the
+discretization parameters nor the certificate hold a copy of it. Whether a
+point lies in a cell is decided in one place, ``cell_indices``: no box
+tests membership itself.
 """
 
 import ast
@@ -162,6 +164,14 @@ def test_the_input_budget_is_read_from_the_model():
     assert _homes(_input_bound_of("params")) == set()
     fields = {f.name for f in dataclasses.fields(gridabs.DiscretizationParams)}
     assert fields == {"diameter", "period", "reach_radius", "admissible", "reason"}
+    assert "input_bound" not in {f.name for f in dataclasses.fields(gridabs.BoundCertificate)}
+
+
+def test_points_are_placed_in_cells_in_one_place():
+    assert _homes(_calls("contains")) == set()
+    assert _homes(_calls("cell_indices")) == {"geometry.GridDecomposition.cell_of",
+                                              "geometry.GridDecomposition.first_outside",
+                                              "controller.endpoint_cells"}
 
 
 def test_monitor_reports_are_built_in_two_places():

@@ -82,15 +82,6 @@ def test_smooth_consensus_shape_and_constants(path_network):
     assert small[0] == pytest.approx(0.1 * 1e-6, rel=1e-9)
 
 
-def test_feedback_stacks_agents(path_network):
-    model = saturated_consensus(path_network, gain=0.5, input_bound=0.5)
-    states = np.array([[0.0, 0.0], [0.01, 0.0], [0.02, 0.0]])
-    np.testing.assert_allclose(model.feedback(0, states),
-                               model.evaluator(0)(states[0], states[[1]]))
-    np.testing.assert_allclose(model.feedback(1, states),
-                               model.evaluator(1)(states[1], states[[0, 2]]))
-
-
 @pytest.mark.parametrize("neighbor, own", [(-1.0, 2.0), (1.0, -2.0), (np.nan, 2.0),
                                            (1.0, np.nan)])
 def test_lipschitz_constants_must_be_nonnegative(path_network, neighbor, own):
@@ -136,7 +127,7 @@ def test_validate_constants_catches_understated_bound(path_network):
                            self_lipschitz=good.self_lipschitz,
                            input_bound=good.input_bound)
     with pytest.raises(ConstantsViolation):
-        validate_constants(broken, trials=500, sample_radius=5.0, seed=0)
+        validate_constants(broken, trials=500, seed=0)
 
 
 def test_validate_constants_catches_a_field_that_returns_nan():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gridabs.geometry import (DISTANCE_ATOL, ORDERED_SUM_MAX, Box, CellConfiguration,
+from gridabs.geometry import (DISTANCE_ATOL, ORDERED_SUM_MAX, CellConfiguration,
                               GridDecomposition, box_distance, row_norm, sum_squares)
 
 
@@ -22,9 +22,8 @@ def test_cells_are_half_open():
     grid = GridDecomposition(2, 0.5)
     # lower faces belong to the cell, upper faces to the next one
     assert grid.cell_of([0.5, 0.0]) == (1, 0)
-    box = grid.cell_box((0, 0))
-    assert box.contains([0.0, 0.0])
-    assert not box.contains([0.5, 0.25])
+    assert grid.first_outside(np.array([0.0, 0.0]), (0, 0)) is None
+    assert grid.first_outside(np.array([0.5, 0.25]), (0, 0)) == ()
 
 
 def test_origin_shift():
@@ -153,9 +152,7 @@ def test_cell_corners_inset():
     corners = grid.cell_corners((0, 0))
     assert corners.shape == (4, 2)
     inset = grid.cell_corners((0, 0), inset=0.1)
-    box = grid.cell_box((0, 0))
-    for c in inset:
-        assert box.contains(c)
+    assert grid.first_outside(inset, (0, 0)) is None
     assert np.min(inset) == pytest.approx(0.1)
     assert np.max(inset) == pytest.approx(0.9)
 
@@ -165,13 +162,6 @@ def test_sample_in_cell_is_deterministic():
     a = grid.sample_in_cell((1, 2, -1), np.random.default_rng(7), count=10)
     b = grid.sample_in_cell((1, 2, -1), np.random.default_rng(7), count=10)
     np.testing.assert_array_equal(a, b)
-
-
-def test_box_center_and_contains():
-    box = Box(np.array([0.0, 1.0]), np.array([2.0, 3.0]))
-    np.testing.assert_allclose(box.center, [1.0, 2.0])
-    assert box.contains([0.0, 1.0])
-    assert not box.contains([2.0, 2.0])
 
 
 def test_configuration_split():
