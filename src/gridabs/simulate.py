@@ -152,7 +152,7 @@ def _interpolation_deviation(bank, own_states):
     """
     dense = bank.dense
     remain = (1.0 - dense.times / bank.period)[:, None, None]
-    offset = own_states[0] - bank._own_ref
+    offset = own_states[0] - bank.reference_points[:, 0, :]
     resid = own_states - dense.states - remain * offset
     return row_norm(resid).max(axis=0)
 

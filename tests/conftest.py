@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import gridabs as ga
 
 SIDE = 0.004 / np.sqrt(2.0)
+
+# Every property test sets its own example count except the scenario sweep of
+# test_scenarios.py, which takes it from the loaded profile: 30 setups by
+# default, and 1,000 under `pytest --hypothesis-profile=sweep`.
+settings.register_profile("default", max_examples=30)
+settings.register_profile("sweep", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

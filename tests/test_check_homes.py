@@ -20,7 +20,9 @@ writers' tables all come from it. The input budget v has one home,
 the model: both budget checks read ``model.input_bound``, and neither the
 discretization parameters nor the certificate hold a copy of it. Whether a
 point lies in a cell is decided in one place, ``cell_indices``: no box
-tests membership itself.
+tests membership itself. The builtin fields add their neighbor terms in one
+place, ``_neighbor_field``. No module reads another object's private
+attribute (``x._name`` with ``x`` other than ``self``).
 """
 
 import ast
@@ -182,3 +184,19 @@ def test_monitor_reports_are_built_in_two_places():
 def test_rows_are_deduplicated_in_one_place():
     assert _homes(_calls("lexsort")) == {"abstraction._distinct_rows"}
     assert _homes(_calls("unique")) == set()
+
+
+def test_neighbor_terms_are_added_in_one_place():
+    assert _homes(_calls("_sum_in_order")) == {"dynamics._neighbor_field"}
+    assert not hasattr(gridabs.dynamics, "neighbor_sum")
+
+
+def _foreign_private_read(node):
+    """``x._name`` loaded, ``x`` not ``self`` and ``_name`` not a dunder."""
+    return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_") and not node.attr.endswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+
+
+def test_no_module_reads_another_objects_private_attributes():
+    assert _homes(_foreign_private_read) == set()
