@@ -27,14 +27,15 @@ from .dynamics import (AgentNetwork, ConstantsViolation, DynamicsModel,
 from .geometry import (DISTANCE_ATOL, Box, CellConfiguration, CellIndex,
                        GridDecomposition, box_distance)
 from .integrate import DenseTrajectory, rk4_path
-from .simulate import (InputBoundViolation, IntegrationError, MonitorReport,
-                       Trajectory, check_input_bound, integrate_closed_loop,
-                       integrate_closed_loop_batch)
+from .simulate import (AgentRuns, InputBoundViolation, IntegrationError, MonitorReport,
+                       Trajectory, check_input_bound, integrate_agent_batch,
+                       integrate_closed_loop, integrate_closed_loop_batch)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AgentNetwork",
+    "AgentRuns",
     "BoundCertificate",
     "Box",
     "CellConfiguration",
@@ -73,6 +74,7 @@ __all__ = [
     "coupling_constants",
     "diameter_upper_bound",
     "from_json",
+    "integrate_agent_batch",
     "integrate_closed_loop",
     "integrate_closed_loop_batch",
     "load_config",

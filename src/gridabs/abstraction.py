@@ -5,7 +5,9 @@ configuration (own cell plus declared neighbor cells). The constructive
 successor of an action is the cell reached by the hybrid controller's
 reference trajectory; the guarantee behind it is universal over initial
 states in the own cell and over anything the neighbors do inside their
-declared cells, which is what `verify_transition` tries to falsify.
+declared cells inflated by the reach radius. `verify_transition` tries to
+falsify it: it integrates the agent alone while its neighbors follow
+prescribed signals inside those inflated cells.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .admissibility import require_admissible
 from .controller import (DEFAULT_BOUND_SAMPLES, DEFAULT_SUBSTEPS, ControllerBank,
                          endpoint_cells, reference_endpoints, sample_feedback_bound)
 from .dynamics import project_configuration
-from .geometry import CellConfiguration, CellIndex
-from .simulate import check_input_bound, exceeds_input_bound, integrate_closed_loop_batch
+from .geometry import CellConfiguration, CellIndex, uniform_in_ball
+from .integrate import DenseTrajectory
+from .simulate import (check_input_bound, exceeds_input_bound, integrate_agent_batch,
+                       integrate_closed_loop_batch)
 
 MAX_ACTIONS = 10**6
 DEFAULT_TRIALS = 500
@@ -41,6 +45,10 @@ BUILD_ROWS = 2**14
 # A reference endpoint this close to a cell face (relative to the side) marks
 # the transition as marginal.
 MARGINAL_REL = 1e-6
+
+# Knot intervals of a period between the waypoints of verify_transition's
+# neighbor signals, at most: 256 substeps give a waypoint at every 32nd knot.
+SIGNAL_SEGMENTS = 8
 
 
 class EnumerationCap(RuntimeError):
@@ -327,29 +335,47 @@ class TransitionCheck:
     histogram_counts: tuple[int, ...]
     histogram_edges: tuple[float, ...]
     marginal: bool
+    max_input: float
+
+
+def _neighbor_signals(grid, params, cells, times, trials, rng):
+    """Neighbor states for ``trials`` runs, as a DenseTrajectory (trials, m, n).
+
+    The signal of each run and neighbor cell of ``cells`` (m, n) passes
+    through waypoints at evenly strided knots of ``times``, at most
+    SIGNAL_SEGMENTS intervals apart and both ends included; each is a uniform
+    point of the cell plus a uniform point of the ball of the reach radius.
+    Its derivatives are zero, so between two waypoints it is a convex
+    combination of them and stays in the cell inflated by the reach radius.
+    """
+    last = len(times) - 1
+    knots = np.append(np.arange(0, last, -(-last // SIGNAL_SEGMENTS)), last)
+    shape = (len(knots), trials) + cells.shape
+    points = grid.uniform_in_cells(np.broadcast_to(cells, shape), rng)
+    points += uniform_in_ball(rng, math.prod(shape[:-1]), shape[-1],
+                              params.reach_radius).reshape(shape)
+    return DenseTrajectory(times[knots], points, np.zeros(shape))
 
 
 def verify_transition(model, grid, params, transition, window, trials=DEFAULT_TRIALS, seed=0,
                       substeps=DEFAULT_SUBSTEPS) -> TransitionCheck:
     """Try to falsify the universal landing guarantee of one transition.
 
-    The agent's controller is rebuilt from the recorded reference points and
-    driven against randomized environments: its own initial state sweeps the
-    cell corners (slightly inset) plus uniform samples, every other agent
-    gets a constructive controller with reference points drawn uniformly
-    inside its cells, and the global configuration is redrawn per trial from
-    the window, consistent with the verified action. A run whose endpoint
-    leaves the declared target cell raises WellPosednessViolation; then an
-    input beyond the model's budget at any knot of any agent raises
-    InputBoundViolation (`check_input_bound`).
+    The agent's controller is rebuilt from the recorded reference points, and
+    the agent alone is integrated (`integrate_agent_batch`) from randomized
+    starts against randomized neighbor behavior: its own initial state sweeps
+    the cell corners (slightly inset) plus uniform samples, and each neighbor
+    follows a prescribed signal through random waypoints of its declared
+    cell inflated by the reach radius (`_neighbor_signals`), the behaviors
+    the guarantee covers. Every cell of the action must lie in ``window``,
+    else ValueError. A run whose endpoint leaves the declared target cell
+    raises WellPosednessViolation; then an input beyond the model's budget at
+    any knot raises InputBoundViolation (`check_input_bound`).
     """
-    rng = np.random.default_rng(seed)
-    net = model.network
     i = transition.agent
-    n = net.dimension
-    count = net.agent_count
-    cells = window.cells()
-
+    if not all(z in window for z in transition.action):
+        raise ValueError(f"action {transition.action} has a cell outside the window "
+                         f"{window.ranges}")
     target, controller = agent_transition(model, grid, params,
                                           CellConfiguration(i, transition.action),
                                           transition.reference_points, substeps)
@@ -357,35 +383,16 @@ def verify_transition(model, grid, params, transition, window, trials=DEFAULT_TR
         raise ValueError(f"recorded target {transition.target} disagrees with the "
                          f"rebuilt controller's successor {target}")
 
-    # global cell assignment per trial, consistent with the verified action,
-    # as integer cells shaped (trials, N, n)
-    assignment = np.empty((trials, count, n), dtype=np.int64)
-    acting = [i, *net.neighbors[i]]
-    assignment[:, acting] = transition.action
-    window_cells = np.array(cells, dtype=np.int64)
-    for j in range(count):
-        if j not in acting:
-            assignment[:, j] = window_cells[rng.integers(0, len(cells), size=trials)]
-
-    controllers = []
-    for j in range(count):
-        if j == i:
-            controllers.append(controller)
-            continue
-        configs = assignment[:, [j, *net.neighbors[j]]]
-        controllers.append(ControllerBank(model, grid, params, j, configs,
-                                          reference_points=grid.uniform_in_cells(configs, rng),
-                                          substeps=substeps))
-
-    x0 = np.empty((trials, count, n))
-    for j in range(count):
-        x0[:, j] = grid.uniform_in_cells(assignment[:, j], rng)
+    rng = np.random.default_rng(seed)
+    x0 = grid.sample_in_cell(transition.source, rng, trials)
     corners = grid.cell_corners(transition.source, inset=grid.corner_inset)
     take = min(trials, len(corners))
-    x0[:take, i] = corners[:take]
+    x0[:take] = corners[:take]
+    neighbors = _neighbor_signals(grid, params, controller.cell_array[0, 1:],
+                                  controller.dense.times, trials, rng)
 
-    trajectory, _ = integrate_closed_loop_batch(controllers, x0)
-    endpoints = trajectory.states[-1, :, i, :]
+    runs = integrate_agent_batch(controller, x0, neighbors)
+    endpoints = runs.endpoints
 
     missed = grid.first_outside(endpoints, transition.target)
     if missed is not None:
@@ -396,7 +403,7 @@ def verify_transition(model, grid, params, transition, window, trials=DEFAULT_TR
         raise WellPosednessViolation(
             f"trial {b}: agent {i} landed in {witness['landed']} instead of "
             f"{transition.target}", witness)
-    check_input_bound(trajectory, model)
+    check_input_bound(runs, model)
 
     margins = grid.cell_box(transition.target).face_margin(endpoints)
     # ten bins between the extremes, as np.histogram draws them; equal or
@@ -409,7 +416,8 @@ def verify_transition(model, grid, params, transition, window, trials=DEFAULT_TR
                            histogram_counts=tuple(int(c) for c in counts),
                            histogram_edges=tuple(float(e) for e in edges),
                            marginal=bool(marginal_endpoints(grid, controller.endpoint[0],
-                                                            transition.target)))
+                                                            transition.target)),
+                           max_input=float(runs.input_magnitudes.max()))
 
 
 def plan_controllers(model, grid, params, source_cells, target_cells,

@@ -104,8 +104,6 @@ class ControllerBank:
                 raise ValueError(f"reference point {refs[b, k].tolist()} is not "
                                  f"inside its declared cell {tuple(cells[b, k].tolist())}")
         self.reference_points = refs
-        self._own_ref = refs[:, 0, :]
-        self._nbr_ref = refs[:, 1:, :]
         self._evaluate = model.evaluator(self.agent)
 
         times, states, derivs = rk4_path(*_reference_problem(self._evaluate, refs,
@@ -135,8 +133,6 @@ class ControllerBank:
         view = copy.copy(self)
         view.cell_array = self.cell_array[b:b + 1]
         view.reference_points = self.reference_points[b:b + 1]
-        view._own_ref = view.reference_points[:, 0, :]
-        view._nbr_ref = view.reference_points[:, 1:, :]
         dense = self.dense
         view.dense = DenseTrajectory(dense.times, dense.states[:, b:b + 1],
                                      dense.derivs[:, b:b + 1])
@@ -144,7 +140,7 @@ class ControllerBank:
 
     def frozen_field(self, y):
         """Field with neighbors frozen at their reference points; batched."""
-        return self._evaluate(y, self._nbr_ref)
+        return self._evaluate(y, self.reference_points[:, 1:, :])
 
     def _reference_and_field(self, t):
         """ref(t) and its frozen field f(ref(t), frozen neighbors).
@@ -181,18 +177,20 @@ class ControllerBank:
         """``plant``, if given, is the field f(own, neighbor_states) already evaluated."""
         if plant is None:
             plant = self._evaluate(own, neighbor_states)
-        return -(plant - self._evaluate(own, self._nbr_ref))
+        return -(plant - self._evaluate(own, self.reference_points[:, 1:, :]))
 
     def offset_homing(self, own_start):
         return from_components([-(x - r) / self.period for x, r in
-                                zip(components(own_start), components(self._own_ref))])
+                                zip(components(own_start),
+                                    components(self.reference_points[:, 0, :]))])
 
     def drift_compensation(self, t, own_start):
         t = self._check_time(t)
         remain = 1.0 - t / self.period
         reference, reference_field = self._reference_and_field(t)
         shifted = from_components([y + remain * (x - r) for y, x, r in zip(
-            components(reference), components(own_start), components(self._own_ref))])
+            components(reference), components(own_start),
+            components(self.reference_points[:, 0, :]))])
         return -(self.frozen_field(shifted) - reference_field)
 
     def feedback(self, t, own, neighbor_states, own_start, plant=None, homing=None,

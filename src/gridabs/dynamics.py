@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CellConfiguration, component_sum_squares, row_norm
+from .geometry import CellConfiguration, component_sum_squares, row_norm, uniform_in_ball
 
 _TINY = np.finfo(float).tiny
 DEFAULT_VALIDATION_TRIALS = 10000
@@ -278,13 +278,6 @@ class ValidationReport:
         return worst <= 1.0 + RATIO_EXCESS
 
 
-def _uniform_ball(rng, count, dim, radius):
-    direction = rng.normal(size=(count, dim))
-    direction /= np.maximum(row_norm(direction)[:, None], _TINY)
-    r = radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dim)
-    return direction * r
-
-
 def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, seed=0) -> ValidationReport:
     """Sample-test the declared constants; raise ConstantsViolation on a witness.
 
@@ -313,7 +306,7 @@ def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, seed=0) -> Valid
             witness = {"states": states[k], "perturbed": None if perturbed is None else perturbed[k]}
             raise ConstantsViolation(kind, float(ratios[k]), agent, witness)
 
-    states = np.stack([_uniform_ball(rng, trials, dim, SAMPLE_RADIUS)
+    states = np.stack([uniform_in_ball(rng, trials, dim, SAMPLE_RADIUS)
                        for _ in range(count)], axis=1)  # (T, N, n)
     bases = []  # f_i at the sampled states, reused by the translation check
     for i in range(count):
@@ -353,7 +346,7 @@ def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, seed=0) -> Valid
             ev = model.evaluator(i)
             nbrs = list(net.neighbors[i])
             for scale in scales:
-                shifted = states + _uniform_ball(rng, trials, dim, scale)[:, None, :]
+                shifted = states + uniform_in_ball(rng, trials, dim, scale)[:, None, :]
                 moved = ev(shifted[:, i], shifted[:, nbrs, :])
                 track("translation_invariant",
                       row_norm(moved - base) / (RATIO_EXCESS * model.feedback_bound), i,

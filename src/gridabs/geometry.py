@@ -12,6 +12,8 @@ CellIndex = tuple[int, ...]
 # Absolute slack for boundary-sensitive predicates.
 DISTANCE_ATOL = 1e-12
 
+_TINY = np.finfo(float).tiny
+
 # Rows up to this length are summed by adding their components in order,
 # which is what numpy's reduction does there too; numpy sums longer rows
 # pairwise, so those go through numpy itself.
@@ -105,6 +107,15 @@ def uniform_in_box(rng, lo, hi, count):
         col *= span
         col += low
     return out
+
+
+def uniform_in_ball(rng, count, dim, radius):
+    """``count`` uniform points of the closed ball of ``radius`` about 0 in R^dim,
+    shaped (count, dim): normal directions, then radii ``radius * u**(1/dim)``."""
+    direction = rng.normal(size=(count, dim))
+    direction /= np.maximum(row_norm(direction)[:, None], _TINY)
+    r = radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dim)
+    return direction * r
 
 
 def first_true(mask):

@@ -1,19 +1,22 @@
-"""Closed-loop integration of all agents under their hybrid controllers.
+"""Closed-loop integration of agents under their hybrid controllers.
 
-Every agent runs its own controller simultaneously; the integrator samples
-the coupled dynamics of the model its controller banks were built from on
-the knot grid they were integrated on, both of which they share, and logs, at
-every knot, each agent's applied input magnitude and whether it still lies in
-its declared cell inflated by the reach radius.
+In the joint loop every agent runs its own controller simultaneously; the
+integrator samples the coupled dynamics of the model its controller banks
+were built from on the knot grid they were integrated on, both of which they
+share, and logs, at every knot, each agent's applied input magnitude and
+whether it still lies in its declared cell inflated by the reach radius. The
+one-agent loop integrates a single agent under its controller while its
+neighbors follow prescribed signals, and keeps only the endpoints and the
+input magnitudes.
 
-One rate function of the coupled system steps through `integrate.rk4_steps`,
-the package's one RK4 loop, so identical inputs give bit-identical
-trajectories; the monitors read the feedback the rate function computed at
-each knot, and no derivative array is kept. The drift compensation (once per
-distinct stage time, from the banks' stored reference at the knots), the
-offset homing (once per run) and the plant field f(own, neighbors) are
-shared between the stages and terms that need them, bit-identical to
-evaluating the full feedback afresh at every stage.
+Each loop's rate function steps through `integrate.rk4_steps`, the
+package's one RK4 loop, so identical inputs give bit-identical results; the
+monitors read the feedback the rate function computed at each knot, and no
+derivative array is kept. The drift compensation (once per distinct stage
+time, from the banks' stored reference at the knots), the offset homing
+(once per run) and the plant field f(own, neighbors) are shared between the
+stages and terms that need them, bit-identical to evaluating the full
+feedback afresh at every stage.
 """
 
 from __future__ import annotations
@@ -63,6 +66,31 @@ class Trajectory:
     states: np.ndarray
     input_magnitudes: np.ndarray
     contained: np.ndarray
+
+    @property
+    def agents(self):
+        """The agent of each entry of the monitors' last axis."""
+        return range(self.input_magnitudes.shape[-1])
+
+
+@dataclass(frozen=True)
+class AgentRuns:
+    """Endpoints and input magnitudes of one agent's batch of runs.
+
+    ``endpoints`` is (B, n), the states at the end of the period;
+    ``input_magnitudes`` is (K+1, B, 1), the agent's |input| at every knot,
+    whose last axis holds the one agent of ``agents`` as a Trajectory's
+    holds every agent.
+    """
+
+    agent: int
+    times: np.ndarray
+    endpoints: np.ndarray
+    input_magnitudes: np.ndarray
+
+    @property
+    def agents(self):
+        return (self.agent,)
 
 
 @dataclass(frozen=True)
@@ -224,6 +252,65 @@ def integrate_closed_loop_batch(controllers, x0):
     return trajectory, report
 
 
+def integrate_agent_batch(bank, x0, neighbors):
+    """Integrate one agent alone from x0 (B, n) while its neighbors follow signals.
+
+    ``bank`` is the agent's ControllerBank (size 1 or B); its model is the
+    plant and its knots are the runs' knots. ``neighbors`` is a
+    DenseTrajectory of the neighbor states shaped (B, m, n) over the period,
+    so the agent's rate is f_i(x, neighbors(t)) plus the bank's feedback.
+    Every start must lie in its declared own cell, else ValueError. Returns
+    the AgentRuns: the endpoints and the |input| at every knot, no states.
+    """
+    if not isinstance(bank, ControllerBank):
+        raise TypeError(f"expected a ControllerBank, got {type(bank).__name__}")
+    x0 = np.asarray(x0, dtype=float)
+    agent, net = bank.agent, bank.model.network
+    m, n = net.degree(agent), net.dimension
+    if x0.ndim != 2 or x0.shape[1] != n:
+        raise ValueError(f"expected x0 shaped (B, {n}), got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("initial states have non-finite entries")
+    batch = len(x0)
+    if bank.size not in (1, batch):
+        raise ValueError(f"agent {agent} bank has size {bank.size}, expected 1 or {batch}")
+    if neighbors.states.shape[1:] != (batch, m, n):
+        raise ValueError(f"expected neighbor signals shaped (P, {batch}, {m}, {n}), "
+                         f"got {neighbors.states.shape}")
+    own = np.broadcast_to(bank.cell_array[:, 0], x0.shape)
+    bad = bank.grid.first_outside(x0, own)
+    if bad is not None:
+        b = bad[0]
+        raise ValueError(f"run {b}: agent {agent} starts at {x0[b].tolist()} "
+                         f"outside its declared cell {tuple(own[b].tolist())}")
+
+    evaluate = bank.model.evaluator(agent)
+    homing = bank.offset_homing(x0)
+    feedback = None
+
+    @functools.lru_cache(maxsize=1)
+    def stage(t):
+        # the neighbor states and the drift compensation at t, which depend only
+        # on t and which RK4 asks for twice in a row, as in the joint loop
+        return neighbors.at(t), bank.drift_compensation(t, x0)
+
+    def rate(t, y):
+        nonlocal feedback
+        nbrs, drift = stage(t)
+        plant = evaluate(y, nbrs)
+        feedback = bank.feedback(t, y, nbrs, x0, plant=plant, homing=homing, drift=drift)
+        return plant + feedback
+
+    times = bank.dense.times
+    mags = np.empty(times.shape + (batch, 1))
+    # rate's last call was at the yielded knot: ``feedback`` holds its value there
+    for k, (y, _) in enumerate(rk4_steps(rate, x0, times)):
+        if not np.all(np.isfinite(y)):
+            raise IntegrationError(f"non-finite state after t = {times[k]:.6g}")
+        mags[k, :, 0] = row_norm(feedback)
+    return AgentRuns(agent=agent, times=times, endpoints=y, input_magnitudes=mags)
+
+
 def integrate_closed_loop(controllers, x0):
     """Integrate one joint run from x0 shaped (N, n).
 
@@ -244,11 +331,14 @@ def check_input_bound(trajectory, model) -> np.ndarray:
     """Per-agent maxima of the logged input magnitudes; raise on violation.
 
     The certificate is |input| <= model.input_bound at every knot of every agent.
+    ``trajectory`` is a Trajectory or an AgentRuns: the last axis of its input
+    magnitudes holds its ``agents``.
     """
     mags = trajectory.input_magnitudes
     maxima = mags.max(axis=0)
     worst = np.unravel_index(np.argmax(mags), mags.shape)
     if exceeds_input_bound(mags[worst], model.input_bound):
-        raise InputBoundViolation(worst[-1], float(trajectory.times[worst[0]]),
+        raise InputBoundViolation(trajectory.agents[worst[-1]],
+                                  float(trajectory.times[worst[0]]),
                                   float(mags[worst]), model.input_bound)
     return maxima

@@ -21,7 +21,8 @@ from gridabs.abstraction import (CompositionViolation, EnumerationCap, Transitio
 from gridabs.admissibility import FeasibilityError
 from gridabs.controller import ControllerBank, sample_feedback_bound
 from gridabs.dynamics import project_configuration
-from gridabs.geometry import CellConfiguration
+from gridabs.geometry import CellConfiguration, row_norm
+from gridabs.integrate import knot_times
 from gridabs.simulate import INPUT_ATOL, InputBoundViolation
 
 
@@ -233,13 +234,26 @@ def pushed_endpoints(monkeypatch, moves):
     monkeypatch.setattr(abstraction, "integrate_closed_loop_batch", shifted)
 
 
+def pushed_agent_endpoints(monkeypatch, moves):
+    """Make the one-agent loop shift the final state of a run by a vector."""
+    integrate = abstraction.integrate_agent_batch
+
+    def shifted(*args, **kwargs):
+        runs = integrate(*args, **kwargs)
+        for b, delta in moves.items():
+            runs.endpoints[b] += delta
+        return runs
+
+    monkeypatch.setattr(abstraction, "integrate_agent_batch", shifted)
+
+
 def test_verify_transition_reports_the_first_miss(ref_model, ref_grid, ref_params,
                                                   ref_window, monkeypatch):
     ts = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
                                  substeps=16)
     t = ts.transitions[300]
     step = np.array([ref_grid.side, 0.0])
-    pushed_endpoints(monkeypatch, {(9, 1): step, (4, 1): -2.0 * step, (2, 0): step})
+    pushed_agent_endpoints(monkeypatch, {9: step, 4: -2.0 * step})
     with pytest.raises(WellPosednessViolation, match="trial 4: agent 1") as info:
         verify_transition(ref_model, ref_grid, ref_params, t, ref_window,
                           trials=12, seed=3, substeps=16)
@@ -552,6 +566,109 @@ def test_verify_transition_accepts_moved_transitions(drift_setup, ref_grid, ref_
         assert check.min_margin > 0.0 and not check.marginal
 
 
+def constructive_neighbors_run(model, grid, params, transition, window, trials, seed,
+                               substeps):
+    """The joint loop of constructive neighbors: the agent of ``transition`` under its
+    rebuilt controller, every other agent under a controller with reference points
+    drawn in its cells, and the cells of the agents outside the action drawn from
+    the window. Returns the agent's bank, its starts and endpoints (trials, n) and
+    its largest logged |k|."""
+    rng = np.random.default_rng(seed)
+    net = model.network
+    i = transition.agent
+    cells = np.array(window.cells())
+    assignment = cells[rng.integers(0, len(cells), size=(trials, net.agent_count))]
+    assignment[:, [i, *net.neighbors[i]]] = transition.action
+    banks = []
+    for j in range(net.agent_count):
+        if j == i:
+            banks.append(agent_transition(model, grid, params,
+                                          CellConfiguration(i, transition.action),
+                                          transition.reference_points, substeps)[1])
+            continue
+        configs = assignment[:, [j, *net.neighbors[j]]]
+        banks.append(ControllerBank(model, grid, params, j, configs,
+                                    grid.uniform_in_cells(configs, rng), substeps))
+    x0 = grid.uniform_in_cells(assignment, rng)
+    trajectory, _ = simulate.integrate_closed_loop_batch(banks, x0)
+    return (banks[i], x0[:, i], trajectory.states[-1, :, i],
+            float(trajectory.input_magnitudes[..., i].max()))
+
+
+@pytest.fixture(params=["reference", "drifting"])
+def loop_setup(request, ref_model, ref_params):
+    """(model, params): the reference model, or the drifting one whose transitions move."""
+    if request.param == "drifting":
+        return request.getfixturevalue("drift_setup")
+    return ref_model, ref_params
+
+
+@pytest.mark.parametrize("agent", [0, 1])
+def test_the_one_agent_loop_lands_where_the_joint_loop_does(loop_setup, ref_grid, ref_window,
+                                                            agent):
+    model, params = loop_setup
+    ts = build_transition_system(model, ref_grid, params, agent, ref_window, substeps=64)
+    transition = ts.transitions[len(ts.transitions) // 3]
+    bank, x0, joint, _ = constructive_neighbors_run(model, ref_grid, params, transition,
+                                                    ref_window, trials=50, seed=agent,
+                                                    substeps=64)
+    signals = abstraction._neighbor_signals(ref_grid, params, bank.cell_array[0, 1:],
+                                            bank.dense.times, 50, np.random.default_rng(5))
+    runs = simulate.integrate_agent_batch(bank, x0, signals)
+    # the landing ignores the neighbors: both loops end on the reference endpoint
+    assert np.max(row_norm(runs.endpoints - joint)) <= 2e-8
+
+
+@pytest.mark.parametrize("agent, index, seed", [(0, 40, 3), (1, 364, 4)])
+def test_prescribed_neighbors_push_the_input_at_least_as_far(ref_model, ref_grid, ref_params,
+                                                             ref_window, agent, index, seed):
+    ts = build_transition_system(ref_model, ref_grid, ref_params, agent, ref_window,
+                                 substeps=64)
+    transition = ts.transitions[index]
+    check = verify_transition(ref_model, ref_grid, ref_params, transition, ref_window,
+                              trials=200, seed=seed, substeps=64)
+    joint_max = constructive_neighbors_run(ref_model, ref_grid, ref_params, transition,
+                                           ref_window, trials=200, seed=seed,
+                                           substeps=64)[3]
+    assert joint_max <= check.max_input <= ref_model.input_bound
+
+
+def test_verify_transition_rejects_starts_outside_the_source_cell(ref_model, ref_grid,
+                                                                  ref_params, ref_window,
+                                                                  monkeypatch):
+    ts = build_transition_system(ref_model, ref_grid, ref_params, 0, ref_window,
+                                 substeps=16)
+    # a negative inset pushes the sampled corners out of the cell
+    monkeypatch.setattr(ga.GridDecomposition, "corner_inset", -1e-3 * ref_grid.side)
+    with pytest.raises(ValueError, match="run 0: agent 0 starts at"):
+        verify_transition(ref_model, ref_grid, ref_params, ts.transitions[10], ref_window,
+                          trials=10, seed=0, substeps=16)
+
+
+def test_verify_transition_rejects_actions_outside_the_window(ref_model, ref_grid,
+                                                              ref_params, ref_window):
+    ts = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
+                                 substeps=16)
+    transition = ts.transitions[0]
+    assert transition.action == ((-1, -1),) * 3
+    with pytest.raises(ValueError, match="outside the window"):
+        verify_transition(ref_model, ref_grid, ref_params, transition,
+                          Window(((-1, 1), (0, 1))), trials=10, seed=0, substeps=16)
+
+
+@pytest.mark.parametrize("agent", [1, 2])
+def test_the_input_violation_names_the_agent_under_test(ref_model, ref_grid, ref_params,
+                                                        ref_window, monkeypatch, agent):
+    ts = build_transition_system(ref_model, ref_grid, ref_params, agent, ref_window,
+                                 substeps=16)
+    # a negative slack puts every logged |k| over the budget
+    monkeypatch.setattr(simulate, "INPUT_ATOL", -1.0)
+    with pytest.raises(InputBoundViolation, match=f"agent {agent} applied") as info:
+        verify_transition(ref_model, ref_grid, ref_params, ts.transitions[10], ref_window,
+                          trials=10, seed=0, substeps=16)
+    assert info.value.agent == agent
+
+
 @pytest.mark.parametrize("origin", [(0.0, 0.0), (1e6, -1e6)])
 @pytest.mark.parametrize("builtin", [ga.saturated_consensus, ga.smooth_consensus, None],
                          ids=["saturated_consensus", "smooth_consensus", "drifting"])
@@ -616,6 +733,36 @@ def test_an_agent_without_neighbors_is_one_class(ref_grid, ref_window, monkeypat
     assert sizes == [1]
     assert relative == build_transition_system(undeclared(model), ref_grid, params, 2,
                                                 ref_window, substeps=8)
+
+
+def test_verify_transition_of_an_agent_without_neighbors(ref_grid, ref_window):
+    model = ga.saturated_consensus(ga.AgentNetwork.from_edges(2, 3, [(0, 1)]), gain=0.5,
+                                   input_bound=0.4)
+    lo, hi = ga.admissible_period_interval(model, ref_grid.diameter())
+    params = ga.check_discretization(model, ref_grid.diameter(), 0.5 * (lo + hi))
+    ts = build_transition_system(model, ref_grid, params, 2, ref_window, substeps=12)
+    check = verify_transition(model, ref_grid, params, ts.transitions[3], ref_window,
+                              trials=20, seed=1, substeps=12)
+    assert check.min_margin > 0.0 and 0.0 < check.max_input <= model.input_bound
+
+
+@pytest.mark.parametrize("substeps, strided", [(256, 32), (16, 2), (12, 2), (5, 1)])
+def test_neighbor_signals_stay_in_the_inflated_cells(ref_grid, ref_params, substeps,
+                                                     strided):
+    cells = np.array([[0, 0], [3, -2]])
+    times = knot_times(0.0, ref_params.period, substeps)
+    signals = abstraction._neighbor_signals(ref_grid, ref_params, cells, times, 40,
+                                            np.random.default_rng(6))
+    # waypoints at every strided knot of the bank, the last knot included
+    np.testing.assert_array_equal(signals.times, np.append(times[:-1:strided], times[-1]))
+    assert len(signals.times) <= abstraction.SIGNAL_SEGMENTS + 1
+    assert not np.any(signals.derivs)
+    queries = np.linspace(0.0, ref_params.period, 1001)
+    states = np.stack([signals.at(t) for t in queries])
+    assert states.shape == (1001, 40, 2, 2)
+    assert np.all(ref_grid.inflated_contains(cells, ref_params.reach_radius, states))
+    # the waypoints reach beyond the cells, into the inflation
+    assert np.any(ref_grid.distance_to_cell(cells, states) > 0.5 * ref_params.reach_radius)
 
 
 def test_build_memory_does_not_grow_with_substeps(ref_model, ref_grid, ref_params,

@@ -11,7 +11,8 @@ from gridabs.dynamics import project_configuration
 from gridabs.geometry import DISTANCE_ATOL, CellConfiguration, box_distance, row_norm
 from gridabs.integrate import DenseTrajectory, rk4_path
 from gridabs.simulate import (InputBoundViolation, IntegrationError, check_input_bound,
-                              integrate_closed_loop, integrate_closed_loop_batch)
+                              integrate_agent_batch, integrate_closed_loop,
+                              integrate_closed_loop_batch)
 
 
 def make_controllers(model, grid, params, cells, rng=None, substeps=64):
@@ -354,3 +355,89 @@ def test_controllers_must_share_the_substeps(ref_model, ref_grid, ref_params):
     x0 = np.stack([ref_grid.sample_in_cell(z, rng)[0] for z in cells])
     with pytest.raises(ValueError, match="substeps"):
         integrate_closed_loop(controllers, x0)
+
+
+def agent_runs_setup(model, grid, params, runs, rng, substeps):
+    """Agent 1's bank on cells ((0, 0), (1, 0), (1, 1)), ``runs`` starts in its cell
+    and neighbor signals through random points of the neighbor cells at every 8th
+    knot, with zero derivatives."""
+    bank = make_controllers(model, grid, params, ((0, 0), (1, 0), (1, 1)), rng,
+                            substeps)[1]
+    cells = bank.cell_array[0]
+    x0 = grid.sample_in_cell(cells[0], rng, runs)
+    times = bank.dense.times[::8]
+    points = grid.uniform_in_cells(np.broadcast_to(cells[1:], (len(times), runs, 2, 2)), rng)
+    return bank, x0, DenseTrajectory(times, points, np.zeros_like(points))
+
+
+def test_agent_loop_keeps_endpoints_and_magnitudes(ref_model, ref_grid, ref_params):
+    bank, x0, signals = agent_runs_setup(ref_model, ref_grid, ref_params, 5,
+                                         np.random.default_rng(3), 32)
+    runs = integrate_agent_batch(bank, x0, signals)
+    assert runs.agent == 1 and runs.agents == (1,)
+    assert runs.endpoints.shape == (5, 2)
+    assert runs.input_magnitudes.shape == (33, 5, 1)
+    np.testing.assert_array_equal(runs.times, bank.dense.times)
+    assert np.max(row_norm(runs.endpoints - bank.endpoint)) <= 1e-12
+    np.testing.assert_array_equal(check_input_bound(runs, ref_model),
+                                  runs.input_magnitudes.max(axis=0))
+    squeezed = ga.DynamicsModel(ref_model.network, None, ref_model.feedback_bound,
+                                ref_model.neighbor_lipschitz, ref_model.self_lipschitz,
+                                input_bound=0.5 * runs.input_magnitudes.max())
+    with pytest.raises(InputBoundViolation, match="agent 1 applied") as info:
+        check_input_bound(runs, squeezed)
+    assert info.value.agent == 1
+
+
+def test_agent_loop_equals_the_plain_loop_bit_for_bit(path_network, ref_grid):
+    # nonlinear at cell scale, as in test_stage_reuse_is_bit_identical
+    model = ga.smooth_consensus(path_network, gain=0.001, input_bound=0.02, scale=20.0)
+    params = ga.check_discretization(model, ref_grid.diameter(), 0.02)
+    bank, x0, signals = agent_runs_setup(model, ref_grid, params, 4,
+                                         np.random.default_rng(21), 32)
+    evaluate = model.evaluator(1)
+
+    def rate(t, y):
+        nbrs = signals.at(t)
+        return evaluate(y, nbrs) + bank.feedback(t, y, nbrs, x0)
+
+    states = rk4_path(rate, x0, 0.0, bank.period, 32)[1]
+    runs = integrate_agent_batch(bank, x0, signals)
+    np.testing.assert_array_equal(runs.endpoints, states[-1])
+    mags = [row_norm(bank.feedback(t, y, signals.at(t), x0))
+            for t, y in zip(runs.times, states)]
+    np.testing.assert_array_equal(runs.input_magnitudes[..., 0], mags)
+
+
+def test_agent_loop_evaluates_stage_values_once(ref_model, ref_grid, ref_params,
+                                                monkeypatch):
+    """Per RK4 step: the plant and the coupling cancellation at each of the four
+    stages, the half-step reference field and the drift at both distinct stage
+    times (11 evaluations); the bank's reference at the half step and the
+    neighbor signals at both stage times (3 dense queries). The first knot adds
+    3 evaluations and the signals' query."""
+    calls = {"eval": 0, "at": 0}
+    model = counted(ref_model, calls)
+    bank, x0, signals = agent_runs_setup(model, ref_grid, ref_params, 5,
+                                         np.random.default_rng(4), 32)
+    at = DenseTrajectory.at
+
+    def counting_at(self, t):
+        calls["at"] += 1
+        return at(self, t)
+
+    monkeypatch.setattr(DenseTrajectory, "at", counting_at)
+    calls.update(eval=0, at=0)
+    integrate_agent_batch(bank, x0, signals)
+    assert calls["eval"] == 11 * 32 + 3
+    assert calls["at"] == 3 * 32 + 1
+
+
+def test_agent_loop_checks_its_starts_and_signals(ref_model, ref_grid, ref_params):
+    bank, x0, signals = agent_runs_setup(ref_model, ref_grid, ref_params, 4,
+                                         np.random.default_rng(5), 16)
+    with pytest.raises(ValueError, match="neighbor signals"):
+        integrate_agent_batch(bank, x0[:3], signals)
+    x0[[2, 3]] += 10.0
+    with pytest.raises(ValueError, match=r"run 2: agent 1 starts at"):
+        integrate_agent_batch(bank, x0, signals)
