@@ -384,10 +384,7 @@ def verify_transition(model, grid, params, transition, window, trials=DEFAULT_TR
                          f"rebuilt controller's successor {target}")
 
     rng = np.random.default_rng(seed)
-    x0 = grid.sample_in_cell(transition.source, rng, trials)
-    corners = grid.cell_corners(transition.source, inset=grid.corner_inset)
-    take = min(trials, len(corners))
-    x0[:take] = corners[:take]
+    x0 = grid.sample_with_corners(transition.source, rng, trials)
     neighbors = _neighbor_signals(grid, params, controller.cell_array[0, 1:],
                                   controller.dense.times, trials, rng)
 
@@ -505,7 +502,8 @@ def certify_window_input_bound(model, grid, params, agent, window,
     ``reference_policy`` "center" uses cell centers; "random" draws the
     reference points uniformly inside the declared cells, exercising the
     whole constructive controller family. Every configuration is sampled;
-    violations collect each one whose sampled maximum exceeds the input budget.
+    violations collect each one whose sampled maximum exceeds the input budget
+    or is NaN, and the first NaN maximum is the worst.
 
     The configurations are integrated in banks of at most CERTIFY_CHUNK
     members and sampled one member at a time, each from its own seed; the
@@ -537,7 +535,8 @@ def certify_window_input_bound(model, grid, params, agent, window,
             magnitude, witness = sample_feedback_bound(bank.member(b), samples=samples,
                                                        seed=seeds[b])
             cfg = tuple(map(tuple, cells.tolist()))
-            if magnitude > best:
+            # the first NaN is the worst: it fails every comparison with a budget
+            if not math.isnan(best) and not magnitude <= best:
                 best = magnitude
                 worst_cfg = cfg
                 worst_witness = witness

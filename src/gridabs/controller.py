@@ -280,10 +280,7 @@ def sample_feedback_bound(bank, samples=DEFAULT_BOUND_SAMPLES, seed=0):
     for k in range(m):
         nbrs[:, k, :] = sample_inflated_cell(grid, cells[k + 1], reach, samples, rng)
 
-    starts = grid.sample_in_cell(cells[0], rng, samples)
-    corners = grid.cell_corners(cells[0], inset=grid.corner_inset)
-    reps = min(samples, len(corners))
-    starts[:reps] = corners[:reps]
+    starts = grid.sample_with_corners(cells[0], rng, samples)
 
     t = rng.uniform(0.0, params.period, size=samples)
     tenth = max(1, samples // 10)

@@ -270,6 +270,14 @@ class GridDecomposition:
         box = self.cell_box(z)
         return uniform_in_box(rng, box.lo, box.hi, count)
 
+    def sample_with_corners(self, z, rng, count) -> np.ndarray:
+        """``sample_in_cell(z, rng, count)`` with its first min(count, 2^n) rows
+        replaced by the cell's corners, pulled inward by ``corner_inset``."""
+        out = self.sample_in_cell(z, rng, count)
+        corners = self.cell_corners(z, inset=self.corner_inset)
+        out[:len(corners)] = corners[:count]
+        return out
+
     def uniform_in_cells(self, z, rng) -> np.ndarray:
         """One uniform point in each cell of integer indices ``z`` (..., n).
 

@@ -9,14 +9,15 @@ one-agent loop integrates a single agent under its controller while its
 neighbors follow prescribed signals, and keeps only the endpoints and the
 input magnitudes.
 
-Each loop's rate function steps through `integrate.rk4_steps`, the
-package's one RK4 loop, so identical inputs give bit-identical results; the
-monitors read the feedback the rate function computed at each knot, and no
-derivative array is kept. The drift compensation (once per distinct stage
-time, from the banks' stored reference at the knots), the offset homing
-(once per run) and the plant field f(own, neighbors) are shared between the
-stages and terms that need them, bit-identical to evaluating the full
-feedback afresh at every stage.
+Both loops are one driver, `_drive`, after one bank check, `_check_banks`.
+The driver steps through `integrate.rk4_steps`, the package's one RK4 loop,
+with the neighbor states taken from the joint state or the prescribed
+signals, so identical inputs give bit-identical results; the monitors read
+the feedback the rate function computed at each knot. The drift
+compensation (once per distinct stage time, from the banks' stored
+reference at the knots), the offset homing (once per run) and the plant
+field f(own, neighbors) are shared between the stages and terms that need
+them, bit-identical to evaluating the full feedback afresh at every stage.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ INPUT_ATOL = 1e-12
 
 
 def exceeds_input_bound(magnitude, bound):
-    """Whether an input magnitude breaks the budget ``|k| <= bound`` beyond INPUT_ATOL."""
-    return magnitude > bound + INPUT_ATOL
+    """Whether an input magnitude breaks the budget ``|k| <= bound`` beyond INPUT_ATOL; NaN does."""
+    return not magnitude <= bound + INPUT_ATOL
 
 
 class IntegrationError(RuntimeError):
@@ -47,8 +48,9 @@ class InputBoundViolation(RuntimeError):
     """Logged input magnitude exceeded the declared input budget."""
 
     def __init__(self, agent, time, magnitude, bound):
-        super().__init__(f"agent {agent} applied |input| = {magnitude:.6g} > "
-                         f"{bound:.6g} at t = {time:.6g}")
+        observed = ("that is not a number" if np.isnan(magnitude)
+                    else f"= {magnitude:.6g} > {bound:.6g}")
+        super().__init__(f"agent {agent} applied |input| {observed} at t = {time:.6g}")
         self.agent = agent
         self.time = time
         self.magnitude = magnitude
@@ -119,31 +121,32 @@ class MonitorReport:
                              interpolation_deviation=self.interpolation_deviation.max(axis=0))
 
 
-def _check_setup(banks, x0):
-    """Model, grid, reach radius and own cells (B, N, n) of banks that fit ``x0``."""
+def _check_banks(banks, x0):
+    """Own cells (B, A, n) of the banks that drive x0 (B, A, n), bank ``a`` column ``a``.
+
+    The banks share one model (the plant: their coupling cancellation is exact
+    only there), grid, period, reach radius and substeps; each has size 1 or B,
+    and every start lies in its bank's declared own cell.
+    """
     for bank in banks:
         if not isinstance(bank, ControllerBank):
             raise TypeError(f"expected a ControllerBank, got {type(bank).__name__}")
-    if not banks or len(banks) != banks[0].model.network.agent_count:
-        raise ValueError(f"need one controller per agent, got {len(banks)}")
-    # the plant is the banks' model: their coupling cancellation is exact only there
-    model = banks[0].model
-    net = model.network
-    count, dim = net.agent_count, net.dimension
-    if x0.ndim != 3 or x0.shape[1:] != (count, dim):
-        raise ValueError(f"expected x0 shaped (B, {count}, {dim}), got {x0.shape}")
+    if not banks:
+        raise ValueError("need one controller per agent, got 0")
+    first = banks[0]
+    shape = (len(banks), first.model.network.dimension)
+    if x0.ndim != 3 or x0.shape[1:] != shape:
+        raise ValueError(f"expected x0 shaped (B, {shape[0]}, {shape[1]}), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial states have non-finite entries")
-    batch = x0.shape[0]
-    grid, reach = banks[0].grid, banks[0].params.reach_radius
-    shared = (banks[0].period, reach, banks[0].substeps)
-    for i, bank in enumerate(banks):
-        if bank.agent != i:
-            raise ValueError(f"controller at position {i} is for agent {bank.agent}")
-        if bank.model is not model:
+    batch, grid = len(x0), first.grid
+    shared = (first.period, first.params.reach_radius, first.substeps)
+    for bank in banks:
+        if bank.model is not first.model:
             raise ValueError("controllers disagree on the model")
         if bank.size not in (1, batch):
-            raise ValueError(f"agent {i} bank has size {bank.size}, expected 1 or {batch}")
+            raise ValueError(f"agent {bank.agent} bank has size {bank.size}, "
+                             f"expected 1 or {batch}")
         if (bank.period, bank.params.reach_radius, bank.substeps) != shared:
             raise ValueError("controllers disagree on the period, the reach radius "
                              "or the substeps")
@@ -151,25 +154,56 @@ def _check_setup(banks, x0):
         if (g.dimension != grid.dimension or g.side != grid.side
                 or not np.array_equal(g.origin, grid.origin)):
             raise ValueError("controllers disagree on the grid")
-    # the declared cells must project from one global configuration per run
-    cells = [np.broadcast_to(bank.cell_array, (batch,) + bank.cell_array.shape[1:])
-             for bank in banks]
-    own = np.stack([c[:, 0] for c in cells], axis=1)
-    clash = np.stack([np.any(c[:, 1:] != own[:, list(net.neighbors[i])], axis=(-2, -1))
-                      for i, c in enumerate(cells)], axis=1)
-    bad = first_true(clash)
-    if bad is not None:
-        b, i = bad
-        declared = tuple(map(tuple, cells[i][b, 1:].tolist()))
-        expected = tuple(map(tuple, own[b, list(net.neighbors[i])].tolist()))
-        raise ValueError(f"agent {i} declares neighbor cells {declared} "
-                         f"but the shared configuration implies {expected}")
+    own = np.stack([np.broadcast_to(bank.cell_array[:, 0], (batch, shape[1]))
+                    for bank in banks], axis=1)
     bad = grid.first_outside(x0, own)
     if bad is not None:
-        b, i = bad
-        raise ValueError(f"run {b}: agent {i} starts at {x0[b, i].tolist()} "
-                         f"outside its declared cell {tuple(own[b, i].tolist())}")
-    return model, grid, reach, own
+        b, a = bad
+        raise ValueError(f"run {b}: agent {banks[a].agent} starts at {x0[b, a].tolist()} "
+                         f"outside its declared cell {tuple(own[b, a].tolist())}")
+    return own
+
+
+def _drive(banks, x0, neighbors, mags):
+    """Step the columns of x0 (B, A, n) under checked ``banks`` on their knots.
+
+    ``neighbors(t, y)`` gives each column's neighbor states (B, m_a, n) at the
+    stage (t, y). At every knot ``m`` it writes the |input| into ``mags[m]``
+    (B, A) and yields the state; a non-finite state raises IntegrationError.
+    """
+    evaluators = [bank.model.evaluator(bank.agent) for bank in banks]
+    starts = [np.ascontiguousarray(x0[:, a]) for a in range(len(banks))]
+    homing = [bank.offset_homing(start) for bank, start in zip(banks, starts)]
+    feedback = [None] * len(banks)
+
+    @functools.lru_cache(maxsize=1)
+    def drifts(t):
+        # per bank: the drift compensation at t, which depends only on t. RK4
+        # asks for each stage time twice in a row: k2 and k3 at the half step,
+        # then k4 and the knot at t + h == t_next (the knots start at 0, so h is
+        # exact). One cached entry is enough.
+        return [bank.drift_compensation(t, start) for bank, start in zip(banks, starts)]
+
+    def rate(t, y):
+        nbrs = neighbors(t, y)
+        drift = drifts(t)
+        u = np.empty_like(y)
+        for a, bank in enumerate(banks):
+            own = y[:, a]
+            plant = evaluators[a](own, nbrs[a])
+            feedback[a] = bank.feedback(t, own, nbrs[a], starts[a], plant=plant,
+                                        homing=homing[a], drift=drift[a])
+            np.add(plant, feedback[a], out=u[:, a])
+        return u
+
+    times = banks[0].dense.times
+    # rate's last call was at the yielded knot: ``feedback`` holds its values there
+    for m, (y, _) in enumerate(rk4_steps(rate, x0, times)):
+        if not np.all(np.isfinite(y)):
+            raise IntegrationError(f"non-finite state after t = {times[m]:.6g}")
+        for a, k in enumerate(feedback):
+            mags[m, :, a] = row_norm(k)
+        yield y
 
 
 def _interpolation_deviation(bank, own_states):
@@ -196,46 +230,35 @@ def integrate_closed_loop_batch(controllers, x0):
     """
     x0 = np.asarray(x0, dtype=float)
     banks = list(controllers)
-    model, grid, reach, own_cells = _check_setup(banks, x0)
-    net, count = model.network, len(banks)
+    own_cells = _check_banks(banks, x0)
+    net = banks[0].model.network
+    if len(banks) != net.agent_count:
+        raise ValueError(f"need one controller per agent, got {len(banks)}")
+    for i, bank in enumerate(banks):
+        if bank.agent != i:
+            raise ValueError(f"controller at position {i} is for agent {bank.agent}")
+    # the declared cells must project from one global configuration per run
+    neighbor_idx = [list(net.neighbors[i]) for i in range(len(banks))]
+    cells = [np.broadcast_to(bank.cell_array, (len(x0),) + bank.cell_array.shape[1:])
+             for bank in banks]
+    clash = np.stack([np.any(c[:, 1:] != own_cells[:, idx], axis=(-2, -1))
+                      for c, idx in zip(cells, neighbor_idx)], axis=1)
+    bad = first_true(clash)
+    if bad is not None:
+        b, i = bad
+        declared = tuple(map(tuple, cells[i][b, 1:].tolist()))
+        expected = tuple(map(tuple, own_cells[b, neighbor_idx[i]].tolist()))
+        raise ValueError(f"agent {i} declares neighbor cells {declared} "
+                         f"but the shared configuration implies {expected}")
+
     times = banks[0].dense.times
-    neighbor_idx = [list(net.neighbors[i]) for i in range(count)]
-    evaluators = [model.evaluator(i) for i in range(count)]
-    starts = [np.ascontiguousarray(x0[:, i]) for i in range(count)]
-    homing = [bank.offset_homing(starts[i]) for i, bank in enumerate(banks)]
-    feedback = [None] * count
-
-    @functools.lru_cache(maxsize=1)
-    def drifts(t):
-        # per agent: the drift compensation at t, which depends only on t. RK4
-        # asks for each stage time twice in a row: k2 and k3 at the half step,
-        # then k4 and the knot at t + h == t_next (the knots start at 0, so h is
-        # exact). One cached entry is enough.
-        return [bank.drift_compensation(t, starts[i]) for i, bank in enumerate(banks)]
-
-    def rate(t, y):
-        drift = drifts(t)
-        u = np.empty_like(y)
-        for i in range(count):
-            own = y[:, i]
-            nbrs = y[:, neighbor_idx[i]]
-            plant = evaluators[i](own, nbrs)
-            feedback[i] = banks[i].feedback(t, own, nbrs, starts[i], plant=plant,
-                                            homing=homing[i], drift=drift[i])
-            u[:, i] = plant + feedback[i]
-        return u
-
     states = np.empty(times.shape + x0.shape)
     mags = np.empty(times.shape + x0.shape[:2])
-    contained = np.empty(times.shape + x0.shape[:2], dtype=bool)
-    # rate's last call was at the yielded knot: ``feedback`` holds its values there
-    for m, (y, _) in enumerate(rk4_steps(rate, x0, times)):
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state after t = {times[m]:.6g}")
+    knots = _drive(banks, x0, lambda t, y: [y[:, idx] for idx in neighbor_idx], mags)
+    for m, y in enumerate(knots):
         states[m] = y
-        contained[m] = grid.inflated_contains(own_cells, reach, y)
-        for i in range(count):
-            mags[m, :, i] = row_norm(feedback[i])
+    contained = banks[0].grid.inflated_contains(own_cells, banks[0].params.reach_radius,
+                                                states)
 
     endpoint_dev = np.empty(x0.shape[:2])
     interp_dev = np.empty(x0.shape[:2])
@@ -262,53 +285,22 @@ def integrate_agent_batch(bank, x0, neighbors):
     Every start must lie in its declared own cell, else ValueError. Returns
     the AgentRuns: the endpoints and the |input| at every knot, no states.
     """
-    if not isinstance(bank, ControllerBank):
-        raise TypeError(f"expected a ControllerBank, got {type(bank).__name__}")
     x0 = np.asarray(x0, dtype=float)
-    agent, net = bank.agent, bank.model.network
-    m, n = net.degree(agent), net.dimension
-    if x0.ndim != 2 or x0.shape[1] != n:
-        raise ValueError(f"expected x0 shaped (B, {n}), got {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("initial states have non-finite entries")
-    batch = len(x0)
-    if bank.size not in (1, batch):
-        raise ValueError(f"agent {agent} bank has size {bank.size}, expected 1 or {batch}")
+    if x0.ndim != 2:
+        raise ValueError(f"expected x0 shaped (B, n), got {x0.shape}")
+    _check_banks([bank], x0[:, None])
+    batch, n = x0.shape
+    m = bank.model.network.degree(bank.agent)
     if neighbors.states.shape[1:] != (batch, m, n):
         raise ValueError(f"expected neighbor signals shaped (P, {batch}, {m}, {n}), "
                          f"got {neighbors.states.shape}")
-    own = np.broadcast_to(bank.cell_array[:, 0], x0.shape)
-    bad = bank.grid.first_outside(x0, own)
-    if bad is not None:
-        b = bad[0]
-        raise ValueError(f"run {b}: agent {agent} starts at {x0[b].tolist()} "
-                         f"outside its declared cell {tuple(own[b].tolist())}")
-
-    evaluate = bank.model.evaluator(agent)
-    homing = bank.offset_homing(x0)
-    feedback = None
-
-    @functools.lru_cache(maxsize=1)
-    def stage(t):
-        # the neighbor states and the drift compensation at t, which depend only
-        # on t and which RK4 asks for twice in a row, as in the joint loop
-        return neighbors.at(t), bank.drift_compensation(t, x0)
-
-    def rate(t, y):
-        nonlocal feedback
-        nbrs, drift = stage(t)
-        plant = evaluate(y, nbrs)
-        feedback = bank.feedback(t, y, nbrs, x0, plant=plant, homing=homing, drift=drift)
-        return plant + feedback
-
+    # the signals at t depend only on t, which RK4 asks for twice in a row
+    signals = functools.lru_cache(maxsize=1)(neighbors.at)
     times = bank.dense.times
     mags = np.empty(times.shape + (batch, 1))
-    # rate's last call was at the yielded knot: ``feedback`` holds its value there
-    for k, (y, _) in enumerate(rk4_steps(rate, x0, times)):
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state after t = {times[k]:.6g}")
-        mags[k, :, 0] = row_norm(feedback)
-    return AgentRuns(agent=agent, times=times, endpoints=y, input_magnitudes=mags)
+    for y in _drive([bank], x0[:, None], lambda t, y: (signals(t),), mags):
+        pass
+    return AgentRuns(agent=bank.agent, times=times, endpoints=y[:, 0], input_magnitudes=mags)
 
 
 def integrate_closed_loop(controllers, x0):

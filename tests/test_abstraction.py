@@ -324,6 +324,35 @@ def test_certificate_fails_below_admissible_period(ref_model, ref_grid, ref_wind
     assert cert.max_magnitude > ref_model.input_bound
 
 
+def nan_beyond(model, own_x):
+    """``model`` with fields that are NaN where the agent's own x exceeds ``own_x``."""
+    def wrap(evaluate):
+        def field(own, nbrs):
+            return np.where(own[..., :1] > own_x, np.nan, evaluate(own, nbrs))
+        return field
+    return ga.DynamicsModel(model.network, [wrap(e) for e in model.evaluators],
+                            model.feedback_bound, model.neighbor_lipschitz,
+                            model.self_lipschitz, model.input_bound)
+
+
+@pytest.mark.parametrize("own_x, window, configurations", [
+    (0.0015, ((0, 0), (0, 0)), 1),       # NaN in part of cell (0, 0), centered at 0.0014
+    (-np.inf, ((0, 1), (0, 0)), 4),      # NaN everywhere
+])
+def test_certificate_flags_a_nan_field(ref_model, ref_grid, ref_params, own_x, window,
+                                       configurations):
+    # a NaN magnitude fails every comparison with the budget, so it must not pass
+    cert = certify_window_input_bound(nan_beyond(ref_model, own_x), ref_grid, ref_params,
+                                      0, Window(window), samples=2000, seed=0, substeps=32)
+    assert not cert.ok
+    assert np.isnan(cert.max_magnitude)
+    # the first NaN configuration stays the worst
+    assert cert.worst_configuration == ((0, 0), (0, 0))
+    assert np.isnan(cert.worst_witness["magnitude"])
+    assert len(cert.violations) == configurations
+    assert all(np.isnan(magnitude) for _, magnitude in cert.violations)
+
+
 def per_configuration_certificate(model, grid, params, agent, window, samples, seed,
                                   reference_policy, substeps):
     """The certificate as one size-1 bank per configuration, same draws in order."""

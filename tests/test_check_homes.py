@@ -22,7 +22,12 @@ discretization parameters nor the certificate hold a copy of it. Whether a
 point lies in a cell is decided in one place, ``cell_indices``: no box
 tests membership itself. The builtin fields add their neighbor terms in one
 place, ``_neighbor_field``. No module reads another object's private
-attribute (``x._name`` with ``x`` other than ``self``).
+attribute (``x._name`` with ``x`` other than ``self``). The joint and the
+one-agent closed loops share one RK4 driver, ``_drive``, the only caller of
+``rk4_steps`` besides the uniform-step generator and the only place a
+closed-loop run is found non-finite, and one bank check, ``_check_banks``,
+the one home of the rule that a bank has size 1 or B. Corner-pinned samples
+come from one method, the only reader of ``corner_inset``.
 """
 
 import ast
@@ -200,3 +205,24 @@ def _foreign_private_read(node):
 
 def test_no_module_reads_another_objects_private_attributes():
     assert _homes(_foreign_private_read) == set()
+
+
+def test_the_closed_loops_share_one_rk4_driver():
+    assert _homes(_calls("rk4_steps")) == {"integrate._uniform_steps", "simulate._drive"}
+    assert _homes(_calls("IntegrationError")) == {"simulate._drive"}
+
+
+def _size_rule(node):
+    """``<bank>.size not in (1, ...)``: a bank broadcasts or gives each run a member."""
+    return (isinstance(node, ast.Compare) and _reads("size")(node.left)
+            and any(isinstance(op, ast.NotIn) for op in node.ops)
+            and any(isinstance(c, ast.Tuple) and c.elts and isinstance(c.elts[0], ast.Constant)
+                    and c.elts[0].value == 1 for c in node.comparators))
+
+
+def test_the_bank_size_rule_has_one_home():
+    assert _homes(_size_rule) == {"simulate._check_banks"}
+
+
+def test_corner_pinned_samples_are_drawn_in_one_place():
+    assert _homes(_reads("corner_inset")) == {"geometry.GridDecomposition.sample_with_corners"}

@@ -10,7 +10,8 @@ from gridabs.controller import ControllerBank
 from gridabs.dynamics import project_configuration
 from gridabs.geometry import DISTANCE_ATOL, CellConfiguration, box_distance, row_norm
 from gridabs.integrate import DenseTrajectory, rk4_path
-from gridabs.simulate import (InputBoundViolation, IntegrationError, check_input_bound,
+from gridabs.simulate import (INPUT_ATOL, AgentRuns, InputBoundViolation, IntegrationError,
+                              Trajectory, check_input_bound, exceeds_input_bound,
                               integrate_agent_batch, integrate_closed_loop,
                               integrate_closed_loop_batch)
 
@@ -145,6 +146,29 @@ def test_input_bound_checker_flags_tight_budget(joint_setup, ref_model, ref_para
         check_input_bound(trajectory, squeezed)
     assert info.value.magnitude > squeezed.input_bound
     assert 0.0 <= info.value.time <= ref_params.period
+
+
+def test_finite_magnitudes_compare_with_the_budget_plus_its_slack(ref_model):
+    v = ref_model.input_bound
+    assert not exceeds_input_bound(v + INPUT_ATOL, v)
+    assert exceeds_input_bound(np.nextafter(v + INPUT_ATOL, np.inf), v)
+    assert exceeds_input_bound(np.nan, v)
+
+
+def test_a_nan_magnitude_breaks_the_budget(ref_model):
+    # a NaN fails every comparison; the checker must not read that as "within budget"
+    times = np.array([0.0, 0.01, 0.02])
+    mags = np.array([[0.1, 0.2, 0.1], [0.1, 0.2, np.nan], [0.1, np.nan, 0.3]])
+    trajectory = Trajectory(times=times, states=np.zeros((3, 3, 2)), input_magnitudes=mags,
+                            contained=np.ones((3, 3), dtype=bool))
+    with pytest.raises(InputBoundViolation,
+                       match=r"^agent 2 applied \|input\| that is not a number at t = 0\.01$"):
+        check_input_bound(trajectory, ref_model)
+    runs = AgentRuns(agent=1, times=times, endpoints=np.zeros((1, 2)),
+                     input_magnitudes=mags[:, 1:2, None])
+    with pytest.raises(InputBoundViolation, match="not a number") as info:
+        check_input_bound(runs, ref_model)
+    assert info.value.agent == 1 and info.value.time == 0.02
 
 
 def test_non_finite_state_raises_at_its_knot(ref_model, ref_grid, ref_params):
