@@ -204,14 +204,8 @@ class TransitionSystem:
         return self.window.cells()
 
     @property
-    def actions(self) -> tuple[tuple[CellIndex, ...], ...]:
-        """Distinct actions in the order they are first recorded."""
-        first = np.sort(_distinct_rows(self.action_cells)[0])
-        return tuple(tuple(map(tuple, a)) for a in self.action_cells[first].tolist())
-
-    @property
     def action_count(self) -> int:
-        """``len(actions)``, counted without building the actions."""
+        """Number of distinct actions among the recorded rows."""
         return len(_distinct_rows(self.action_cells)[0])
 
     def post_set(self, source, action) -> set[CellIndex]:
@@ -423,10 +417,13 @@ def plan_controllers(model, grid, params, source_cells, target_cells,
 
     Agent ``i`` gets the bank of the configuration projected from
     ``source_cells``; its successor cell must equal ``target_cells[i]``,
-    else ValueError.
+    else ValueError, as when either list lacks one cell per agent.
     """
+    count = model.network.agent_count
+    if len(source_cells) != count or len(target_cells) != count:
+        raise ValueError(f"need {count} source and target cells")
     controllers = []
-    for i in range(model.network.agent_count):
+    for i in range(count):
         config = project_configuration(model.network, source_cells, i)
         target, controller = agent_transition(model, grid, params, config, substeps=substeps)
         if target != target_cells[i]:
@@ -451,9 +448,6 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
     count = net.agent_count
     source_cells = tuple(tuple(int(c) for c in z) for z in source_cells)
     target_cells = tuple(tuple(int(c) for c in z) for z in target_cells)
-    if len(source_cells) != count or len(target_cells) != count:
-        raise ValueError(f"need {count} source and target cells")
-
     controllers = plan_controllers(model, grid, params, source_cells, target_cells, substeps)
     rng = np.random.default_rng(seed)
     x0 = np.empty((samples, count, net.dimension))

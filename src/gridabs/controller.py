@@ -24,10 +24,9 @@ import copy
 
 import numpy as np
 
-from .geometry import box_distance, components, from_components, row_norm, uniform_in_box
+from .geometry import (box_distance, components, from_components, row_norm, uniform_in_box,
+                       unit_directions)
 from .integrate import DenseTrajectory, rk4_endpoint, rk4_path
-
-_TINY = np.finfo(float).tiny
 
 DEFAULT_SUBSTEPS = 256
 DEFAULT_BOUND_SAMPLES = 10000
@@ -139,7 +138,8 @@ class ControllerBank:
         return view
 
     def frozen_field(self, y):
-        """Field with neighbors frozen at their reference points; batched."""
+        """Field with neighbors frozen at their reference points; batched. The one
+        read of that frozen block, for the coupling cancellation and the drift too."""
         return self._evaluate(y, self.reference_points[:, 1:, :])
 
     def _reference_and_field(self, t):
@@ -177,7 +177,7 @@ class ControllerBank:
         """``plant``, if given, is the field f(own, neighbor_states) already evaluated."""
         if plant is None:
             plant = self._evaluate(own, neighbor_states)
-        return -(plant - self._evaluate(own, self.reference_points[:, 1:, :]))
+        return -(plant - self.frozen_field(own))
 
     def offset_homing(self, own_start):
         return from_components([-(x - r) / self.period for x, r in
@@ -239,11 +239,9 @@ def sample_inflated_cell(grid, cell, radius, count, rng):
     ax = rng.integers(0, n, size=rest)
     hi_side = rng.integers(0, 2, size=rest).astype(bool)
     y[np.arange(rest), ax] = np.where(hi_side, box.hi[ax], box.lo[ax])
-    u = rng.normal(size=(rest, n))
-    norm = np.maximum(row_norm(u), _TINY)
+    u = unit_directions(rng, rest, n)
     reach = radius * rng.uniform(0.5, 1.0, size=rest)
     for col, start, step in zip(components(out[filled:]), components(y), components(u)):
-        step /= norm
         step *= reach
         np.add(start, step, out=col)
     # pin a few samples to the extreme corners of the inflated set

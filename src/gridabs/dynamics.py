@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CellConfiguration, component_sum_squares, row_norm, uniform_in_ball
+from .geometry import (CellConfiguration, component_sum_squares, row_norm, uniform_in_ball,
+                       unit_directions)
 
-_TINY = np.finfo(float).tiny
 DEFAULT_VALIDATION_TRIALS = 10000
 # Radius of the ball per agent from which validate_constants draws its states;
 # it is also the largest perturbation scale.
@@ -140,7 +140,7 @@ class DynamicsModel:
 
     def evaluator(self, agent):
         if self.evaluators is None:
-            raise RuntimeError("model declares constants only and has no evaluators")
+            raise ValueError("model declares constants only and has no evaluators")
         return self.evaluators[agent]
 
 
@@ -182,20 +182,32 @@ def _neighbor_field(own, nbrs, term):
     return out
 
 
+def _consensus_model(name, network, evaluate, scale, gain, input_bound):
+    """Model of ``scale`` times a neighbor sum of 1-Lipschitz terms bounded by ``gain``.
+
+    The one home of the builtins' constants: feedback_bound = scale*gain*maxdeg,
+    neighbor_lipschitz = scale*sqrt(maxdeg), self_lipschitz = scale*maxdeg, and
+    translation invariance."""
+    maxdeg = network.max_degree
+    if maxdeg == 0:
+        raise ValueError(f"{name} needs at least one edge")
+    return DynamicsModel(network, (evaluate,) * network.agent_count,
+                         feedback_bound=scale * gain * maxdeg,
+                         neighbor_lipschitz=scale * float(np.sqrt(maxdeg)),
+                         self_lipschitz=scale * float(maxdeg),
+                         input_bound=input_bound, translation_invariant=True)
+
+
 def saturated_consensus(network, gain, input_bound):
     """Consensus feedback f_i = sum_k sat_gain(x_{j_k} - x_i).
 
     sat_gain is the radial projection onto the ball of radius ``gain`` (hence
-    1-Lipschitz), giving feedback_bound = gain * maxdeg, neighbor_lipschitz =
-    sqrt(maxdeg), self_lipschitz = maxdeg. It depends on the differences only,
-    so the model is declared translation invariant.
+    1-Lipschitz), so the model declares ``_consensus_model``'s constants at
+    scale 1. It depends on the differences only, so it is translation invariant.
     """
     gain = float(gain)
     if gain <= 0.0:
         raise ValueError("gain must be positive")
-    maxdeg = network.max_degree
-    if maxdeg == 0:
-        raise ValueError("saturated consensus needs at least one edge")
 
     def clip(diffs):
         # projection of each difference onto the closed ball B(gain), in place:
@@ -210,11 +222,7 @@ def saturated_consensus(network, gain, input_bound):
     def evaluate(own, nbrs):
         return _neighbor_field(own, nbrs, clip)
 
-    return DynamicsModel(network, (evaluate,) * network.agent_count,
-                         feedback_bound=gain * maxdeg,
-                         neighbor_lipschitz=float(np.sqrt(maxdeg)),
-                         self_lipschitz=float(maxdeg),
-                         input_bound=input_bound, translation_invariant=True)
+    return _consensus_model("saturated consensus", network, evaluate, 1.0, gain, input_bound)
 
 
 def smooth_consensus(network, gain, input_bound, scale=1.0):
@@ -230,9 +238,6 @@ def smooth_consensus(network, gain, input_bound, scale=1.0):
     scale = float(scale)
     if gain <= 0.0 or scale <= 0.0:
         raise ValueError("gain and scale must be positive")
-    maxdeg = network.max_degree
-    if maxdeg == 0:
-        raise ValueError("smooth consensus needs at least one edge")
 
     def soften(diffs):
         # diff / sqrt(1 + |diff|^2 / gain^2) for each difference, in place
@@ -247,11 +252,7 @@ def smooth_consensus(network, gain, input_bound, scale=1.0):
         out *= scale
         return out
 
-    return DynamicsModel(network, (evaluate,) * network.agent_count,
-                         feedback_bound=scale * gain * maxdeg,
-                         neighbor_lipschitz=scale * float(np.sqrt(maxdeg)),
-                         self_lipschitz=scale * float(maxdeg),
-                         input_bound=input_bound, translation_invariant=True)
+    return _consensus_model("smooth consensus", network, evaluate, scale, gain, input_bound)
 
 
 def project_configuration(network, cells, agent) -> CellConfiguration:
@@ -334,8 +335,7 @@ def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, seed=0) -> Valid
                       states, nbrs + delta)
             if model.self_lipschitz > 0.0:
                 step = scale * rng.uniform(0.5, 1.0, size=(trials, 1))
-                direction = rng.normal(size=(trials, dim))
-                direction /= np.maximum(row_norm(direction)[:, None], _TINY)
+                direction = unit_directions(rng, trials, dim)
                 moved = ev(own + step * direction, nbrs)
                 quot = row_norm(moved - base) / step[:, 0]
                 track("self_lipschitz", quot / model.self_lipschitz, i,

@@ -109,11 +109,18 @@ def uniform_in_box(rng, lo, hi, count):
     return out
 
 
-def uniform_in_ball(rng, count, dim, radius):
-    """``count`` uniform points of the closed ball of ``radius`` about 0 in R^dim,
-    shaped (count, dim): normal directions, then radii ``radius * u**(1/dim)``."""
+def unit_directions(rng, count, dim):
+    """``count`` random unit vectors of R^dim, shaped (count, dim): normal draws over
+    their norms (at least ``_TINY``). The package's one draw of a direction."""
     direction = rng.normal(size=(count, dim))
     direction /= np.maximum(row_norm(direction)[:, None], _TINY)
+    return direction
+
+
+def uniform_in_ball(rng, count, dim, radius):
+    """``count`` uniform points of the closed ball of ``radius`` about 0 in R^dim,
+    shaped (count, dim): unit directions, then radii ``radius * u**(1/dim)``."""
+    direction = unit_directions(rng, count, dim)
     r = radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / dim)
     return direction * r
 

@@ -957,7 +957,7 @@ def test_json_round_trip_of_any_small_system(ts):
 @given(ts=transition_systems())
 def test_actions_and_post_sets_agree_with_the_rows(ts):
     rows = list(ts.transitions)
-    assert ts.actions == tuple(dict.fromkeys(t.action for t in rows))
+    assert ts.action_count == len({t.action for t in rows})
     for t in rows:
         assert ts.post_set(t.source, t.action) == {u.target for u in rows
                                                    if u.action == t.action}
@@ -1080,6 +1080,19 @@ def test_dot_export_mentions_states_and_edges(ref_model, ref_grid, ref_params,
     t = ts.transitions[0]
     assert f'"{t.source}"' in dot
     assert "->" in dot
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-more", "one-fewer"])
+def test_plan_controllers_need_one_target_cell_per_agent(ref_model, ref_grid, ref_params,
+                                                         extra):
+    source = ((0, 0), (1, 0), (0, 1))
+    targets = [agent_transition(ref_model, ref_grid, ref_params,
+                                project_configuration(ref_model.network, source, i),
+                                substeps=16)[0] for i in range(3)]
+    targets = targets + [(9, 9)] if extra > 0 else targets[:-1]
+    with pytest.raises(ValueError, match=r"^need 3 source and target cells$"):
+        abstraction.plan_controllers(ref_model, ref_grid, ref_params, source, targets,
+                                     substeps=16)
 
 
 def test_plan_controllers_need_admissible_params(ref_model, ref_grid):

@@ -27,7 +27,15 @@ one-agent closed loops share one RK4 driver, ``_drive``, the only caller of
 ``rk4_steps`` besides the uniform-step generator and the only place a
 closed-loop run is found non-finite, and one bank check, ``_check_banks``,
 the one home of the rule that a bank has size 1 or B. Corner-pinned samples
-come from one method, the only reader of ``corner_inset``.
+come from one method, the only reader of ``corner_inset``. Random
+directions come from one draw, ``unit_directions``, the only caller of
+``rng.normal``, and ``geometry`` alone names the smallest float that guards
+its division. The neighbors' frozen reference points are read in one place,
+``ControllerBank.frozen_field``, so the coupling cancellation and the drift
+compensation evaluate the field against one frozen block. The builtin
+fields declare their constants in one constructor, ``_consensus_model``,
+the only reader of ``max_degree``. A plan's size (one source and one target
+cell per agent) is checked in one place, ``plan_controllers``.
 """
 
 import ast
@@ -226,3 +234,34 @@ def test_the_bank_size_rule_has_one_home():
 
 def test_corner_pinned_samples_are_drawn_in_one_place():
     assert _homes(_reads("corner_inset")) == {"geometry.GridDecomposition.sample_with_corners"}
+
+
+def test_random_directions_are_drawn_in_one_place():
+    assert _homes(_calls("normal")) == {"geometry.unit_directions"}
+    assert _homes(_reads("tiny")) == {"geometry"}
+
+
+def _frozen_block(node):
+    """``<x>.reference_points[:, 1:...]``: the neighbors' frozen reference points."""
+    if not (isinstance(node, ast.Subscript) and _reads("reference_points")(node.value)):
+        return False
+    parts = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return (len(parts) > 1 and isinstance(parts[1], ast.Slice)
+            and isinstance(parts[1].lower, ast.Constant) and parts[1].lower.value == 1)
+
+
+def test_the_frozen_neighbor_block_is_read_in_one_place():
+    assert _homes(_frozen_block) == {"controller.ControllerBank.frozen_field"}
+
+
+def test_the_builtins_declare_their_constants_in_one_place():
+    assert _homes(_reads("max_degree")) == {"dynamics._consensus_model"}
+
+
+def _plan_size_message(node):
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "source and target cells" in node.value)
+
+
+def test_the_plan_size_is_checked_in_one_place():
+    assert _homes(_plan_size_message) == {"abstraction.plan_controllers"}

@@ -274,6 +274,38 @@ def test_validate_constants_passes(config_path, capsys):
     assert "ok" in out
 
 
+CONSTANTS_ONLY = """dynamics:
+  constants:
+    feedback_bound: 1.0
+    neighbor_lipschitz: 1.4142135623730951
+    self_lipschitz: 2.0
+    input_bound: 0.5"""
+
+
+@pytest.mark.parametrize("command, writes", [
+    ("abstract", True),
+    ("verify", False),
+    ("simulate", True),
+    ("controller-dump", True),
+    ("validate-constants", False),
+])
+def test_a_constants_only_config_is_an_input_error(tmp_path, capsys, command, writes):
+    # check and region need only the constants; these subcommands need the field
+    text = CONFIG.format(period=0.02).replace(
+        "dynamics:\n  builtin: saturated_consensus\n  gain: 0.5\n  input_bound: 0.5",
+        CONSTANTS_ONLY)
+    assert "constants:" in text
+    path = tmp_path / "constants.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    flags = ["--out", str(out)] if writes else []
+    assert main([command, "--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+    assert main(["check", "--config", str(path)]) == 0
+
+
 def test_enumeration_cap_exit_code(tmp_path, capsys):
     text = CONFIG.format(period=0.02).replace(
         "window: [[-1, 1], [-1, 1]]", "window: [[-60, 60], [-60, 60]]")

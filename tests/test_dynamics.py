@@ -193,7 +193,7 @@ def test_constants_only_model(path_network):
     model = DynamicsModel(path_network, None, feedback_bound=1.0,
                           neighbor_lipschitz=1.0, self_lipschitz=1.0,
                           input_bound=0.5)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="constants only"):
         model.evaluator(0)
 
 

@@ -93,6 +93,17 @@ def test_cell_box_of_cell_arrays_equals_the_per_cell_boxes(origin):
     assert box.hi.tobytes() == np.array([b.hi for b in singles]).tobytes()
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: cell_box(z).hi is cell_lo(z) + side, "
+                   "not the next cell's lower face cell_lo(z + 1)")
+def test_cell_box_upper_face_is_the_next_cells_lower_face():
+    # cell_indices places points against cell_lo(z + 1); the box must end there too
+    rng = np.random.default_rng(2)
+    for origin in rng.uniform(-1.0, 1.0, size=(20, 2)):
+        grid = GridDecomposition(2, 0.004 / np.sqrt(2.0), origin=origin)
+        cells = rng.integers(-10, 11, size=(100, 2))
+        np.testing.assert_array_equal(grid.cell_box(cells).hi, grid.cell_lo(cells + 1))
+
+
 def test_cell_box_of_one_cell():
     grid = GridDecomposition(2, 0.3, origin=[0.05, -1.0])
     lo = grid.origin + grid.side * np.array([3.0, -2.0])
