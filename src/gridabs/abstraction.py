@@ -416,8 +416,9 @@ def plan_controllers(model, grid, params, source_cells, target_cells,
     """Size-1 ControllerBanks for one synchronous step of a global cell plan.
 
     Agent ``i`` gets the bank of the configuration projected from
-    ``source_cells``; its successor cell must equal ``target_cells[i]``,
-    else ValueError, as when either list lacks one cell per agent.
+    ``source_cells``; its successor cell must equal ``target_cells[i]``, any
+    integer sequence, else ValueError, as when either list lacks one cell per
+    agent.
     """
     count = model.network.agent_count
     if len(source_cells) != count or len(target_cells) != count:
@@ -426,7 +427,7 @@ def plan_controllers(model, grid, params, source_cells, target_cells,
     for i in range(count):
         config = project_configuration(model.network, source_cells, i)
         target, controller = agent_transition(model, grid, params, config, substeps=substeps)
-        if target != target_cells[i]:
+        if target != tuple(int(c) for c in target_cells[i]):
             raise ValueError(f"agent {i}: declared target {target_cells[i]} is not the "
                              f"constructive successor {target}")
         controllers.append(controller)
@@ -447,7 +448,6 @@ def compose_plan(model, grid, params, source_cells, target_cells, samples=100,
     net = model.network
     count = net.agent_count
     source_cells = tuple(tuple(int(c) for c in z) for z in source_cells)
-    target_cells = tuple(tuple(int(c) for c in z) for z in target_cells)
     controllers = plan_controllers(model, grid, params, source_cells, target_cells, substeps)
     rng = np.random.default_rng(seed)
     x0 = np.empty((samples, count, net.dimension))

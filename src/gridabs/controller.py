@@ -137,47 +137,62 @@ class ControllerBank:
                                      dense.derivs[:, b:b + 1])
         return view
 
-    def frozen_field(self, y):
+    def frozen_field(self, y, neighbors=None):
         """Field with neighbors frozen at their reference points; batched. The one
-        read of that frozen block, for the coupling cancellation and the drift too."""
-        return self._evaluate(y, self.reference_points[:, 1:, :])
+        read of that frozen block, for the coupling cancellation and the drift too.
+
+        Given the actual ``neighbors`` of ``y``, it returns the pair
+        f(y, neighbors), f(y, frozen) from one evaluator call on the two
+        neighbor blocks stacked on a new leading axis; the evaluators are
+        elementwise over rows, so each equals its own call bit for bit.
+        """
+        frozen = self.reference_points[:, 1:, :]
+        if neighbors is None:
+            return self._evaluate(y, frozen)
+        both = np.empty((2,) + np.broadcast(neighbors, frozen).shape)
+        both[0] = neighbors
+        both[1] = frozen
+        return self._evaluate(y, both)
 
     def _reference_and_field(self, t):
         """ref(t) and its frozen field f(ref(t), frozen neighbors).
 
-        A scalar ``t`` gives (B, n) arrays, read from the stored dense output
-        when ``t`` is a knot of the bank's own grid; a vector of per-sample
-        times (S,) needs a size-1 bank and gives (S, n).
+        A column of times (T, 1) gives (T, B, n) arrays: each knot of the
+        bank's own grid among the times is read from the stored dense output,
+        and the other times are queried at once. A scalar ``t`` is a column of
+        one time and gives (B, n). A vector of per-sample times (S,) needs a
+        size-1 bank and gives (S, n).
         """
+        dense = self.dense
         if np.ndim(t) == 0:
-            knot = self.dense.knot(t)
-            if knot is not None:
-                return self.dense.states[knot], self.dense.derivs[knot]
-            reference = self.dense.at(t)
-        elif self.size != 1:
+            reference, field = self._reference_and_field(np.reshape(t, (1, 1)))
+            return reference[0], field[0]
+        if np.ndim(t) == 2 and np.shape(t)[1] == 1:
+            knots = [dense.knot(s) for s in t[:, 0].tolist()]
+            off = [r for r, k in enumerate(knots) if k is None]
+            rows = [0 if k is None else k for k in knots]
+            reference, field = dense.states[rows], dense.derivs[rows]
+            if off:
+                reference[off] = dense.at(t[off, 0])
+                field[off] = self.frozen_field(reference[off])
+            return reference, field
+        if self.size != 1:
             raise ValueError("per-sample times require a bank of size 1")
-        else:
-            reference = self.dense.at(t)[:, 0, :]
+        reference = dense.at(t)[:, 0, :]
         return reference, self.frozen_field(reference)
 
     def _check_time(self, t):
-        # the feedback stays defined past the period by freezing at its end; one
-        # number is checked in Python floats, as numpy's per-call overhead on it
-        # would cost as much as the reference lookup that follows
-        if isinstance(t, (int, float)):
-            if not t >= 0.0:
-                raise ValueError("time must be nonnegative")
-            return min(float(t), self.period)
+        # the feedback stays defined past the period by freezing at its end
         t = np.asarray(t, dtype=float)
         if not np.all(t >= 0.0):
             raise ValueError("time must be nonnegative")
         return np.minimum(t, self.period)
 
-    def coupling_cancellation(self, own, neighbor_states, plant=None):
-        """``plant``, if given, is the field f(own, neighbor_states) already evaluated."""
-        if plant is None:
-            plant = self._evaluate(own, neighbor_states)
-        return -(plant - self.frozen_field(own))
+    def coupling_cancellation(self, own, neighbor_states, fields=None):
+        """``fields``, if given, is ``frozen_field(own, neighbor_states)`` already
+        evaluated: the pair f(own, neighbor_states), f(own, frozen)."""
+        plant, frozen = self.frozen_field(own, neighbor_states) if fields is None else fields
+        return -(plant - frozen)
 
     def offset_homing(self, own_start):
         return from_components([-(x - r) / self.period for x, r in
@@ -185,6 +200,8 @@ class ControllerBank:
                                     components(self.reference_points[:, 0, :]))])
 
     def drift_compensation(self, t, own_start):
+        """The drift term at time ``t``: (B, n) for a scalar, (T, B, n) for a column
+        of times (T, 1), and (S, n) for per-sample times (S,) of a size-1 bank."""
         t = self._check_time(t)
         remain = 1.0 - t / self.period
         reference, reference_field = self._reference_and_field(t)
@@ -193,7 +210,7 @@ class ControllerBank:
             components(self.reference_points[:, 0, :]))])
         return -(self.frozen_field(shifted) - reference_field)
 
-    def feedback(self, t, own, neighbor_states, own_start, plant=None, homing=None,
+    def feedback(self, t, own, neighbor_states, own_start, fields=None, homing=None,
                  drift=None):
         """Full feedback at time ``t``; batched over the leading axis.
 
@@ -201,12 +218,14 @@ class ControllerBank:
         accepted for a bank of size 1. This is the one place the three terms
         are summed. A caller that already holds some stage values passes them
         instead of having them recomputed, and gets the same result bit for
-        bit: ``plant`` is f(own, neighbor_states), ``homing`` is
-        ``offset_homing(own_start)``, and ``drift`` is
+        bit: ``fields`` is ``frozen_field(own, neighbor_states)``, the plant
+        field and the frozen one from one evaluator call; ``homing`` is
+        ``offset_homing(own_start)``; and ``drift`` is
         ``drift_compensation(t, own_start)``, which depends on the state only
-        through the start and so is shared by RK4 stages at the same time.
+        through the start, so the closed loop computes it for a block of
+        stage times at once.
         """
-        return (self.coupling_cancellation(own, neighbor_states, plant)
+        return (self.coupling_cancellation(own, neighbor_states, fields)
                 + (self.offset_homing(own_start) if homing is None else homing)
                 + (self.drift_compensation(t, own_start) if drift is None else drift))
 

@@ -15,6 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def stage_times(t, t_next):
+    """Width h of the RK4 step from ``t`` to ``t_next`` and its two distinct stage
+    times after ``t``: (h, t + 0.5*h, t + h); floats or arrays of steps alike.
+
+    On knots that start at 0, as `knot_times` builds them, h is exact, so
+    ``t + h`` is ``t_next`` itself.
+    """
+    h = t_next - t
+    return h, t + 0.5 * h, t + h
+
+
 def rk4_steps(field, y0, times):
     """Classical RK4 for dy/dt = field(t, y) through the knots ``times``.
 
@@ -27,10 +38,10 @@ def rk4_steps(field, y0, times):
     dy = field(times[0], y)
     yield y, dy
     for t, t_next in zip(times[:-1], times[1:]):
-        h = t_next - t
-        k2 = field(t + 0.5 * h, y + 0.5 * h * dy)
-        k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = field(t + h, y + h * k3)
+        h, mid, end = stage_times(t, t_next)
+        k2 = field(mid, y + 0.5 * h * dy)
+        k3 = field(mid, y + 0.5 * h * k2)
+        k4 = field(end, y + h * k3)
         y = y + (h / 6.0) * (dy + 2.0 * k2 + 2.0 * k3 + k4)
         dy = field(t_next, y)
         yield y, dy
@@ -109,9 +120,11 @@ class DenseTrajectory:
         """States at time(s) ``t``; scalar t drops the leading axis.
 
         A scalar time weighs the two knot arrays around it in Python float
-        arithmetic. An array of times gathers its knots from knot-major
-        (P, K+1) copies of the stored arrays, so the Hermite weights, one per
-        query, run innermost; both give the same values bit for bit.
+        arithmetic. An array of times that outnumbers the P entries of a state
+        gathers its knots from knot-major (P, K+1) copies of the stored
+        arrays, so the Hermite weights, one per query, run innermost; fewer
+        times gather whole knot rows, so a state's entries run innermost. All
+        give the same values bit for bit.
         """
         lo, hi = self.span
         slack = 1e-9 * max(hi - lo, 1.0)
@@ -171,16 +184,32 @@ class DenseTrajectory:
         return idx, times[idx], times[idx + 1]
 
     def _at_many(self, idx, weights):
-        # the same sum, term by term, on knot-major (P, queries) gathers
+        # the same sum, term by term, with the longer of the query axis and the
+        # state's entries innermost: knot-major (P, K+1) copies of the stored
+        # arrays when the queries outnumber the entries, else gathered knot rows
         knots = len(self.times)
         size = self.states[0].size
-        states = np.ascontiguousarray(self.states.reshape(knots, size).T)
-        derivs = np.ascontiguousarray(self.derivs.reshape(knots, size).T)
-        a, b, c, d = weights
-        acc = a * np.take(states, idx, axis=1)
-        acc += b * np.take(derivs, idx, axis=1)
-        acc += c * np.take(states, idx + 1, axis=1)
+        states = self.states.reshape(knots, size)
+        derivs = self.derivs.reshape(knots, size)
         out = np.empty(idx.shape + self.states.shape[1:])
-        np.add(acc, d * np.take(derivs, idx + 1, axis=1),
-               out=np.moveaxis(out.reshape(idx.shape + (size,)), -1, 0), order="C")
+        out_rows = out.reshape(idx.shape + (size,))
+        if idx.size > size:
+            states = np.ascontiguousarray(states.T)
+            derivs = np.ascontiguousarray(derivs.T)
+            axis, out_rows = 1, np.moveaxis(out_rows, -1, 0)
+        else:
+            axis, weights = 0, [w[..., None] for w in weights]
+        a, b, c, d = weights
+        acc = a * np.take(states, idx, axis=axis)
+        # each later term is gathered and weighed in one buffer; the indices are
+        # in range, so "clip" only spares numpy a buffered copy of ``out``
+        term = np.empty_like(acc)
+
+        def weighed(w, source, rows):
+            return np.multiply(w, np.take(source, rows, axis=axis, out=term, mode="clip"),
+                               out=term)
+
+        acc += weighed(b, derivs, idx)
+        acc += weighed(c, states, idx + 1)
+        np.add(acc, weighed(d, derivs, idx + 1), out=out_rows, order="C")
         return out

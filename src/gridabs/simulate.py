@@ -13,26 +13,35 @@ Both loops are one driver, `_drive`, after one bank check, `_check_banks`.
 The driver steps through `integrate.rk4_steps`, the package's one RK4 loop,
 with the neighbor states taken from the joint state or the prescribed
 signals, so identical inputs give bit-identical results; the monitors read
-the feedback the rate function computed at each knot. The drift
-compensation (once per distinct stage time, from the banks' stored
-reference at the knots), the offset homing (once per run) and the plant
-field f(own, neighbors) are shared between the stages and terms that need
-them, bit-identical to evaluating the full feedback afresh at every stage.
+the feedback the rate function computed at each knot. At every stage one
+evaluator call per bank gives both the plant field f(own, neighbors) and the
+frozen field that the coupling cancellation subtracts
+(`ControllerBank.frozen_field`). The values that depend only on time, the
+drift compensation and the prescribed neighbor signals, are computed for a
+block of consecutive stage times at once (`integrate.stage_times` gives them
+as `rk4_steps` does), at most `_BLOCK_ROWS` stage rows per block, so memory
+does not grow with the substeps; the offset homing is computed once per run.
+All of it is bit-identical to evaluating the full feedback afresh at every
+stage.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .controller import ControllerBank
 from .geometry import first_true, row_norm
-from .integrate import rk4_steps
+from .integrate import rk4_steps, stage_times
 
 # Slack on the input-magnitude certificate |k| <= input_bound.
 INPUT_ATOL = 1e-12
+
+# Bound on the stage rows (stage times x runs) of one block of the values the
+# closed loop computes from time alone: the drift compensation and prescribed
+# neighbor signals. A block holds at least one step.
+_BLOCK_ROWS = 8192
 
 
 def exceeds_input_bound(magnitude, bound):
@@ -167,36 +176,46 @@ def _check_banks(banks, x0):
 def _drive(banks, x0, neighbors, mags):
     """Step the columns of x0 (B, A, n) under checked ``banks`` on their knots.
 
-    ``neighbors(t, y)`` gives each column's neighbor states (B, m_a, n) at the
-    stage (t, y). At every knot ``m`` it writes the |input| into ``mags[m]``
-    (B, A) and yields the state; a non-finite state raises IntegrationError.
+    ``neighbors(times)`` is called once per block of stage times and returns
+    ``at(k, y)``: each column's neighbor states (B, m_a, n) at the stage of
+    time ``times[k]`` and state ``y``. At every knot ``m`` it writes the
+    |input| into ``mags[m]`` (B, A) and yields the state; a non-finite state
+    raises IntegrationError.
     """
-    evaluators = [bank.model.evaluator(bank.agent) for bank in banks]
     starts = [np.ascontiguousarray(x0[:, a]) for a in range(len(banks))]
     homing = [bank.offset_homing(start) for bank, start in zip(banks, starts)]
     feedback = [None] * len(banks)
-
-    @functools.lru_cache(maxsize=1)
-    def drifts(t):
-        # per bank: the drift compensation at t, which depends only on t. RK4
-        # asks for each stage time twice in a row: k2 and k3 at the half step,
-        # then k4 and the knot at t + h == t_next (the knots start at 0, so h is
-        # exact). One cached entry is enough.
-        return [bank.drift_compensation(t, start) for bank, start in zip(banks, starts)]
+    times = banks[0].dense.times
+    # the distinct stage times in the order RK4 asks for them: the first knot,
+    # then each step's half step and its end, which is the next knot itself
+    # (`stage_times`); a rate call finds its stage by its time. Blocks hold
+    # whole steps; the first one also holds the first knot.
+    _, mid, end = stage_times(times[:-1], times[1:])
+    stage = np.concatenate([times[:1], np.stack([mid, end], axis=1).ravel()])
+    per_block = 2 * max(1, _BLOCK_ROWS // (2 * len(x0)))
+    blocks = iter(np.split(stage, range(1 + per_block, len(stage), per_block)))
+    rows, drifts, at = {}, None, None
 
     def rate(t, y):
-        nbrs = neighbors(t, y)
-        drift = drifts(t)
+        nonlocal rows, drifts, at
+        if t not in rows:
+            # RK4 has moved past the block: the next one's time-only values
+            block = next(blocks)
+            rows = {s: k for k, s in enumerate(block.tolist())}
+            drifts = [bank.drift_compensation(block[:, None], start)
+                      for bank, start in zip(banks, starts)]
+            at = neighbors(block)
+        k = rows[t]
+        nbrs = at(k, y)
         u = np.empty_like(y)
         for a, bank in enumerate(banks):
             own = y[:, a]
-            plant = evaluators[a](own, nbrs[a])
-            feedback[a] = bank.feedback(t, own, nbrs[a], starts[a], plant=plant,
-                                        homing=homing[a], drift=drift[a])
-            np.add(plant, feedback[a], out=u[:, a])
+            fields = bank.frozen_field(own, nbrs[a])
+            feedback[a] = bank.feedback(t, own, nbrs[a], starts[a], fields=fields,
+                                        homing=homing[a], drift=drifts[a][k])
+            np.add(fields[0], feedback[a], out=u[:, a])
         return u
 
-    times = banks[0].dense.times
     # rate's last call was at the yielded knot: ``feedback`` holds its values there
     for m, (y, _) in enumerate(rk4_steps(rate, x0, times)):
         if not np.all(np.isfinite(y)):
@@ -254,7 +273,11 @@ def integrate_closed_loop_batch(controllers, x0):
     times = banks[0].dense.times
     states = np.empty(times.shape + x0.shape)
     mags = np.empty(times.shape + x0.shape[:2])
-    knots = _drive(banks, x0, lambda t, y: [y[:, idx] for idx in neighbor_idx], mags)
+
+    def joint(block_times):
+        return lambda k, y: [y[:, idx] for idx in neighbor_idx]
+
+    knots = _drive(banks, x0, joint, mags)
     for m, y in enumerate(knots):
         states[m] = y
     contained = banks[0].grid.inflated_contains(own_cells, banks[0].params.reach_radius,
@@ -294,11 +317,14 @@ def integrate_agent_batch(bank, x0, neighbors):
     if neighbors.states.shape[1:] != (batch, m, n):
         raise ValueError(f"expected neighbor signals shaped (P, {batch}, {m}, {n}), "
                          f"got {neighbors.states.shape}")
-    # the signals at t depend only on t, which RK4 asks for twice in a row
-    signals = functools.lru_cache(maxsize=1)(neighbors.at)
+
+    def signals(block_times):
+        states = neighbors.at(block_times)
+        return lambda k, y: (states[k],)
+
     times = bank.dense.times
     mags = np.empty(times.shape + (batch, 1))
-    for y in _drive([bank], x0[:, None], lambda t, y: (signals(t),), mags):
+    for y in _drive([bank], x0[:, None], signals, mags):
         pass
     return AgentRuns(agent=bank.agent, times=times, endpoints=y[:, 0], input_magnitudes=mags)
 

@@ -1095,6 +1095,29 @@ def test_plan_controllers_need_one_target_cell_per_agent(ref_model, ref_grid, re
                                      substeps=16)
 
 
+@pytest.mark.parametrize("form", [lambda t: [list(z) for z in t], np.array],
+                         ids=["lists", "array-rows"])
+def test_plan_targets_may_be_any_integer_rows(ref_model, ref_grid, ref_params, form):
+    source = ((0, 0), (1, 0), (0, 1))
+    targets = [agent_transition(ref_model, ref_grid, ref_params,
+                                project_configuration(ref_model.network, source, i),
+                                substeps=16)[0] for i in range(3)]
+    expected = abstraction.plan_controllers(ref_model, ref_grid, ref_params, source,
+                                            targets, substeps=16)
+    banks = abstraction.plan_controllers(ref_model, ref_grid, ref_params, source,
+                                         form(targets), substeps=16)
+    assert [b.endpoint.tobytes() for b in banks] == [b.endpoint.tobytes() for b in expected]
+    _, report = compose_plan(ref_model, ref_grid, ref_params, source, form(targets),
+                             samples=4, seed=0, substeps=16)
+    assert all(report.containment_ok)
+    wrong = form(targets)
+    wrong[1][0] += 1
+    with pytest.raises(ValueError, match=r"^agent 1: declared target .* is not the "
+                                         r"constructive successor"):
+        abstraction.plan_controllers(ref_model, ref_grid, ref_params, source, wrong,
+                                     substeps=16)
+
+
 def test_plan_controllers_need_admissible_params(ref_model, ref_grid):
     bad = ga.check_discretization(ref_model, ref_grid.diameter(), 0.005)
     cells = ((0, 0), (1, 0), (0, 1))

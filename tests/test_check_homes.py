@@ -35,7 +35,10 @@ its division. The neighbors' frozen reference points are read in one place,
 compensation evaluate the field against one frozen block. The builtin
 fields declare their constants in one constructor, ``_consensus_model``,
 the only reader of ``max_degree``. A plan's size (one source and one target
-cell per agent) is checked in one place, ``plan_controllers``.
+cell per agent) is checked in one place, ``plan_controllers``. The times
+of an RK4 step's stages (``t + 0.5 * h``) are computed in one place,
+``stage_times``, which both the RK4 loop and the closed loop's blocks of
+time-only values call.
 """
 
 import ast
@@ -265,3 +268,18 @@ def _plan_size_message(node):
 
 def test_the_plan_size_is_checked_in_one_place():
     assert _homes(_plan_size_message) == {"abstraction.plan_controllers"}
+
+
+def _half_step_time(node):
+    """``<t> + 0.5 * <h>``: the time of an RK4 step's middle stages."""
+    def half(o):
+        return (isinstance(o, ast.BinOp) and isinstance(o.op, ast.Mult)
+                and isinstance(o.left, ast.Constant) and o.left.value == 0.5
+                and isinstance(o.right, ast.Name))
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and any(half(o) for o in (node.left, node.right)))
+
+
+def test_the_stage_times_have_one_home():
+    assert _homes(_half_step_time) == {"integrate.stage_times"}
+    assert _homes(_calls("stage_times")) == {"integrate.rk4_steps", "simulate._drive"}

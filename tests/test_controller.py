@@ -83,12 +83,17 @@ def test_drift_compensation_rejects_negative_int_and_array_times(controller, t):
 
 @pytest.mark.parametrize("t", [0, 0.37 * 0.02, 0.02, 1, 0.05])
 def test_scalar_time_matches_the_array_path(controller, t):
-    # a Python int or float is checked in Python floats; a 0-d array takes the
-    # numpy path, and both give the same drift term bit for bit
+    # a Python int or float, a 0-d array and a row of a column of times beside
+    # knots and half steps, as the closed loop's blocks pass them, give the
+    # same drift term bit for bit
     rng = np.random.default_rng(4)
     start = controller.reference_points[:, 0] + 1e-3 * rng.normal(size=2)
-    np.testing.assert_array_equal(controller.drift_compensation(t, start),
-                                  controller.drift_compensation(np.array(t), start),
+    drift = controller.drift_compensation(t, start)
+    np.testing.assert_array_equal(drift, controller.drift_compensation(np.array(t), start),
+                                  strict=True)
+    knots = controller.dense.times
+    column = np.array([[0.5 * knots[1]], [t], [knots[2]]])
+    np.testing.assert_array_equal(drift, controller.drift_compensation(column, start)[1],
                                   strict=True)
 
 
@@ -177,19 +182,24 @@ def test_drift_compensation_reads_the_stored_knots(ref_model, ref_grid, ref_para
         return at(self, t)
 
     for view, own_start in ((bank, start), (bank.member(3), start[3:4])):
-        for t in view.dense.times:
-            monkeypatch.setattr(DenseTrajectory, "at", counting_at)
-            drift = view.drift_compensation(t, own_start)
-            monkeypatch.setattr(DenseTrajectory, "at", at)
-            ref = view.dense.at(t)
-            offset = (1.0 - t / view.period) * (own_start - view.reference_points[:, 0])
-            expected = -(view.frozen_field(ref + offset) - view.frozen_field(ref))
-            np.testing.assert_array_equal(drift, expected, strict=True)
-    # a knot's reference and its field are the stored dense output
-    assert queries == []
-    monkeypatch.setattr(DenseTrajectory, "at", counting_at)
-    bank.drift_compensation(0.5 * bank.dense.times[1], start)
-    assert len(queries) == 1
+        knots = view.dense.times
+        halves = knots[:-1] + 0.5 * np.diff(knots)
+        for times in (knots, halves):
+            queries.clear()
+            drifts = []
+            for t in times:
+                monkeypatch.setattr(DenseTrajectory, "at", counting_at)
+                drifts.append(view.drift_compensation(t, own_start))
+                monkeypatch.setattr(DenseTrajectory, "at", at)
+                ref = view.dense.at(t)
+                offset = (1.0 - t / view.period) * (own_start - view.reference_points[:, 0])
+                expected = -(view.frozen_field(ref + offset) - view.frozen_field(ref))
+                np.testing.assert_array_equal(drifts[-1], expected, strict=True)
+            # a knot's reference and its field are the stored dense output
+            assert len(queries) == (0 if times is knots else len(halves))
+            # a column of times gives each time's drift in one call
+            np.testing.assert_array_equal(view.drift_compensation(times[:, None], own_start),
+                                          np.stack(drifts), strict=True)
 
 
 @pytest.mark.parametrize("random_refs", [False, True])

@@ -162,8 +162,9 @@ def assert_interval_lookup_is_exact(data, times):
     dense = DenseTrajectory(times, np.zeros_like(times), np.zeros_like(times))
     lo, hi = dense.span
     slack = 1e-9 * max(hi - lo, 1.0)
+    # sorted knots may end in [0.0, -0.0], and st.floats(0.0, -0.0) is empty
     inside = data.draw(arrays(np.float64, data.draw(st.integers(0, 20)),
-                              elements=st.floats(lo, hi)))
+                              elements=st.floats(lo + 0.0, hi + 0.0)))
     edges = np.array([lo, hi, lo - slack, hi + slack, lo - 0.5 * slack,
                       np.nextafter(hi, np.inf), np.nextafter(lo, -np.inf)])
     queries = np.concatenate([times, inside, edges])
@@ -191,6 +192,14 @@ def test_knot_interval_lookup_matches_the_search_on_uniform_knots(data, t0, span
 def test_knot_interval_lookup_matches_the_search_on_other_knots(data, times):
     times = np.sort(times)
     assert_interval_lookup_is_exact(data, times)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("times", [[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0, 0.0]])
+def test_knot_interval_lookup_on_signed_zero_knots(data, times):
+    # np.sort leaves equal knots in their order, so the span may be [0.0, -0.0]
+    assert_interval_lookup_is_exact(data, np.sort(np.array(times)))
 
 
 def test_knot_interval_lookup_on_a_span_too_narrow_for_its_scale():

@@ -1,11 +1,13 @@
 """Closed-loop integration against the reference trajectories."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gridabs as ga
+from gridabs import simulate
 from gridabs.controller import ControllerBank
 from gridabs.dynamics import project_configuration
 from gridabs.geometry import DISTANCE_ATOL, CellConfiguration, box_distance, row_norm
@@ -295,30 +297,47 @@ def plain_closed_loop(model, banks, x0, substeps):
     return rk4_path(rate, x0, 0.0, banks[0].period, substeps)[1]
 
 
-# the plain loop integrates on its own grid of ``loop_substeps`` steps
-@pytest.mark.parametrize("bank_substeps, loop_substeps", [(32, 32)])
-def test_stage_reuse_is_bit_identical(path_network, ref_grid, bank_substeps,
-                                      loop_substeps):
+def undeclared(model):
+    """``model`` without its translation-invariance declaration."""
+    return ga.DynamicsModel(model.network, model.evaluators, model.feedback_bound,
+                            model.neighbor_lipschitz, model.self_lipschitz,
+                            model.input_bound)
+
+
+def nonlinear_models(path_network):
     # nonlinear at cell scale, so a reference value taken at the wrong time
-    # would move the endpoint far beyond roundoff
+    # would move the endpoint far beyond roundoff; declared translation
+    # invariant and not
     model = ga.smooth_consensus(path_network, gain=0.001, input_bound=0.02, scale=20.0)
-    params = ga.check_discretization(model, ref_grid.diameter(), 0.02)
-    banks, x0 = random_banks(model, ref_grid, params, 4, np.random.default_rng(21),
-                             bank_substeps)
-    trajectory, report = integrate_closed_loop_batch(banks, x0)
-    states = plain_closed_loop(model, banks, x0, loop_substeps)
-    np.testing.assert_array_equal(trajectory.states, states)
-    assert report.endpoint_deviation.max() <= 1e-12
-    # the monitors log the full feedback at the knot states, not at a stage
-    for i, bank in enumerate(banks):
-        nbrs = list(path_network.neighbors[i])
-        mags = [np.linalg.norm(bank.feedback(t, y[:, i], y[:, nbrs], x0[:, i]), axis=-1)
-                for t, y in zip(trajectory.times, states)]
-        np.testing.assert_array_equal(trajectory.input_magnitudes[:, :, i], mags)
-        lo = ref_grid.cell_lo(bank.cell_array[:, 0])
-        inside = (box_distance(lo, lo + ref_grid.side, states[:, :, i])
-                  <= params.reach_radius + DISTANCE_ATOL)
-        np.testing.assert_array_equal(trajectory.contained[:, :, i], inside)
+    return model, undeclared(model)
+
+
+# substeps that are and are not a multiple of a block's steps; 1,500 runs split
+# the substeps into blocks of 2 steps
+@pytest.mark.parametrize("substeps, runs", [(32, 32), (1, 4), (13, 4), (256, 4), (13, 1500)])
+def test_stage_reuse_is_bit_identical(path_network, ref_grid, substeps, runs):
+    for model in nonlinear_models(path_network):
+        params = ga.check_discretization(model, ref_grid.diameter(), 0.02)
+        banks, x0 = random_banks(model, ref_grid, params, runs, np.random.default_rng(21),
+                                 substeps)
+        trajectory, report = integrate_closed_loop_batch(banks, x0)
+        states = plain_closed_loop(model, banks, x0, substeps)
+        np.testing.assert_array_equal(trajectory.states, states)
+        for i, bank in enumerate(banks):
+            np.testing.assert_array_equal(report.endpoint_deviation[:, i],
+                                          row_norm(states[-1, :, i] - bank.endpoint))
+        if substeps == 32:
+            assert report.endpoint_deviation.max() <= 1e-12
+        # the monitors log the full feedback at the knot states, not at a stage
+        for i, bank in enumerate(banks):
+            nbrs = list(path_network.neighbors[i])
+            mags = [np.linalg.norm(bank.feedback(t, y[:, i], y[:, nbrs], x0[:, i]), axis=-1)
+                    for t, y in zip(trajectory.times, states)]
+            np.testing.assert_array_equal(trajectory.input_magnitudes[:, :, i], mags)
+            lo = ref_grid.cell_lo(bank.cell_array[:, 0])
+            inside = (box_distance(lo, lo + ref_grid.side, states[:, :, i])
+                      <= params.reach_radius + DISTANCE_ATOL)
+            np.testing.assert_array_equal(trajectory.contained[:, :, i], inside)
 
 
 def counted(model, calls):
@@ -333,22 +352,7 @@ def counted(model, calls):
                             model.self_lipschitz, model.input_bound)
 
 
-# per agent: evaluator calls and dense queries per RK4 step, then those of the
-# first knot (k1's three state-dependent evaluations; its reference is stored)
-@pytest.mark.parametrize("bank_substeps, evals, queries, first_evals, first_queries",
-                         [(32, 11, 1, 3, 0)])
-def test_stage_values_are_evaluated_once(ref_model, ref_grid, ref_params, monkeypatch,
-                                         bank_substeps, evals, queries, first_evals,
-                                         first_queries):
-    """Per agent and RK4 step: the plant and the coupling cancellation at each
-    of the four stages, the half-step reference field and the drift at both
-    distinct stage times, and one dense query. The knots read the banks'
-    stored reference and its field, and so does the residual check."""
-    steps = bank_substeps
-    calls = {"eval": 0, "at": 0}
-    model = counted(ref_model, calls)
-    banks, x0 = random_banks(model, ref_grid, ref_params, 5, np.random.default_rng(4),
-                             bank_substeps)
+def counting_dense_queries(monkeypatch, calls):
     at = DenseTrajectory.at
 
     def counting_at(self, t):
@@ -356,10 +360,40 @@ def test_stage_values_are_evaluated_once(ref_model, ref_grid, ref_params, monkey
         return at(self, t)
 
     monkeypatch.setattr(DenseTrajectory, "at", counting_at)
-    calls.update(eval=0, at=0)
-    integrate_closed_loop_batch(banks, x0)
-    assert calls["eval"] == 3 * (evals * steps + first_evals)
-    assert calls["at"] == 3 * (queries * steps + first_queries)
+
+
+def blocks_of(steps, runs):
+    """Blocks of time-only stage values that ``runs`` runs take for ``steps`` steps."""
+    per_block = max(1, simulate._BLOCK_ROWS // (2 * runs))
+    return -(-steps // per_block)
+
+
+# per agent: evaluator calls per RK4 step and at the first knot, then
+# evaluator calls and dense queries per block of stage times
+@pytest.mark.parametrize("steps, evals, first_evals, block_evals, block_queries",
+                         [(32, 4, 1, 2, 1)])
+def test_stage_values_are_evaluated_once(ref_model, ref_grid, ref_params, monkeypatch,
+                                         steps, evals, first_evals, block_evals,
+                                         block_queries):
+    """Per agent: one evaluator call at each of the four stages of an RK4 step,
+    which gives both the plant and the frozen field, and one at the first knot.
+    Per agent and block of stage times: the drift's frozen field at all of the
+    times and the reference field at the half steps (2 evaluations), and the
+    reference at the half steps (1 dense query). The knots read the banks'
+    stored reference and its field, and so does the residual check. The
+    default bound holds the 32 steps of 5 runs in one block; 40 rows, in 8."""
+    calls = {"eval": 0, "at": 0}
+    model = counted(ref_model, calls)
+    banks, x0 = random_banks(model, ref_grid, ref_params, 5, np.random.default_rng(4),
+                             steps)
+    counting_dense_queries(monkeypatch, calls)
+    for block_rows, blocks in [(simulate._BLOCK_ROWS, 1), (40, 8)]:
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
+        assert blocks_of(steps, 5) == blocks
+        calls.update(eval=0, at=0)
+        integrate_closed_loop_batch(banks, x0)
+        assert calls["eval"] == 3 * (evals * steps + first_evals + block_evals * blocks)
+        assert calls["at"] == 3 * block_queries * blocks
 
 
 @pytest.mark.parametrize("substeps", [0, -1])
@@ -384,12 +418,12 @@ def test_controllers_must_share_the_substeps(ref_model, ref_grid, ref_params):
 def agent_runs_setup(model, grid, params, runs, rng, substeps):
     """Agent 1's bank on cells ((0, 0), (1, 0), (1, 1)), ``runs`` starts in its cell
     and neighbor signals through random points of the neighbor cells at every 8th
-    knot, with zero derivatives."""
+    knot and the last one, with zero derivatives."""
     bank = make_controllers(model, grid, params, ((0, 0), (1, 0), (1, 1)), rng,
                             substeps)[1]
     cells = bank.cell_array[0]
     x0 = grid.sample_in_cell(cells[0], rng, runs)
-    times = bank.dense.times[::8]
+    times = np.append(bank.dense.times[:-1:8], bank.dense.times[-1])
     points = grid.uniform_in_cells(np.broadcast_to(cells[1:], (len(times), runs, 2, 2)), rng)
     return bank, x0, DenseTrajectory(times, points, np.zeros_like(points))
 
@@ -414,47 +448,68 @@ def test_agent_loop_keeps_endpoints_and_magnitudes(ref_model, ref_grid, ref_para
 
 
 def test_agent_loop_equals_the_plain_loop_bit_for_bit(path_network, ref_grid):
-    # nonlinear at cell scale, as in test_stage_reuse_is_bit_identical
-    model = ga.smooth_consensus(path_network, gain=0.001, input_bound=0.02, scale=20.0)
-    params = ga.check_discretization(model, ref_grid.diameter(), 0.02)
-    bank, x0, signals = agent_runs_setup(model, ref_grid, params, 4,
-                                         np.random.default_rng(21), 32)
-    evaluate = model.evaluator(1)
+    # substeps that are and are not a multiple of a block's steps; 600 runs
+    # split the substeps into blocks of 6 steps
+    cases = [(4, 1), (4, 13), (4, 32), (4, 256), (600, 13), (600, 256)]
+    for model in nonlinear_models(path_network):
+        params = ga.check_discretization(model, ref_grid.diameter(), 0.02)
+        evaluate = model.evaluator(1)
+        for runs, substeps in cases:
+            bank, x0, signals = agent_runs_setup(model, ref_grid, params, runs,
+                                                 np.random.default_rng(21), substeps)
 
-    def rate(t, y):
-        nbrs = signals.at(t)
-        return evaluate(y, nbrs) + bank.feedback(t, y, nbrs, x0)
+            def rate(t, y):
+                nbrs = signals.at(t)
+                return evaluate(y, nbrs) + bank.feedback(t, y, nbrs, x0)
 
-    states = rk4_path(rate, x0, 0.0, bank.period, 32)[1]
-    runs = integrate_agent_batch(bank, x0, signals)
-    np.testing.assert_array_equal(runs.endpoints, states[-1])
-    mags = [row_norm(bank.feedback(t, y, signals.at(t), x0))
-            for t, y in zip(runs.times, states)]
-    np.testing.assert_array_equal(runs.input_magnitudes[..., 0], mags)
+            states = rk4_path(rate, x0, 0.0, bank.period, substeps)[1]
+            agent_runs = integrate_agent_batch(bank, x0, signals)
+            np.testing.assert_array_equal(agent_runs.endpoints, states[-1])
+            mags = [row_norm(bank.feedback(t, y, signals.at(t), x0))
+                    for t, y in zip(agent_runs.times, states)]
+            np.testing.assert_array_equal(agent_runs.input_magnitudes[..., 0], mags)
 
 
 def test_agent_loop_evaluates_stage_values_once(ref_model, ref_grid, ref_params,
                                                 monkeypatch):
-    """Per RK4 step: the plant and the coupling cancellation at each of the four
-    stages, the half-step reference field and the drift at both distinct stage
-    times (11 evaluations); the bank's reference at the half step and the
-    neighbor signals at both stage times (3 dense queries). The first knot adds
-    3 evaluations and the signals' query."""
+    """Per RK4 step: one evaluator call at each of the four stages, which gives
+    both the plant and the frozen field; one more at the first knot. Per block
+    of stage times: the drift's frozen field at all of the times and the
+    reference field at the half steps (2 evaluations), the bank's reference at
+    the half steps and the neighbor signals at all of the times (2 dense
+    queries). The default bound holds the 32 steps of 5 runs in one block; 40
+    rows, in 8."""
     calls = {"eval": 0, "at": 0}
     model = counted(ref_model, calls)
     bank, x0, signals = agent_runs_setup(model, ref_grid, ref_params, 5,
                                          np.random.default_rng(4), 32)
-    at = DenseTrajectory.at
+    counting_dense_queries(monkeypatch, calls)
+    for block_rows, blocks in [(simulate._BLOCK_ROWS, 1), (40, 8)]:
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
+        assert blocks_of(32, 5) == blocks
+        calls.update(eval=0, at=0)
+        integrate_agent_batch(bank, x0, signals)
+        assert calls["eval"] == 4 * 32 + 1 + 2 * blocks
+        assert calls["at"] == 2 * blocks
 
-    def counting_at(self, t):
-        calls["at"] += 1
-        return at(self, t)
 
-    monkeypatch.setattr(DenseTrajectory, "at", counting_at)
-    calls.update(eval=0, at=0)
-    integrate_agent_batch(bank, x0, signals)
-    assert calls["eval"] == 11 * 32 + 3
-    assert calls["at"] == 3 * 32 + 1
+def test_agent_loop_memory_does_not_grow_with_the_substeps(ref_model, ref_grid, ref_params):
+    # the time-only stage values are held one row-bounded block at a time. The
+    # logged magnitudes, (K+1, B, 1), grow with the substeps K, and so does the
+    # table of stage times, by a few dozen bytes a step; holding every stage's
+    # drift and signals at once would add tens of megabytes here.
+    peaks = []
+    for substeps in (256, 1024):
+        bank, x0, signals = agent_runs_setup(ref_model, ref_grid, ref_params, 600,
+                                             np.random.default_rng(9), substeps)
+        tracemalloc.start()
+        try:
+            runs = integrate_agent_batch(bank, x0, signals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - runs.input_magnitudes.nbytes)
+    assert peaks[1] <= peaks[0] + 256 * 1024, peaks
 
 
 def test_agent_loop_checks_its_starts_and_signals(ref_model, ref_grid, ref_params):
