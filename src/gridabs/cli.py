@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -123,12 +124,14 @@ def _parse_selector(selector, agent_count):
 def cmd_verify(cfg, args) -> int:
     if cfg.window is None:
         raise ConfigError("verify needs run.window in the config")
+    started = time.perf_counter()
     params = cfg.params()
     trials = args.trials if args.trials is not None else cfg.trials
+    margins, marginal = [], 0
     for agent, index in _parse_selector(args.selector, cfg.network.agent_count):
         ts = build_transition_system(cfg.model, cfg.grid, params, agent, cfg.window,
                                      substeps=cfg.substeps)
-        chosen = ts.transitions
+        chosen, first = ts.transitions, index or 0
         if index is not None:
             if not 0 <= index < len(chosen):
                 raise ConfigError(f"agent {agent} has {len(chosen)} transitions; "
@@ -136,14 +139,21 @@ def cmd_verify(cfg, args) -> int:
             chosen = chosen[index:index + 1]
         if args.limit is not None:
             chosen = chosen[:args.limit]
-        for k, transition in enumerate(chosen):
+        # a transition's trials are seeded by its index in its system, so any
+        # selector that checks it draws the same trials
+        for k, transition in enumerate(chosen, start=first):
             check = verify_transition(cfg.model, cfg.grid, params, transition,
                                       cfg.window, trials=trials, seed=cfg.seed + k,
                                       substeps=cfg.substeps)
+            margins.append(check.min_margin)
+            marginal += check.marginal
             flag = " (marginal)" if check.marginal else ""
             print(f"agent {agent} {transition.source} --{transition.action}--> "
                   f"{transition.target}: ok, {check.trials} trials, min margin "
                   f"{_fmt(check.min_margin)}{flag}")
+    worst = _fmt(min(margins)) if margins else "none"
+    print(f"verified {len(margins)} transitions: worst min margin {worst}, "
+          f"{marginal} marginal, {time.perf_counter() - started:.2f} s", file=sys.stderr)
     return 0
 
 

@@ -137,7 +137,7 @@ class ControllerBank:
                                      dense.derivs[:, b:b + 1])
         return view
 
-    def frozen_field(self, y, neighbors=None):
+    def frozen_field(self, y, neighbors=None, stack=None):
         """Field with neighbors frozen at their reference points; batched. The one
         read of that frozen block, for the coupling cancellation and the drift too.
 
@@ -145,8 +145,15 @@ class ControllerBank:
         f(y, neighbors), f(y, frozen) from one evaluator call on the two
         neighbor blocks stacked on a new leading axis; the evaluators are
         elementwise over rows, so each equals its own call bit for bit.
+        Given a ``stack`` instead, a (2, B, m, n) buffer for such a pair of
+        blocks, it writes the frozen block into ``stack[1]``, evaluates
+        nothing and returns the stack: the closed loop keeps one per bank
+        for a whole run and writes each stage's neighbors into ``stack[0]``.
         """
         frozen = self.reference_points[:, 1:, :]
+        if stack is not None:
+            stack[1] = frozen
+            return stack
         if neighbors is None:
             return self._evaluate(y, frozen)
         both = np.empty((2,) + np.broadcast(neighbors, frozen).shape)
@@ -168,18 +175,46 @@ class ControllerBank:
             reference, field = self._reference_and_field(np.reshape(t, (1, 1)))
             return reference[0], field[0]
         if np.ndim(t) == 2 and np.shape(t)[1] == 1:
-            knots = [dense.knot(s) for s in t[:, 0].tolist()]
-            off = [r for r, k in enumerate(knots) if k is None]
-            rows = [0 if k is None else k for k in knots]
-            reference, field = dense.states[rows], dense.derivs[rows]
-            if off:
-                reference[off] = dense.at(t[off, 0])
-                field[off] = self.frozen_field(reference[off])
+            times = t[:, 0]
+            on, knots, off = self._knot_rows(times)
+            reference = np.empty(times.shape + dense.states.shape[1:])
+            field = np.empty_like(reference)
+            reference[on] = dense.states[knots]
+            field[on] = dense.derivs[knots]
+            if len(times[off]):
+                reference[off] = between = dense.at(times[off])
+                field[off] = self.frozen_field(between)
             return reference, field
         if self.size != 1:
             raise ValueError("per-sample times require a bank of size 1")
         reference = dense.at(t)[:, 0, :]
         return reference, self.frozen_field(reference)
+
+    def _knot_rows(self, times):
+        """The rows of ``times`` that are knots of the bank's grid, their knots and
+        the other rows, as indices.
+
+        The closed loop's blocks of stage times start with the first knot or a
+        half step, then half steps and knots take turns: their knots are every
+        other time, checked at once against consecutive knots, and each other
+        time lies strictly inside a step. Any other times are matched to the
+        knots one at a time.
+        """
+        dense = self.dense
+        first, k = 0, dense.knot(times[0])
+        if k is None and len(times) > 1:
+            first, k = 1, dense.knot(times[1])
+        if k is not None and k >= first:
+            on, off = slice(first, None, 2), slice(1 - first, None, 2)
+            knots, inside = times[on], times[off]
+            lo = dense.times[k - first:k - first + len(inside)]
+            hi = dense.times[k - first + 1:k - first + 1 + len(inside)]
+            if (np.array_equal(dense.times[k:k + len(knots)], knots)
+                    and len(hi) == len(inside) and np.all((lo < inside) & (inside < hi))):
+                return on, slice(k, k + len(knots)), off
+        found = [dense.knot(s) for s in times.tolist()]
+        on = [r for r, m in enumerate(found) if m is not None]
+        return on, [found[r] for r in on], [r for r, m in enumerate(found) if m is None]
 
     def _check_time(self, t):
         # the feedback stays defined past the period by freezing at its end
@@ -188,11 +223,13 @@ class ControllerBank:
             raise ValueError("time must be nonnegative")
         return np.minimum(t, self.period)
 
-    def coupling_cancellation(self, own, neighbor_states, fields=None):
+    def coupling_cancellation(self, own, neighbor_states, fields=None, out=None):
         """``fields``, if given, is ``frozen_field(own, neighbor_states)`` already
-        evaluated: the pair f(own, neighbor_states), f(own, frozen)."""
+        evaluated: the pair f(own, neighbor_states), f(own, frozen). ``out``, if
+        given, receives the term."""
         plant, frozen = self.frozen_field(own, neighbor_states) if fields is None else fields
-        return -(plant - frozen)
+        out = np.subtract(plant, frozen, out=out)
+        return np.negative(out, out=out)
 
     def offset_homing(self, own_start):
         return from_components([-(x - r) / self.period for x, r in
@@ -205,29 +242,57 @@ class ControllerBank:
         t = self._check_time(t)
         remain = 1.0 - t / self.period
         reference, reference_field = self._reference_and_field(t)
-        shifted = from_components([y + remain * (x - r) for y, x, r in zip(
-            components(reference), components(own_start),
-            components(self.reference_points[:, 0, :]))])
-        return -(self.frozen_field(shifted) - reference_field)
+        refs = self.reference_points[:, 0, :]
+        shifted = np.empty(np.broadcast_shapes(reference.shape[:-1], np.shape(remain),
+                                               np.shape(own_start)[:-1], refs.shape[:-1])
+                           + reference.shape[-1:])
+        for y, x, r, out in zip(components(reference), components(own_start),
+                                components(refs), components(shifted)):
+            np.add(y, np.multiply(remain, x - r, out=out), out=out)
+        field = self.frozen_field(shifted)
+        # the shifted states are spent, and an evaluator keeps the shape of its
+        # rows: their buffer takes the drift
+        drift = shifted
+        if reference_field.shape == field.shape:
+            np.subtract(field, reference_field, out=drift)
+        else:
+            # a reference field broadcast along the runs: one component at a
+            # time, so numpy's inner loop runs over the runs, not n entries
+            for f, g, out in zip(components(field), components(reference_field),
+                                 components(drift)):
+                np.subtract(f, g, out=out)
+        return np.negative(drift, out=drift)
 
     def feedback(self, t, own, neighbor_states, own_start, fields=None, homing=None,
-                 drift=None):
+                 drift=None, out=None):
         """Full feedback at time ``t``; batched over the leading axis.
 
         ``t`` is a scalar during integration; a vector of per-sample times is
         accepted for a bank of size 1. This is the one place the three terms
-        are summed. A caller that already holds some stage values passes them
-        instead of having them recomputed, and gets the same result bit for
-        bit: ``fields`` is ``frozen_field(own, neighbor_states)``, the plant
-        field and the frozen one from one evaluator call; ``homing`` is
-        ``offset_homing(own_start)``; and ``drift`` is
-        ``drift_compensation(t, own_start)``, which depends on the state only
-        through the start, so the closed loop computes it for a block of
-        stage times at once.
+        are summed, in place, in the order coupling cancellation, offset
+        homing, drift compensation; ``out``, if given, is the buffer they are
+        summed into, which the closed loop keeps for a whole run. A caller
+        that already holds some stage values passes them instead of having
+        them recomputed, and gets the same result bit for bit: ``fields`` is
+        ``frozen_field(own, neighbor_states)``, the plant field and the frozen
+        one from one evaluator call; ``homing`` is ``offset_homing(own_start)``;
+        and ``drift`` is ``drift_compensation(t, own_start)``, which depends on
+        the state only through the start, so the closed loop computes it for a
+        block of stage times at once.
         """
-        return (self.coupling_cancellation(own, neighbor_states, fields)
-                + (self.offset_homing(own_start) if homing is None else homing)
-                + (self.drift_compensation(t, own_start) if drift is None else drift))
+        if fields is None:
+            fields = self.frozen_field(own, neighbor_states)
+        if homing is None:
+            homing = self.offset_homing(own_start)
+        if drift is None:
+            drift = self.drift_compensation(t, own_start)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(np.shape(fields[0]), np.shape(homing),
+                                               np.shape(drift)))
+        self.coupling_cancellation(own, neighbor_states, fields, out)
+        out += homing
+        out += drift
+        return out
 
     def target_cells(self) -> np.ndarray:
         """Cell of each member's reference endpoint, as ``grid.cell_of`` gives it;

@@ -197,18 +197,20 @@ class DenseTrajectory:
             states = np.ascontiguousarray(states.T)
             derivs = np.ascontiguousarray(derivs.T)
             axis, out_rows = 1, np.moveaxis(out_rows, -1, 0)
+            acc = np.empty(out_rows.shape)
         else:
-            axis, weights = 0, [w[..., None] for w in weights]
+            # the sum builds up in the gathered rows of ``out`` itself
+            axis, weights, acc = 0, [w[..., None] for w in weights], out_rows
         a, b, c, d = weights
-        acc = a * np.take(states, idx, axis=axis)
-        # each later term is gathered and weighed in one buffer; the indices are
-        # in range, so "clip" only spares numpy a buffered copy of ``out``
+        # each term is gathered and weighed in one buffer; the indices are in
+        # range, so "clip" only spares numpy a buffered copy of that buffer
         term = np.empty_like(acc)
 
-        def weighed(w, source, rows):
-            return np.multiply(w, np.take(source, rows, axis=axis, out=term, mode="clip"),
-                               out=term)
+        def weighed(w, source, rows, into=term):
+            return np.multiply(w, np.take(source, rows, axis=axis, out=into, mode="clip"),
+                               out=into)
 
+        weighed(a, states, idx, acc)
         acc += weighed(b, derivs, idx)
         acc += weighed(c, states, idx + 1)
         np.add(acc, weighed(d, derivs, idx + 1), out=out_rows, order="C")

@@ -13,10 +13,13 @@ Both loops are one driver, `_drive`, after one bank check, `_check_banks`.
 The driver steps through `integrate.rk4_steps`, the package's one RK4 loop,
 with the neighbor states taken from the joint state or the prescribed
 signals, so identical inputs give bit-identical results; the monitors read
-the feedback the rate function computed at each knot. At every stage one
-evaluator call per bank gives both the plant field f(own, neighbors) and the
-frozen field that the coupling cancellation subtracts
-(`ControllerBank.frozen_field`). The values that depend only on time, the
+the feedback the rate function computed at each knot. Each bank keeps, for a
+whole run, one stack of the actual and the frozen neighbor blocks, whose
+frozen half `ControllerBank.frozen_field` writes once, and one buffer that
+`ControllerBank.feedback` sums the three terms into. At every stage the
+neighbor states are written into the stack, and one evaluator call per bank
+on it gives both the plant field f(own, neighbors) and the frozen field that
+the coupling cancellation subtracts. The values that depend only on time, the
 drift compensation and the prescribed neighbor signals, are computed for a
 block of consecutive stage times at once (`integrate.stage_times` gives them
 as `rk4_steps` does), at most `_BLOCK_ROWS` stage rows per block, so memory
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import ControllerBank
-from .geometry import first_true, row_norm
+from .geometry import first_true, row_norm, sum_squares
 from .integrate import rk4_steps, stage_times
 
 # Slack on the input-magnitude certificate |k| <= input_bound.
@@ -177,14 +180,23 @@ def _drive(banks, x0, neighbors, mags):
     """Step the columns of x0 (B, A, n) under checked ``banks`` on their knots.
 
     ``neighbors(times)`` is called once per block of stage times and returns
-    ``at(k, y)``: each column's neighbor states (B, m_a, n) at the stage of
-    time ``times[k]`` and state ``y``. At every knot ``m`` it writes the
-    |input| into ``mags[m]`` (B, A) and yields the state; a non-finite state
-    raises IntegrationError.
+    ``fill(k, y, blocks)``, which writes each column's neighbor states at the
+    stage of time ``times[k]`` and state ``y`` into ``blocks[a]`` (B, m_a, n).
+    At every knot ``m`` it writes the |input| into ``mags[m]`` (B, A) and
+    yields the state; a non-finite state raises IntegrationError.
     """
+    batch, n = len(x0), x0.shape[-1]
     starts = [np.ascontiguousarray(x0[:, a]) for a in range(len(banks))]
     homing = [bank.offset_homing(start) for bank, start in zip(banks, starts)]
-    feedback = [None] * len(banks)
+    # per bank, for the whole run: its evaluator, the stack of the actual and
+    # the frozen neighbor blocks that it is called on (`frozen_field`), and
+    # the buffer its feedback is summed into
+    evaluators = [bank.model.evaluator(bank.agent) for bank in banks]
+    stacks = [bank.frozen_field(None, stack=np.empty(
+        (2, batch, bank.model.network.degree(bank.agent), n))) for bank in banks]
+    actual = [stack[0] for stack in stacks]
+    feedback = [np.empty((batch, n)) for _ in banks]
+    finite = np.empty(x0.shape, dtype=bool)
     times = banks[0].dense.times
     # the distinct stage times in the order RK4 asks for them: the first knot,
     # then each step's half step and its end, which is the next knot itself
@@ -192,36 +204,36 @@ def _drive(banks, x0, neighbors, mags):
     # whole steps; the first one also holds the first knot.
     _, mid, end = stage_times(times[:-1], times[1:])
     stage = np.concatenate([times[:1], np.stack([mid, end], axis=1).ravel()])
-    per_block = 2 * max(1, _BLOCK_ROWS // (2 * len(x0)))
+    per_block = 2 * max(1, _BLOCK_ROWS // (2 * batch))
     blocks = iter(np.split(stage, range(1 + per_block, len(stage), per_block)))
-    rows, drifts, at = {}, None, None
+    rows, drifts, fill = {}, None, None
 
     def rate(t, y):
-        nonlocal rows, drifts, at
+        nonlocal rows, drifts, fill
         if t not in rows:
             # RK4 has moved past the block: the next one's time-only values
             block = next(blocks)
             rows = {s: k for k, s in enumerate(block.tolist())}
             drifts = [bank.drift_compensation(block[:, None], start)
                       for bank, start in zip(banks, starts)]
-            at = neighbors(block)
+            fill = neighbors(block)
         k = rows[t]
-        nbrs = at(k, y)
+        fill(k, y, actual)
         u = np.empty_like(y)
         for a, bank in enumerate(banks):
             own = y[:, a]
-            fields = bank.frozen_field(own, nbrs[a])
-            feedback[a] = bank.feedback(t, own, nbrs[a], starts[a], fields=fields,
-                                        homing=homing[a], drift=drifts[a][k])
+            fields = evaluators[a](own, stacks[a])
+            bank.feedback(t, own, actual[a], starts[a], fields, homing[a], drifts[a][k],
+                          feedback[a])
             np.add(fields[0], feedback[a], out=u[:, a])
         return u
 
     # rate's last call was at the yielded knot: ``feedback`` holds its values there
     for m, (y, _) in enumerate(rk4_steps(rate, x0, times)):
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y, out=finite).all():
             raise IntegrationError(f"non-finite state after t = {times[m]:.6g}")
         for a, k in enumerate(feedback):
-            mags[m, :, a] = row_norm(k)
+            np.sqrt(sum_squares(k), out=mags[m, :, a])
         yield y
 
 
@@ -257,7 +269,7 @@ def integrate_closed_loop_batch(controllers, x0):
         if bank.agent != i:
             raise ValueError(f"controller at position {i} is for agent {bank.agent}")
     # the declared cells must project from one global configuration per run
-    neighbor_idx = [list(net.neighbors[i]) for i in range(len(banks))]
+    neighbor_idx = [np.array(net.neighbors[i], dtype=np.intp) for i in range(len(banks))]
     cells = [np.broadcast_to(bank.cell_array, (len(x0),) + bank.cell_array.shape[1:])
              for bank in banks]
     clash = np.stack([np.any(c[:, 1:] != own_cells[:, idx], axis=(-2, -1))
@@ -275,7 +287,12 @@ def integrate_closed_loop_batch(controllers, x0):
     mags = np.empty(times.shape + x0.shape[:2])
 
     def joint(block_times):
-        return lambda k, y: [y[:, idx] for idx in neighbor_idx]
+        def fill(k, y, blocks):
+            # the network's indices are in range: "clip" only spares numpy a
+            # buffered copy of ``out``
+            for idx, out in zip(neighbor_idx, blocks):
+                np.take(y, idx, axis=1, out=out, mode="clip")
+        return fill
 
     knots = _drive(banks, x0, joint, mags)
     for m, y in enumerate(knots):
@@ -320,7 +337,10 @@ def integrate_agent_batch(bank, x0, neighbors):
 
     def signals(block_times):
         states = neighbors.at(block_times)
-        return lambda k, y: (states[k],)
+
+        def fill(k, y, blocks):
+            blocks[0][...] = states[k]
+        return fill
 
     times = bank.dense.times
     mags = np.empty(times.shape + (batch, 1))

@@ -6,7 +6,10 @@ the seed-101 digests of ``falsify`` (the one-agent loop), ``plan`` (the joint
 loop) and ``enumerate`` (the build and both writers) as they are.
 ``certify`` is left out: its quota takes several seconds, and its sampler
 streams are pinned by ``tests/test_kernels.py``. The runs are untraced
-(``--trace 0``), so they write nothing under ``perfbench/``.
+(``--trace 0``), so they write nothing under ``perfbench/``. A smaller
+certificate of the same kind, agent 1 on the reference 3x3 window, is pinned
+by a direct call instead: it evaluates the same ``feedback`` and
+``drift_compensation`` as the closed loops, one sample at a time.
 """
 
 import json
@@ -16,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import gridabs as ga
 
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -31,6 +36,15 @@ def test_closed_loop_workload_results_are_unchanged(workload, digest):
 def test_enumerate_results_are_unchanged():
     assert _digest("enumerate") == (
         "ecd87f7c7335ab7d2dce54c890aa46b2a867a945c4747f402b86f249ee06b0b0")
+
+
+def test_certificate_result_is_unchanged(ref_model, ref_grid, ref_params, ref_window):
+    cert = ga.certify_window_input_bound(ref_model, ref_grid, ref_params, 1, ref_window,
+                                         samples=1000, seed=27, reference_policy="center",
+                                         substeps=32)
+    assert cert.configurations == 729 and cert.ok
+    assert cert.max_magnitude.hex() == "0x1.4b75c5b0bc965p-3"
+    assert cert.worst_configuration == ((0, -1), (-1, 1), (1, -1))
 
 
 def _digest(workload):

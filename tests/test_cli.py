@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gridabs
-from gridabs.abstraction import from_json
+from gridabs.abstraction import from_json, verify_transition
 from gridabs.admissibility import diameter_upper_bound
 from gridabs.cli import main
 from gridabs.config import load_config
@@ -183,6 +184,41 @@ def test_verify_single_transition(config_path, capsys):
     out = capsys.readouterr().out
     assert "min margin" in out
     assert out.count("agent 1") == 1
+
+
+def test_verify_seeds_each_transition_by_its_index(config_path, capsys, monkeypatch):
+    # a transition draws the same trials whichever selector checks it, so one
+    # line of `verify all` reruns alone with the same witness
+    seeds = []
+
+    def recording(*args, seed, **kwargs):
+        seeds.append(seed)
+        return verify_transition(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(gridabs.cli, "verify_transition", recording)
+    assert main(["verify", "--config", config_path, "all", "--limit", "3"]) == 0
+    every = capsys.readouterr().out.splitlines()
+    assert seeds == [7, 8, 9] * 3
+    seeds.clear()
+    assert main(["verify", "--config", config_path, "1:2"]) == 0
+    assert seeds == [9]
+    assert capsys.readouterr().out.splitlines() == [every[5]]
+
+
+def test_verify_ends_with_one_summary_line_on_stderr(config_path, capsys):
+    assert main(["verify", "--config", config_path, "--limit", "2", "all"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 6 and all(": ok, 30 trials, min margin " in line for line in lines)
+    summary = captured.err.splitlines()
+    assert len(summary) == 1, summary
+    match = re.fullmatch(r"verified 6 transitions: worst min margin (\S+), (\d+) marginal, "
+                         r"(\d+\.\d\d) s", summary[0])
+    assert match, summary[0]
+    margins = [line.split("min margin ")[1].split(" ")[0] for line in lines]
+    assert match[1] == min(margins, key=float)
+    assert int(match[2]) == sum(line.endswith("(marginal)") for line in lines)
+    assert float(match[3]) > 0.0
 
 
 def test_verify_bad_selector(config_path, capsys):

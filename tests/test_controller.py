@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridabs.controller import ControllerBank, sample_feedback_bound, sample_inflated_cell
 from gridabs.geometry import CellConfiguration, GridDecomposition
@@ -202,6 +205,38 @@ def test_drift_compensation_reads_the_stored_knots(ref_model, ref_grid, ref_para
                                           np.stack(drifts), strict=True)
 
 
+def test_a_block_of_stage_times_finds_its_knots_at_once(controller, monkeypatch):
+    # the closed loop's blocks hold the first knot, then half steps and knots
+    # in turn, or half steps and knots from the start: at most two searches
+    # find their knots. Other columns search each time, also when they look
+    # like a block but hold a knot where a half step belongs
+    knots = controller.dense.times
+    stages = np.empty(2 * len(knots) - 1)
+    stages[0::2] = knots
+    stages[1::2] = knots[:-1] + 0.5 * np.diff(knots)
+    start = controller.reference_points[:, 0] + np.array([4e-4, -3e-4])
+    searches = []
+    knot = DenseTrajectory.knot
+
+    def counting_knot(self, t):
+        searches.append(t)
+        return knot(self, t)
+
+    monkeypatch.setattr(DenseTrajectory, "knot", counting_knot)
+    blocks = [(stages[:17], 1), (stages[17:33], 2), (stages[-16:], 2), (stages[:1], 1),
+              (stages[-1:], 1), (stages[1:2], 1 + 1),
+              (np.array([knots[0], knots[1], knots[1]]), 1 + 3),
+              (np.array([stages[1], knots[1], knots[1], knots[2]]), 2 + 4)]
+    for block, expected_searches in blocks:
+        searches.clear()
+        drift = controller.drift_compensation(block[:, None], start)
+        assert len(searches) == expected_searches, block
+        monkeypatch.setattr(DenseTrajectory, "knot", knot)
+        each = np.stack([controller.drift_compensation(t, start) for t in block])
+        monkeypatch.setattr(DenseTrajectory, "knot", counting_knot)
+        assert drift.shape == each.shape and drift.tobytes() == each.tobytes()
+
+
 @pytest.mark.parametrize("random_refs", [False, True])
 def test_bank_input_forms_agree(ref_model, ref_grid, ref_params, random_refs):
     configs, refs = seven_configurations(ref_grid, np.random.default_rng(6))
@@ -326,3 +361,41 @@ def test_bound_witness_owns_its_arrays(controller):
     # a view would keep every sample of the call alive
     for key in ("state", "neighbors", "start"):
         assert witness[key].base is None, key
+
+
+def _at_or_near(points, draw, scale):
+    """``points`` (runs, ...) with each run's block kept exactly or moved by drawn
+    multiples of ``scale``."""
+    exact = draw(arrays(np.bool_, len(points)))
+    moves = draw(arrays(np.float64, points.shape, elements=st.floats(-1.0, 1.0)))
+    moves[exact] = 0.0
+    return points + moves * scale
+
+
+# the controller fixture is only read, so one instance serves every example
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), runs=st.integers(1, 6))
+def test_the_in_place_sum_is_the_sum_of_the_three_terms(controller, data, runs):
+    # states at their reference points make the homing -0.0 and neighbors on
+    # their frozen points the coupling term a signed zero; the sum into a
+    # buffer (the closed loop's) and the fresh sum equal the terms added in
+    # the order coupling, homing, drift, byte for byte
+    draw = data.draw
+    refs = controller.reference_points[0]
+    scale = 0.3 * controller.grid.side
+    own = _at_or_near(np.broadcast_to(refs[0], (runs, 2)), draw, scale)
+    nbrs = _at_or_near(np.broadcast_to(refs[1:], (runs, 2, 2)), draw, scale)
+    start = _at_or_near(np.broadcast_to(refs[0], (runs, 2)), draw, scale)
+    t = draw(st.sampled_from([0.0, controller.period]) | st.floats(0.0, controller.period))
+    expected = (controller.coupling_cancellation(own, nbrs)
+                + controller.offset_homing(start)
+                + controller.drift_compensation(t, start))
+    fresh = controller.feedback(t, own, nbrs, start)
+    buffer = np.full((runs, 2), np.nan)
+    summed = controller.feedback(t, own, nbrs, start, controller.frozen_field(own, nbrs),
+                                 controller.offset_homing(start),
+                                 controller.drift_compensation(t, start), buffer)
+    assert summed is buffer
+    for got in (fresh, summed):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()

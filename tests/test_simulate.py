@@ -11,7 +11,7 @@ from gridabs import simulate
 from gridabs.controller import ControllerBank
 from gridabs.dynamics import project_configuration
 from gridabs.geometry import DISTANCE_ATOL, CellConfiguration, box_distance, row_norm
-from gridabs.integrate import DenseTrajectory, rk4_path
+from gridabs.integrate import DenseTrajectory, rk4_path, stage_times
 from gridabs.simulate import (INPUT_ATOL, AgentRuns, InputBoundViolation, IntegrationError,
                               Trajectory, check_input_bound, exceeds_input_bound,
                               integrate_agent_batch, integrate_closed_loop,
@@ -520,3 +520,91 @@ def test_agent_loop_checks_its_starts_and_signals(ref_model, ref_grid, ref_param
     x0[[2, 3]] += 10.0
     with pytest.raises(ValueError, match=r"run 2: agent 1 starts at"):
         integrate_agent_batch(bank, x0, signals)
+
+
+def same_bytes(a, b):
+    """Equal shapes and bytes: signed zeros and NaN payloads must agree too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def corner_models(path_network):
+    return {"saturated": ga.saturated_consensus(path_network, gain=0.5, input_bound=0.5),
+            "smooth": ga.smooth_consensus(path_network, gain=0.001, input_bound=0.02,
+                                          scale=20.0)}
+
+
+# joint configurations per run: every agent in one cell, where each field is a
+# sum of zero differences; and three cells, where the fields move the agents
+CORNER_CELLS = (((0, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (1, 1)),
+                ((0, 0), (1, 0), (1, 1)))
+
+
+@pytest.mark.parametrize("name", ["saturated", "smooth"])
+def test_joint_loop_signed_zero_corners_are_bit_identical(path_network, ref_grid, name):
+    # runs 0 and 1 start exactly at their reference points, so the homing is
+    # -0.0; in run 0 every agent stays on its frozen point, so the coupling
+    # and the drift terms are signed zeros at every stage; run 2 is random
+    model = corner_models(path_network)[name]
+    params = ga.check_discretization(model, ref_grid.diameter(), 0.02)
+    rng = np.random.default_rng(31)
+    banks = []
+    for i in range(3):
+        cells = [project_configuration(model.network, c, i).cells for c in CORNER_CELLS]
+        refs = ref_grid.cell_center(np.array(cells))
+        refs[2] = [ref_grid.sample_in_cell(z, rng)[0] for z in cells[2]]
+        banks.append(ControllerBank(model, ref_grid, params, i, cells, refs, substeps=16))
+    x0 = np.stack([bank.reference_points[:, 0] for bank in banks], axis=1)
+    x0[2] = [ref_grid.sample_in_cell(z, rng)[0] for z in CORNER_CELLS[2]]
+    trajectory, _ = integrate_closed_loop_batch(banks, x0)
+    states = plain_closed_loop(model, banks, x0, 16)
+    assert same_bytes(trajectory.states, states)
+    assert np.all(trajectory.states[:, 0] == x0[0])
+    for i, bank in enumerate(banks):
+        nbrs = list(path_network.neighbors[i])
+        mags = [row_norm(bank.feedback(t, y[:, i], y[:, nbrs], x0[:, i]))
+                for t, y in zip(trajectory.times, states)]
+        assert same_bytes(trajectory.input_magnitudes[:, :, i], mags)
+
+
+@pytest.mark.parametrize("name", ["saturated", "smooth"])
+def test_agent_loop_signed_zero_corners_are_bit_identical(path_network, ref_grid, name):
+    # agent 1's bank has one member per run of CORNER_CELLS. Runs 0 and 1
+    # start at their reference points (homing -0.0) with their neighbors on
+    # the frozen points at every stage time, which are the signal's knots,
+    # so the coupling term is a signed zero throughout; run 2 is random
+    model = corner_models(path_network)[name]
+    params = ga.check_discretization(model, ref_grid.diameter(), 0.02)
+    rng = np.random.default_rng(32)
+    cells = np.array([project_configuration(model.network, c, 1).cells
+                      for c in CORNER_CELLS])
+    refs = ref_grid.cell_center(cells)
+    refs[2] = ref_grid.uniform_in_cells(cells[2], rng)
+    bank = ControllerBank(model, ref_grid, params, 1, cells, refs, substeps=16)
+    x0 = refs[:, 0].copy()
+    x0[2] = ref_grid.sample_in_cell(cells[2, 0], rng)[0]
+    knots = bank.dense.times
+    _, mid, _ = stage_times(knots[:-1], knots[1:])
+    times = np.sort(np.concatenate([knots, mid]))
+    points = np.repeat(refs[None, :, 1:], len(times), axis=0)
+    points[:, 2] = ref_grid.uniform_in_cells(np.broadcast_to(cells[2, 1:],
+                                                             (len(times), 2, 2)), rng)
+    signals = DenseTrajectory(times, points, np.zeros_like(points))
+    evaluate = model.evaluator(1)
+
+    def rate(t, y):
+        nbrs = signals.at(t)
+        return evaluate(y, nbrs) + bank.feedback(t, y, nbrs, x0)
+
+    states = rk4_path(rate, x0, 0.0, bank.period, 16)[1]
+    runs = integrate_agent_batch(bank, x0, signals)
+    assert same_bytes(runs.endpoints, states[-1])
+    assert np.all(runs.endpoints[0] == x0[0])
+    mags = [row_norm(bank.feedback(t, y, signals.at(t), x0))
+            for t, y in zip(runs.times, states)]
+    assert same_bytes(runs.input_magnitudes[..., 0], mags)
+    # the corners are there: the terms the loop sums are signed zeros
+    start = bank.feedback(0.0, x0, refs[:, 1:], x0)
+    assert np.all(np.signbit(bank.offset_homing(x0)[:2]))
+    assert np.all(np.signbit(bank.coupling_cancellation(x0, refs[:, 1:])[:2]))
+    assert np.all(start[:2] == 0.0)
