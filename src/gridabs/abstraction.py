@@ -12,6 +12,7 @@ prescribed signals inside those inflated cells.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -21,8 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissibility import require_admissible
-from .controller import (DEFAULT_BOUND_SAMPLES, DEFAULT_SUBSTEPS, ControllerBank,
-                         endpoint_cells, reference_endpoints, sample_feedback_bound)
+# sample_feedback_bound is not called here, but perfbench/spans.py wraps it at
+# this module's attribute
+from .controller import (DEFAULT_BOUND_SAMPLES, DEFAULT_SUBSTEPS, ControllerBank,  # noqa: F401
+                         endpoint_cells, reference_endpoints, sample_feedback_bound,
+                         sample_feedback_bounds)
 from .dynamics import project_configuration
 from .geometry import CellConfiguration, CellIndex, uniform_in_ball
 from .integrate import DenseTrajectory
@@ -503,31 +507,39 @@ def certify_window_input_bound(model, grid, params, agent, window,
     members and sampled one member at a time, each from its own seed; the
     draws from the outer generator keep their order (the reference points,
     then the sampler seed, per configuration), so the certificate does not
-    depend on the chunk size.
+    depend on the chunk size. The members are sampled by
+    `sample_feedback_bounds`, which draws the next member's samples while one
+    worker thread evaluates the current member's feedback; the results are
+    reduced here in configuration order, so they are those of one
+    `sample_feedback_bound` call per configuration, and the first failing
+    configuration's error is raised. The worker thread ends with the call.
     """
     if reference_policy not in ("center", "random"):
         raise ValueError("reference_policy must be 'center' or 'random'")
     rng = np.random.default_rng(seed)
     m = model.network.degree(agent)
     n = model.network.dimension
+    configs = enumerate_configurations(window, m)
+
+    def chunks():
+        for start in range(0, len(configs), CERTIFY_CHUNK):
+            chunk = configs[start:start + CERTIFY_CHUNK]
+            refs = np.empty((len(chunk), m + 1, n)) if reference_policy == "random" else None
+            seeds = []
+            for b, cells in enumerate(chunk):
+                if refs is not None:
+                    refs[b] = grid.uniform_in_cells(cells, rng)
+                seeds.append(int(rng.integers(2**31)))
+            # not kept here: the previous chunk's bank is freed before the next
+            # one is integrated
+            yield ControllerBank(model, grid, params, agent, chunk, refs, substeps), seeds
 
     best = -1.0
     worst_cfg = None
     worst_witness = None
     violations = []
-    configs = enumerate_configurations(window, m)
-    for start in range(0, len(configs), CERTIFY_CHUNK):
-        chunk = configs[start:start + CERTIFY_CHUNK]
-        refs = np.empty((len(chunk), m + 1, n)) if reference_policy == "random" else None
-        seeds = []
-        for b, cells in enumerate(chunk):
-            if refs is not None:
-                refs[b] = grid.uniform_in_cells(cells, rng)
-            seeds.append(int(rng.integers(2**31)))
-        bank = ControllerBank(model, grid, params, agent, chunk, refs, substeps)
-        for b, cells in enumerate(chunk):
-            magnitude, witness = sample_feedback_bound(bank.member(b), samples=samples,
-                                                       seed=seeds[b])
+    with contextlib.closing(sample_feedback_bounds(chunks(), samples)) as bounds:
+        for cells, (magnitude, witness) in zip(configs, bounds):
             cfg = tuple(map(tuple, cells.tolist()))
             # the first NaN is the worst: it fails every comparison with a budget
             if not math.isnan(best) and not magnitude <= best:
@@ -536,8 +548,6 @@ def certify_window_input_bound(model, grid, params, agent, window,
                 worst_witness = witness
             if exceeds_input_bound(magnitude, model.input_bound):
                 violations.append((cfg, magnitude))
-        # free this chunk's dense output before the next chunk is integrated
-        del bank
 
     return BoundCertificate(agent=agent,
                             configurations=len(configs),

@@ -21,6 +21,8 @@ neighbors do inside their declared cells.
 from __future__ import annotations
 
 import copy
+import queue
+import threading
 
 import numpy as np
 
@@ -338,21 +340,10 @@ def sample_inflated_cell(grid, cell, radius, count, rng):
     return out
 
 
-def sample_feedback_bound(bank, samples=DEFAULT_BOUND_SAMPLES, seed=0):
-    """Sampled maximum of |feedback| over a size-1 bank's operating region.
-
-    The region is: own state in the own cell inflated by the reach radius,
-    each neighbor in its cell inflated likewise, the initial state anywhere
-    in the own cell (corners included), and time in [0, period]. Returns
-    (max magnitude, witness dict at the argmax).
-    """
-    if bank.size != 1:
-        raise ValueError(f"the feedback bound samples one configuration; "
-                         f"got a bank of size {bank.size}")
+def _draw_feedback_samples(grid, params, cells, samples, seed):
+    """The draw half of the feedback bound: the samples (t, x, nbrs, starts) of the
+    operating region of one configuration ``cells`` (m+1, n), from ``seed``."""
     rng = np.random.default_rng(seed)
-    grid = bank.grid
-    params = bank.params
-    cells = bank.cell_array[0]
     n = grid.dimension
     m = len(cells) - 1
     reach = params.reach_radius
@@ -368,7 +359,13 @@ def sample_feedback_bound(bank, samples=DEFAULT_BOUND_SAMPLES, seed=0):
     tenth = max(1, samples // 10)
     t[:tenth] = 0.0
     t[tenth:2 * tenth] = params.period
+    return t, x, nbrs, starts
 
+
+def _evaluate_feedback_bound(bank, drawn):
+    """The evaluate half of the feedback bound: |feedback| of a size-1 ``bank`` at
+    the ``drawn`` samples, its maximum and the witness at the argmax."""
+    t, x, nbrs, starts = drawn
     k = bank.feedback(t, x, nbrs, starts)
     mags = row_norm(k)
     top = int(np.argmax(mags))
@@ -376,3 +373,79 @@ def sample_feedback_bound(bank, samples=DEFAULT_BOUND_SAMPLES, seed=0):
     witness = {"time": float(t[top]), "state": x[top].copy(), "neighbors": nbrs[top].copy(),
                "start": starts[top].copy(), "magnitude": float(mags[top])}
     return float(mags[top]), witness
+
+
+def sample_feedback_bound(bank, samples=DEFAULT_BOUND_SAMPLES, seed=0):
+    """Sampled maximum of |feedback| over a size-1 bank's operating region.
+
+    The region is: own state in the own cell inflated by the reach radius,
+    each neighbor in its cell inflated likewise, the initial state anywhere
+    in the own cell (corners included), and time in [0, period]. Returns
+    (max magnitude, witness dict at the argmax).
+
+    It draws the samples from ``seed`` and then evaluates the feedback on
+    them, both in the caller's thread; `sample_feedback_bounds` runs the
+    same two halves as a pipeline over the members of many banks.
+    """
+    if bank.size != 1:
+        raise ValueError(f"the feedback bound samples one configuration; "
+                         f"got a bank of size {bank.size}")
+    drawn = _draw_feedback_samples(bank.grid, bank.params, bank.cell_array[0], samples, seed)
+    return _evaluate_feedback_bound(bank, drawn)
+
+
+def sample_feedback_bounds(chunks, samples=DEFAULT_BOUND_SAMPLES):
+    """`sample_feedback_bound` of every member of a sequence of banks, in order.
+
+    ``chunks`` yields pairs (bank, seeds), one sampler seed per member. This
+    yields (max magnitude, witness) per member, bit for bit those of
+    ``sample_feedback_bound(bank.member(b), samples, seeds[b])``, from a
+    two-stage pipeline: while one worker thread evaluates member b's
+    feedback, the calling thread draws member b+1's samples. The next bank is
+    asked for only once the current bank's members are evaluated and
+    released, so one bank is alive at a time. An error of member b's
+    evaluation is raised before one of member b+1's draws, so the first
+    failing member decides. The worker stops when the generator is
+    exhausted, raises or is closed.
+    """
+    jobs, outcomes = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def evaluate():
+        for job in iter(jobs.get, None):
+            try:
+                outcome = _evaluate_feedback_bound(*job), None
+            except BaseException as error:
+                # any error, so the caller never waits for an outcome that
+                # will not come; result() raises it in the calling thread
+                outcome = None, error
+            # a member view keeps its whole bank alive
+            del job
+            outcomes.put(outcome)
+
+    def result():
+        value, error = outcomes.get()
+        if error is not None:
+            raise error
+        return value
+
+    worker = threading.Thread(target=evaluate, name="feedback-bound", daemon=True)
+    worker.start()
+    try:
+        for bank, seeds in chunks:
+            grid, params, cells = bank.grid, bank.params, bank.cell_array
+            drawn = _draw_feedback_samples(grid, params, cells[0], samples, seeds[0])
+            for b in range(bank.size):
+                jobs.put((bank.member(b), drawn))
+                try:
+                    drawn = (_draw_feedback_samples(grid, params, cells[b + 1], samples,
+                                                    seeds[b + 1])
+                             if b + 1 < bank.size else None)
+                finally:
+                    # member b's outcome, or its error, before member b+1's draw error
+                    bound = result()
+                yield bound
+            # release this bank before the next one is built
+            del bank, cells
+    finally:
+        jobs.put(None)
+        worker.join()

@@ -2,7 +2,12 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +24,10 @@ from gridabs.abstraction import (CompositionViolation, EnumerationCap, Transitio
                                  enumerate_configurations,
                                  from_json, to_dot, to_json, verify_transition)
 from gridabs.admissibility import FeasibilityError
-from gridabs.controller import ControllerBank, sample_feedback_bound
+from gridabs.controller import (ControllerBank, sample_feedback_bound,
+                               sample_feedback_bounds)
 from gridabs.dynamics import project_configuration
-from gridabs.geometry import CellConfiguration, row_norm
+from gridabs.geometry import CellConfiguration, GridDecomposition, row_norm
 from gridabs.integrate import knot_times
 from gridabs.simulate import INPUT_ATOL, InputBoundViolation
 
@@ -432,6 +438,152 @@ def test_certification_memory_does_not_grow_with_the_window(ref_model, ref_grid,
     large_count, large = peak(Window(((-2, 2), (-2, 2))))
     assert (small_count, large_count) == (81, 625)
     assert large <= 1.25 * small
+
+
+@pytest.fixture
+def no_thread_outlives():
+    """Fails the case if a thread it started is still running at its end."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
+def raising_beyond(model, own_x):
+    """``model`` with fields that raise where the agent's own x exceeds ``own_x``."""
+    def wrap(evaluate):
+        def field(own, nbrs):
+            x = float(np.max(own[..., 0]))
+            if x > own_x:
+                raise ValueError(f"no field at x = {x!r}")
+            return evaluate(own, nbrs)
+        return field
+    return ga.DynamicsModel(model.network, [wrap(e) for e in model.evaluators],
+                            model.feedback_bound, model.neighbor_lipschitz,
+                            model.self_lipschitz, model.input_bound)
+
+
+def test_an_evaluation_error_is_the_per_configuration_loops_error(
+        ref_model, ref_grid, ref_params, ref_window, no_thread_outlives):
+    # only sampled states of own cells (1, *) inflated by the reach radius get
+    # beyond x = 0.034; the reference trajectories from the centers do not
+    model = raising_beyond(ref_model, 0.034)
+    with pytest.raises(ValueError) as expected:
+        per_configuration_certificate(model, ref_grid, ref_params, 0, ref_window, 40, 0,
+                                      "center", 8)
+    with pytest.raises(ValueError) as raised:
+        certify_window_input_bound(model, ref_grid, ref_params, 0, ref_window, samples=40,
+                                   seed=0, substeps=8)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_the_pipeline_keeps_its_results_under_frequent_thread_switches(
+        ref_model, ref_grid, ref_params, ref_window, no_thread_outlives):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cert = certify_window_input_bound(ref_model, ref_grid, ref_params, 0, ref_window,
+                                          samples=40, seed=4, reference_policy="random",
+                                          substeps=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_certificate(cert, per_configuration_certificate(
+        ref_model, ref_grid, ref_params, 0, ref_window, 40, 4, "random", 8))
+
+
+def fail_on_call(monkeypatch, owner, name, k, error, message):
+    """Make call ``k`` (counted from 0) of ``owner.name`` raise ``error(message)``;
+    returns the call counter, a one-element list."""
+    original = getattr(owner, name)
+    calls = [0]
+
+    def failing(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == k + 1:
+            raise error(message)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    return calls
+
+
+@pytest.mark.parametrize("b", [0, 40, 63])
+@pytest.mark.parametrize("evaluation_fails", [True, False], ids=["both", "draws"])
+def test_the_first_failing_member_decides(ref_model, ref_grid, ref_params, ref_window,
+                                          monkeypatch, no_thread_outlives, b,
+                                          evaluation_fails):
+    # member b+1's draws fail, and member b's evaluation fails too or not; with
+    # b = 63 member b+1 opens the next chunk
+    draws = fail_on_call(monkeypatch, GridDecomposition, "sample_with_corners", b + 1,
+                         RuntimeError, f"draw of member {b + 1}")
+    evaluations = fail_on_call(monkeypatch, ControllerBank, "feedback",
+                               b if evaluation_fails else -1, ValueError,
+                               f"evaluation of member {b}")
+    error, message = ((ValueError, f"evaluation of member {b}") if evaluation_fails
+                      else (RuntimeError, f"draw of member {b + 1}"))
+    with pytest.raises(error, match=f"^{message}$"):
+        per_configuration_certificate(ref_model, ref_grid, ref_params, 0, ref_window, 30,
+                                      0, "center", 8)
+    draws[0] = evaluations[0] = 0
+    with pytest.raises(error, match=f"^{message}$"):
+        certify_window_input_bound(ref_model, ref_grid, ref_params, 0, ref_window,
+                                   samples=30, seed=0, substeps=8)
+
+
+def test_one_worker_thread_evaluates_a_certificate(ref_model, ref_grid, ref_params,
+                                                   ref_window, monkeypatch,
+                                                   no_thread_outlives):
+    seen = []
+    feedback = ControllerBank.feedback
+
+    def recording(self, *args, **kwargs):
+        seen.append((threading.current_thread(), threading.active_count()))
+        return feedback(self, *args, **kwargs)
+
+    monkeypatch.setattr(ControllerBank, "feedback", recording)
+    before = threading.active_count()
+    cert = certify_window_input_bound(ref_model, ref_grid, ref_params, 0, ref_window,
+                                      samples=30, seed=0, substeps=8)
+    assert cert.configurations == len(seen) == 81
+    threads = {thread for thread, _ in seen}
+    assert len(threads) == 1 and threading.main_thread() not in threads
+    assert {count for _, count in seen} == {before + 1}
+
+
+def test_the_bound_pipeline_matches_the_sampler_member_by_member(
+        ref_model, ref_grid, ref_params, no_thread_outlives):
+    configs = enumerate_configurations(Window(((0, 1), (0, 0))), 1)
+    banks = [ControllerBank(ref_model, ref_grid, ref_params, 0, configs[:3], substeps=8),
+             ControllerBank(ref_model, ref_grid, ref_params, 0, configs[3:], substeps=8)]
+    seeds = [[5, 6, 7], [8]]
+    got = list(sample_feedback_bounds(zip(banks, seeds), samples=50))
+    expected = [sample_feedback_bound(bank.member(b), samples=50, seed=seed)
+                for bank, bank_seeds in zip(banks, seeds)
+                for b, seed in enumerate(bank_seeds)]
+    assert [magnitude for magnitude, _ in got] == [magnitude for magnitude, _ in expected]
+    for (_, witness), (_, want) in zip(got, expected):
+        assert witness.keys() == want.keys()
+        for key, value in want.items():
+            np.testing.assert_array_equal(witness[key], value, strict=True)
+
+    # a generator closed early stops its worker
+    before = threading.active_count()
+    bounds = sample_feedback_bounds(zip(banks, seeds), samples=50)
+    next(bounds)
+    assert threading.active_count() == before + 1
+    bounds.close()
+    assert threading.active_count() == before
+
+
+def test_importing_the_package_does_not_load_concurrent_futures():
+    # its import would cost about a tenth of the benchmark's set-up
+    src = str(Path(ga.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import sys, gridabs; "
+                           "print('concurrent.futures' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def record_batch_sizes(monkeypatch):
