@@ -41,13 +41,19 @@ def _fmt(x) -> str:
 
 
 def _write(path, text):
-    with open(path, "w") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _out_dir(args):
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     return out
 
 
@@ -297,6 +303,8 @@ def main(argv=None) -> int:
             if value is not None and value < 1:
                 raise ConfigError(f"--{name} must be positive")
         if getattr(args, "seed", None) is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be nonnegative")
             cfg.seed = args.seed
         if getattr(args, "substeps", None) is not None:
             cfg.substeps = args.substeps

@@ -199,6 +199,8 @@ def load_config(path) -> RunConfig:
     seed = _integer(run_sec, "seed", "run", default=0)
     if substeps < 1 or trials < 1:
         raise ConfigError("run.substeps and run.trials must be positive")
+    if seed < 0:
+        raise ConfigError("run.seed must be nonnegative")
     window = None
     if "window" in run_sec:
         ranges = run_sec["window"]

@@ -139,84 +139,28 @@ class ControllerBank:
                                      dense.derivs[:, b:b + 1])
         return view
 
-    def frozen_field(self, y, neighbors=None, stack=None):
-        """Field with neighbors frozen at their reference points; batched. The one
-        read of that frozen block, for the coupling cancellation and the drift too.
+    @property
+    def frozen_neighbors(self) -> np.ndarray:
+        """The neighbors' frozen reference points (B, m, n): the one read of that
+        block, for the coupling cancellation, the drift and the closed loop."""
+        return self.reference_points[:, 1:, :]
+
+    def frozen_field(self, y, neighbors=None):
+        """Field with neighbors frozen at their reference points; batched.
 
         Given the actual ``neighbors`` of ``y``, it returns the pair
         f(y, neighbors), f(y, frozen) from one evaluator call on the two
         neighbor blocks stacked on a new leading axis; the evaluators are
-        elementwise over rows, so each equals its own call bit for bit.
-        Given a ``stack`` instead, a (2, B, m, n) buffer for such a pair of
-        blocks, it writes the frozen block into ``stack[1]``, evaluates
-        nothing and returns the stack: the closed loop keeps one per bank
-        for a whole run and writes each stage's neighbors into ``stack[0]``.
+        elementwise over rows, so each equals its own call bit for bit. The
+        closed loop makes the same call on a stack it keeps for a whole run.
         """
-        frozen = self.reference_points[:, 1:, :]
-        if stack is not None:
-            stack[1] = frozen
-            return stack
+        frozen = self.frozen_neighbors
         if neighbors is None:
             return self._evaluate(y, frozen)
         both = np.empty((2,) + np.broadcast(neighbors, frozen).shape)
         both[0] = neighbors
         both[1] = frozen
         return self._evaluate(y, both)
-
-    def _reference_and_field(self, t):
-        """ref(t) and its frozen field f(ref(t), frozen neighbors).
-
-        A column of times (T, 1) gives (T, B, n) arrays: each knot of the
-        bank's own grid among the times is read from the stored dense output,
-        and the other times are queried at once. A scalar ``t`` is a column of
-        one time and gives (B, n). A vector of per-sample times (S,) needs a
-        size-1 bank and gives (S, n).
-        """
-        dense = self.dense
-        if np.ndim(t) == 0:
-            reference, field = self._reference_and_field(np.reshape(t, (1, 1)))
-            return reference[0], field[0]
-        if np.ndim(t) == 2 and np.shape(t)[1] == 1:
-            times = t[:, 0]
-            on, knots, off = self._knot_rows(times)
-            reference = np.empty(times.shape + dense.states.shape[1:])
-            field = np.empty_like(reference)
-            reference[on] = dense.states[knots]
-            field[on] = dense.derivs[knots]
-            if len(times[off]):
-                reference[off] = between = dense.at(times[off])
-                field[off] = self.frozen_field(between)
-            return reference, field
-        if self.size != 1:
-            raise ValueError("per-sample times require a bank of size 1")
-        reference = dense.at(t)[:, 0, :]
-        return reference, self.frozen_field(reference)
-
-    def _knot_rows(self, times):
-        """The rows of ``times`` that are knots of the bank's grid, their knots and
-        the other rows, as indices.
-
-        The closed loop's blocks of stage times start with the first knot or a
-        half step, then half steps and knots take turns: their knots are every
-        other time, checked at once against consecutive knots, and each other
-        time lies strictly inside a step. Any other times are matched to the
-        knots one at a time.
-        """
-        dense = self.dense
-        first, k = 0, dense.knot(times[0])
-        if k is None and len(times) > 1:
-            first, k = 1, dense.knot(times[1])
-        if k is not None and k >= first:
-            on, off = slice(first, None, 2), slice(1 - first, None, 2)
-            knots, inside = times[on], times[off]
-            lo = dense.times[k - first:k - first + len(inside)]
-            hi = dense.times[k - first + 1:k - first + 1 + len(inside)]
-            if (np.array_equal(dense.times[k:k + len(knots)], knots)
-                    and len(hi) == len(inside) and np.all((lo < inside) & (inside < hi))):
-                return on, slice(k, k + len(knots)), off
-        found = [dense.knot(s) for s in times.tolist()]
-        on = [r for r, m in enumerate(found) if m is not None]
-        return on, [found[r] for r in on], [r for r, m in enumerate(found) if m is None]
 
     def _check_time(self, t):
         # the feedback stays defined past the period by freezing at its end
@@ -240,10 +184,19 @@ class ControllerBank:
 
     def drift_compensation(self, t, own_start):
         """The drift term at time ``t``: (B, n) for a scalar, (T, B, n) for a column
-        of times (T, 1), and (S, n) for per-sample times (S,) of a size-1 bank."""
+        of times (T, 1), and (S, n) for per-sample times (S,) of a size-1 bank.
+
+        Every shape of time reads ref(t) from one dense-output query and its
+        frozen field f(ref(t), frozen neighbors) from one evaluator call; at a
+        knot the query returns the stored state.
+        """
         t = self._check_time(t)
+        if np.ndim(t) == 1 and self.size != 1:
+            raise ValueError("per-sample times require a bank of size 1")
         remain = 1.0 - t / self.period
-        reference, reference_field = self._reference_and_field(t)
+        # (T, 1) times give (T, 1, B, n) and (S,) times (S, 1, n): drop the 1
+        reference = self.dense.at(t).reshape(t.shape[:-1] + (-1, self.grid.dimension))
+        reference_field = self.frozen_field(reference)
         refs = self.reference_points[:, 0, :]
         shifted = np.empty(np.broadcast_shapes(reference.shape[:-1], np.shape(remain),
                                                np.shape(own_start)[:-1], refs.shape[:-1])

@@ -8,7 +8,6 @@ the integration itself.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -117,53 +116,35 @@ class DenseTrajectory:
         return self.states[-1]
 
     def at(self, t):
-        """States at time(s) ``t``; scalar t drops the leading axis.
+        """States at time(s) ``t``: shaped ``np.shape(t) + states.shape[1:]``.
 
-        A scalar time weighs the two knot arrays around it in Python float
-        arithmetic. An array of times that outnumbers the P entries of a state
-        gathers its knots from knot-major (P, K+1) copies of the stored
-        arrays, so the Hermite weights, one per query, run innermost; fewer
-        times gather whole knot rows, so a state's entries run innermost. All
-        give the same values bit for bit.
+        A 0-d time is a one-element array whose query axis is dropped. Times
+        that outnumber the P entries of a state gather their knots from
+        knot-major (P, K+1) copies of the stored arrays, so the Hermite
+        weights, one per query, run innermost; fewer times gather whole knot
+        rows, so a state's entries run innermost. Both give the same values
+        bit for bit. At a knot the weights are exactly (1, 0, 0, 0), or
+        (0, 0, 1, 0) at the end knot, so the query returns the stored state.
         """
         lo, hi = self.span
         slack = 1e-9 * max(hi - lo, 1.0)
-        if isinstance(t, (int, float)) or np.ndim(t) == 0:
-            t = float(t)
-            if not lo - slack <= t <= hi + slack:
-                raise ValueError(f"time out of range [{lo}, {hi}]")
-            t = min(max(t, lo), hi)
-            i = self._interval(t)
-            t_lo, t_hi = self.times[i:i + 2].tolist()
-            width = t_hi - t_lo
-            a, b, c, d = _hermite_weights((t - t_lo) / width, width)
-            return (a * self.states[i] + b * self.derivs[i]
-                    + c * self.states[i + 1] + d * self.derivs[i + 1])
         tq = np.asarray(t, dtype=float)
         if not np.all((lo - slack <= tq) & (tq <= hi + slack)):
             raise ValueError(f"time out of range [{lo}, {hi}]")
-        tq = np.clip(tq, lo, hi)
+        tq = np.clip(tq, lo, hi).reshape(tq.shape or (1,))
         idx, t_lo, t_hi = self._intervals(tq, lo, hi)
         # the gathered interval ends are fresh copies: they become width and theta
         width = np.subtract(t_hi, t_lo, out=t_hi)
         theta = np.divide(np.subtract(tq, t_lo, out=t_lo), width, out=t_lo)
-        return self._at_many(idx, _hermite_weights(theta, width))
+        out = self._at_many(idx, _hermite_weights(theta, width))
+        return out if np.ndim(t) else out[0]
 
     # The knot interval of a time t in the span is
     # clip(searchsorted(times, t, "right") - 1, 0, K - 1): the last knot at
-    # or before t, short of the end knot. One time bisects the knots; an
-    # array of times floors onto the uniform knots of knot_times, moves each
-    # guess one knot against its neighbours and checks it, and searches the
-    # knots when a check fails (a grid not built by knot_times).
-
-    def _interval(self, t):
-        """Knot interval of one time ``t``, a float in the span."""
-        return min(max(bisect.bisect_right(self.times, t) - 1, 0), len(self.times) - 2)
-
-    def knot(self, t):
-        """Index of the first knot equal to the time ``t``, or None."""
-        m = bisect.bisect_left(self.times, t)
-        return m if m < len(self.times) and self.times[m] == t else None
+    # or before t, short of the end knot. The times floor onto the uniform
+    # knots of knot_times, each guess moves one knot against its neighbours
+    # and is checked, and the knots are searched when a check fails (a grid
+    # not built by knot_times). This is the one search of the knot times.
 
     def _intervals(self, tq, lo, hi):
         """Knot intervals of the times ``tq`` in the span [lo, hi], with their end knots."""

@@ -15,15 +15,16 @@ with the neighbor states taken from the joint state or the prescribed
 signals, so identical inputs give bit-identical results; the monitors read
 the feedback the rate function computed at each knot. Each bank keeps, for a
 whole run, one stack of the actual and the frozen neighbor blocks, whose
-frozen half `ControllerBank.frozen_field` writes once, and one buffer that
-`ControllerBank.feedback` sums the three terms into. At every stage the
-neighbor states are written into the stack, and one evaluator call per bank
-on it gives both the plant field f(own, neighbors) and the frozen field that
-the coupling cancellation subtracts. The values that depend only on time, the
-drift compensation and the prescribed neighbor signals, are computed for a
-block of consecutive stage times at once (`integrate.stage_times` gives them
-as `rk4_steps` does), at most `_BLOCK_ROWS` stage rows per block, so memory
-does not grow with the substeps; the offset homing is computed once per run.
+frozen half, `ControllerBank.frozen_neighbors`, is written once, and one
+buffer that `ControllerBank.feedback` sums the three terms into. At every
+stage the neighbor states are written into the stack, and one evaluator call
+per bank on it gives both the plant field f(own, neighbors) and the frozen
+field that the coupling cancellation subtracts. The values that depend only
+on time, the drift compensation and the prescribed neighbor signals, are
+computed for a block of consecutive stage times at once (`integrate.stage_times`
+gives them as `rk4_steps` does), knots and half steps alike, at most
+`_BLOCK_ROWS` stage rows per block, so memory does not grow with the
+substeps; the offset homing is computed once per run.
 All of it is bit-identical to evaluating the full feedback afresh at every
 stage.
 """
@@ -189,11 +190,12 @@ def _drive(banks, x0, neighbors, mags):
     starts = [np.ascontiguousarray(x0[:, a]) for a in range(len(banks))]
     homing = [bank.offset_homing(start) for bank, start in zip(banks, starts)]
     # per bank, for the whole run: its evaluator, the stack of the actual and
-    # the frozen neighbor blocks that it is called on (`frozen_field`), and
-    # the buffer its feedback is summed into
+    # the frozen neighbor blocks that it is called on (as `frozen_field`
+    # stacks them), and the buffer its feedback is summed into
     evaluators = [bank.model.evaluator(bank.agent) for bank in banks]
-    stacks = [bank.frozen_field(None, stack=np.empty(
-        (2, batch, bank.model.network.degree(bank.agent), n))) for bank in banks]
+    stacks = [np.empty((2, batch) + bank.frozen_neighbors.shape[1:]) for bank in banks]
+    for bank, stack in zip(banks, stacks):
+        stack[1] = bank.frozen_neighbors
     actual = [stack[0] for stack in stacks]
     feedback = [np.empty((batch, n)) for _ in banks]
     finite = np.empty(x0.shape, dtype=bool)

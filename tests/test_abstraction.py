@@ -586,6 +586,27 @@ def test_importing_the_package_does_not_load_concurrent_futures():
     assert proc.stdout.strip() == "False"
 
 
+# what ``import gridabs`` may load besides numpy, yaml and itself, with their
+# C helpers; the benchmark's set-up times that import, so a new module here is
+# a measured choice
+IMPORTED_WITH_THE_PACKAGE = {"__future__", "copy", "dataclasses", "heapq", "_heapq", "json",
+                             "_json", "queue", "_queue"}
+
+
+def test_importing_the_package_loads_only_its_known_modules():
+    src = str(Path(ga.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import sys, numpy, yaml; "
+                           "before = set(sys.modules); import gridabs; "
+                           "print(*sorted(set(sys.modules) - before))"],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "gridabs" in loaded
+    unexpected = loaded - {"gridabs"} - IMPORTED_WITH_THE_PACKAGE
+    assert not unexpected, sorted(unexpected)
+
+
 def record_batch_sizes(monkeypatch):
     """Sizes of the batches of reference endpoints the build integrates, in order."""
     sizes = []

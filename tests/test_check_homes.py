@@ -8,8 +8,8 @@ admissible". A second function holding one of them is a copy that a change
 to the check would have to find.
 Likewise only the uniform-step generator behind ``rk4_path`` and
 ``rk4_endpoint`` builds a knot grid: the closed loop steps on its controller
-banks' grid instead of building its own; only ``DenseTrajectory``
-matches one time to its knots, by bisection; and only
+banks' grid instead of building its own; only ``DenseTrajectory._intervals``
+searches the knot times, and no module imports ``bisect``; and only
 ``GridDecomposition`` maps cell indices to coordinates (``origin + side * ...``).
 A transition system keeps its transitions as arrays, so only its row view
 and ``from_json`` construct ``Transition`` objects; the closed loop reports
@@ -31,10 +31,10 @@ come from one method, the only reader of ``corner_inset``. Random
 directions come from one draw, ``unit_directions``, the only caller of
 ``rng.normal``, and ``geometry`` alone names the smallest float that guards
 its division. The neighbors' frozen reference points are read in one place,
-``ControllerBank.frozen_field``, so the coupling cancellation and the drift
-compensation evaluate the field against one frozen block. The builtin
-fields declare their constants in one constructor, ``_consensus_model``,
-the only reader of ``max_degree``. A plan's size (one source and one target
+``ControllerBank.frozen_neighbors``, so the coupling cancellation, the drift
+compensation and the closed loop evaluate the field against one frozen
+block. The builtin fields declare their constants in one constructor,
+``_consensus_model``, the only reader of ``max_degree``. A plan's size (one source and one target
 cell per agent) is checked in one place, ``plan_controllers``. The times
 of an RK4 step's stages (``t + 0.5 * h``) are computed in one place,
 ``stage_times``, which both the RK4 loop and the closed loop's blocks of
@@ -132,10 +132,22 @@ def test_knot_grid_is_built_in_one_place():
     assert _homes(_calls("knot_times")) == {"integrate._uniform_steps"}
 
 
+def _imports(name):
+    def match(node):
+        return ((isinstance(node, ast.Import) and any(a.name == name for a in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.module == name))
+    return match
+
+
+def _searches_times(node):
+    """``searchsorted(<times>, ...)``: a search of knot times."""
+    return _calls("searchsorted")(node) and bool(node.args) and _reads("times")(node.args[0])
+
+
 def test_one_time_is_matched_to_its_knots_in_the_dense_output():
-    # a bank reads its stored knots through DenseTrajectory.knot, not a table of its own
-    assert _homes(_calls("bisect_right")) == {"integrate.DenseTrajectory._interval"}
-    assert _homes(_calls("bisect_left")) == {"integrate.DenseTrajectory.knot"}
+    # a bank queries its knots through DenseTrajectory.at, not a search of its own
+    assert _homes(_imports("bisect")) == set()
+    assert _homes(_searches_times) == {"integrate.DenseTrajectory._intervals"}
 
 
 def _offset_from_origin(node):
@@ -254,7 +266,7 @@ def _frozen_block(node):
 
 
 def test_the_frozen_neighbor_block_is_read_in_one_place():
-    assert _homes(_frozen_block) == {"controller.ControllerBank.frozen_field"}
+    assert _homes(_frozen_block) == {"controller.ControllerBank.frozen_neighbors"}
 
 
 def test_the_builtins_declare_their_constants_in_one_place():

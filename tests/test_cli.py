@@ -368,3 +368,37 @@ def test_verify_rejects_a_limit_below_one(config_path, capsys, limit):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--limit must be positive" in captured.err
+
+
+@pytest.mark.parametrize("args, key", [
+    (["verify", "--seed", "-3"], "--seed"),
+    (["validate-constants"], "run.seed"),
+])
+def test_a_negative_seed_is_an_input_error(config_path, capsys, args, key):
+    Path(config_path).write_text(CONFIG.format(period=0.02).replace("seed: 7", "seed: -1")
+                                 if key == "run.seed" else CONFIG.format(period=0.02))
+    assert main([args[0], "--config", config_path, *args[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be nonnegative\n"
+
+
+@pytest.mark.parametrize("command, first_file", [
+    ("region", "region.csv"),
+    ("abstract", "transitions_agent0.json"),
+    ("simulate", "trajectory.csv"),
+    ("controller-dump", "controller_agent1.csv"),
+])
+@pytest.mark.parametrize("blocked", ["a-file", "under-a-file", "a-directory-as-file"])
+def test_an_unusable_out_is_an_input_error(config_path, tmp_path, capsys, command,
+                                           first_file, blocked):
+    # an --out that cannot be made a directory, or whose file cannot be written
+    stray = tmp_path / "stray"
+    stray.write_text("kept\n")
+    out = {"a-file": stray, "under-a-file": stray / "sub",
+           "a-directory-as-file": tmp_path / "out"}[blocked]
+    (tmp_path / "out" / first_file).mkdir(parents=True)
+    assert main([command, "--config", config_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert stray.read_text() == "kept\n"

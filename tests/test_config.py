@@ -169,3 +169,5 @@ def test_nonpositive_values_rejected(tmp_path):
                                                  "side: 0")))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, BASE.replace("agents: 3", "agents: 0")))
+    with pytest.raises(ConfigError, match="run.seed"):
+        load_config(write(tmp_path, BASE + "run:\n  seed: -1\n"))

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from gridabs.controller import ControllerBank, sample_feedback_bound, sample_inflated_cell
 from gridabs.geometry import CellConfiguration, GridDecomposition
-from gridabs.integrate import DenseTrajectory
 
 
 @pytest.fixture()
@@ -171,69 +170,50 @@ def test_bank_matches_individual_controllers(ref_model, ref_grid, ref_params,
     np.testing.assert_allclose(batched, stacked, atol=1e-15)
 
 
-def test_drift_compensation_reads_the_stored_knots(ref_model, ref_grid, ref_params,
-                                                  monkeypatch):
+def test_drift_compensation_reads_the_stored_knots(ref_model, ref_grid, ref_params):
     rng = np.random.default_rng(6)
     configs, refs = seven_configurations(ref_grid, rng)
     bank = ControllerBank(ref_model, ref_grid, ref_params, 1, configs, refs, substeps=32)
     start = refs[:, 0, :] + 5e-4 * rng.normal(size=(7, 2))
-    queries = []
-    at = DenseTrajectory.at
-
-    def counting_at(self, t):
-        queries.append(t)
-        return at(self, t)
-
     for view, own_start in ((bank, start), (bank.member(3), start[3:4])):
         knots = view.dense.times
         halves = knots[:-1] + 0.5 * np.diff(knots)
-        for times in (knots, halves):
-            queries.clear()
+        # every knot, every half step, a lone first or last knot, a lone half
+        # step, repeated knots, and a half step followed by repeated knots
+        columns = (knots, halves, knots[:1], knots[-1:], halves[:1], knots[[0, 1, 1]],
+                   np.array([halves[0], knots[1], knots[1], knots[2]]))
+        for times in columns:
             drifts = []
             for t in times:
-                monkeypatch.setattr(DenseTrajectory, "at", counting_at)
                 drifts.append(view.drift_compensation(t, own_start))
-                monkeypatch.setattr(DenseTrajectory, "at", at)
                 ref = view.dense.at(t)
                 offset = (1.0 - t / view.period) * (own_start - view.reference_points[:, 0])
                 expected = -(view.frozen_field(ref + offset) - view.frozen_field(ref))
                 np.testing.assert_array_equal(drifts[-1], expected, strict=True)
-            # a knot's reference and its field are the stored dense output
-            assert len(queries) == (0 if times is knots else len(halves))
             # a column of times gives each time's drift in one call
             np.testing.assert_array_equal(view.drift_compensation(times[:, None], own_start),
                                           np.stack(drifts), strict=True)
+        # at the knots the queried reference and its field are the stored
+        # dense output, states and derivatives
+        remain = (1.0 - knots / view.period)[:, None, None]
+        offsets = remain * (own_start - view.reference_points[:, 0])
+        stored = -(view.frozen_field(view.dense.states + offsets) - view.dense.derivs)
+        np.testing.assert_array_equal(view.drift_compensation(knots[:, None], own_start),
+                                      stored, strict=True)
 
 
-def test_a_block_of_stage_times_finds_its_knots_at_once(controller, monkeypatch):
+def test_a_block_of_stage_times_finds_its_knots_at_once(controller):
     # the closed loop's blocks hold the first knot, then half steps and knots
-    # in turn, or half steps and knots from the start: at most two searches
-    # find their knots. Other columns search each time, also when they look
-    # like a block but hold a knot where a half step belongs
+    # in turn, or half steps and knots from the start: one query of the dense
+    # output gives each time's drift bit for bit
     knots = controller.dense.times
     stages = np.empty(2 * len(knots) - 1)
     stages[0::2] = knots
     stages[1::2] = knots[:-1] + 0.5 * np.diff(knots)
     start = controller.reference_points[:, 0] + np.array([4e-4, -3e-4])
-    searches = []
-    knot = DenseTrajectory.knot
-
-    def counting_knot(self, t):
-        searches.append(t)
-        return knot(self, t)
-
-    monkeypatch.setattr(DenseTrajectory, "knot", counting_knot)
-    blocks = [(stages[:17], 1), (stages[17:33], 2), (stages[-16:], 2), (stages[:1], 1),
-              (stages[-1:], 1), (stages[1:2], 1 + 1),
-              (np.array([knots[0], knots[1], knots[1]]), 1 + 3),
-              (np.array([stages[1], knots[1], knots[1], knots[2]]), 2 + 4)]
-    for block, expected_searches in blocks:
-        searches.clear()
+    for block in (stages[:17], stages[17:33], stages[-16:]):
         drift = controller.drift_compensation(block[:, None], start)
-        assert len(searches) == expected_searches, block
-        monkeypatch.setattr(DenseTrajectory, "knot", knot)
         each = np.stack([controller.drift_compensation(t, start) for t in block])
-        monkeypatch.setattr(DenseTrajectory, "knot", counting_knot)
         assert drift.shape == each.shape and drift.tobytes() == each.tobytes()
 
 

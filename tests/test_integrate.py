@@ -133,8 +133,10 @@ KNOT_VALUES = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False,
 @given(data=st.data(), steps=st.integers(1, 48),
        t0=st.floats(-1e3, 1e3), span=st.floats(1e-3, 1e3))
 def test_dense_output_is_exact_at_every_knot(data, steps, t0, span):
-    # the closed loop and its residual check read the stored knots in place
-    # of querying them, which this makes the same thing
+    # at a knot the Hermite weights are exactly (1, 0, 0, 0), or (0, 0, 1, 0)
+    # at the end knot, so a query there is the stored state: the closed loop
+    # queries its knot stage times with the half steps, and its residual
+    # check reads the stored knots, and both see the same reference
     times = knot_times(t0, t0 + span, steps)
     shape = times.shape + data.draw(array_shapes(min_dims=0, max_dims=3, max_side=4))
     states = data.draw(arrays(np.float64, shape, elements=KNOT_VALUES))
@@ -173,10 +175,6 @@ def assert_interval_lookup_is_exact(data, times):
     clipped = np.clip(queries, lo, hi)
     expected = searched_interval(times, clipped)
     np.testing.assert_array_equal(dense._intervals(clipped, lo, hi)[0], expected)
-    assert [dense._interval(float(t)) for t in clipped] == expected.tolist()
-    knots = times.tolist()
-    for t in queries.tolist():
-        assert dense.knot(t) == (knots.index(t) if t in knots else None)
 
 
 @settings(max_examples=300, deadline=None)
