@@ -46,6 +46,13 @@ CERTIFY_CHUNK = 64
 # configurations of a 5x5 window for an agent with two neighbors in one batch.
 BUILD_ROWS = 2**14
 
+# Grid dimensions up to which build_transition_system enumerates the 2^n n!
+# signed permutations of the coordinates for its orbit key (384 at n = 4); past
+# it their count outgrows what the orbits save, and the offsets are the key.
+# An agent with neighbors has a window of at most sqrt(MAX_ACTIONS) cells, so
+# the packed offsets stay below (2 * 1000 - 1)^4 < 2^63.
+ORBIT_DIMENSIONS = 4
+
 # A reference endpoint this close to a cell face (relative to the side) marks
 # the transition as marginal.
 MARGINAL_REL = 1e-6
@@ -270,6 +277,89 @@ def enumerate_configurations(window, degree):
     return cells[np.arange(total)[:, None] // place % size]
 
 
+def _require_window_on_grid(window, grid):
+    """ValueError unless the window has the grid's dimension."""
+    if window.dimension != grid.dimension:
+        raise ValueError(f"window of dimension {window.dimension} on a grid of dimension "
+                         f"{grid.dimension}")
+
+
+def _signed_permutations(n):
+    """The 2^n n! signed permutations of n coordinates, the identity first, as
+    int8 arrays (perms, signs) shaped (G, n): transform g takes a vector v to
+    ``v[..., perms[g]] * signs[g]``."""
+    moves = [(perm, signs) for perm in itertools.permutations(range(n))
+             for signs in itertools.product((1, -1), repeat=n)]
+    perms, signs = (np.array(column, dtype=np.int8) for column in zip(*moves))
+    return perms, signs
+
+
+def _orbit_key(cells):
+    """Canonical form of each configuration's neighbor offsets z_j - z0 under the
+    grid's symmetries and the neighbors' reorderings, for configurations
+    (T, m+1, n) with m > 0.
+
+    Each signed permutation g (`_signed_permutations`) moves the m offset
+    vectors of a row, which are then packed into one int64 each, in balanced
+    base 2w-1 with w - 1 the largest offset magnitude, and sorted; the key is
+    the lexicographic minimum over g. Returns (key (T, m) int64, turn (T,)):
+    transform ``turn[b]`` reaches row b's key. The transforms are taken one at
+    a time on (m, T) buffers allocated once, one per offset component and
+    three more, so every step runs over all rows at once.
+    """
+    rows, width, n = cells.shape
+    perms, signs = _signed_permutations(n)
+    offsets = [np.subtract(cells[:, 1:, k].T, cells[:, 0, k], order="C") for k in range(n)]
+    radix = 2 * max(max(int(o.max()), -int(o.min())) for o in offsets) + 1
+    place = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    packed, term, key = (np.empty((width - 1, rows), dtype=np.int64) for _ in range(3))
+    turn = np.zeros(rows, dtype=np.min_scalar_type(len(perms)))
+    for g, (perm, sign) in enumerate(zip(perms, signs)):
+        # sum_k place[k] * sign[k] * offset[perm[k]]: each moved vector, packed
+        # (numpy's integer matmul is several times slower than these passes)
+        weight = place * sign
+        np.multiply(offsets[perm[0]], weight[0], out=packed)
+        for k in range(1, n):
+            packed += np.multiply(offsets[perm[k]], weight[k], out=term)
+        # a bubble-sort network over the m packed vectors of every row
+        for last in range(len(packed) - 1, 0, -1):
+            for j in range(last):
+                np.minimum(packed[j], packed[j + 1], out=term[0])
+                np.maximum(packed[j], packed[j + 1], out=packed[j + 1])
+                packed[j] = term[0]
+        if g == 0:
+            key[...] = packed
+            continue
+        # rows whose sorted vectors come lexicographically before the key's take
+        # them, by arithmetic (a masked copy takes about three times as long);
+        # g only grows, so a maximum records it
+        less = packed[-1] < key[-1]
+        for a, b in zip(packed[-2::-1], key[-2::-1]):
+            less = (a < b) | ((a == b) & less)
+        packed -= key
+        packed *= less
+        key += packed
+        np.maximum(turn, less * turn.dtype.type(g), out=turn)
+    return key.T, turn
+
+
+def _class_key(model, cells):
+    """The build's class key of each configuration (T, m+1, n), and the symmetry
+    that takes each row to it: (key, turn), ``turn`` None for the identity.
+
+    For a model declared ``grid_symmetric`` and ``translation_invariant`` up
+    to ORBIT_DIMENSIONS, the key is the `_orbit_key` and ``turn`` its
+    transforms; for another translation-invariant model, or an agent without
+    neighbors, the offsets z_j - z0, the own cell's zero offset included, which
+    keeps the key nonempty; for any other model, the whole configuration.
+    """
+    if not model.translation_invariant:
+        return cells, None
+    if model.grid_symmetric and cells.shape[1] > 1 and cells.shape[2] <= ORBIT_DIMENSIONS:
+        return _orbit_key(cells)
+    return cells - cells[:, :1], None
+
+
 def _reference_targets(model, grid, params, agent, refs, substeps):
     """Target cells (B, n) and marginal flags (B,) of the configurations with
     reference points ``refs`` (B, m+1, n), integrated BUILD_ROWS rows at a time."""
@@ -295,26 +385,45 @@ def build_transition_system(model, grid, params, agent, window,
     on the batch size and equal the controllers' `ControllerBank.target_cells`.
 
     Every model takes one path. The rows fall into classes (`_distinct_rows`
-    of a class key); the first row of each class is integrated, and every row's
-    target is its own cell plus its class's target offset. A class whose
-    reference endpoint is marginal (`marginal_endpoints`) has its other rows
-    integrated too, each on its own, so ulp differences between translated
-    trajectories never change a target. The key is the only branch: for a model declared
-    ``translation_invariant`` the reference trajectory from cell centers
-    depends only on the neighbor offsets z_j - z0, which are the key; for any
-    other model the key is the whole configuration, so each row is its own
-    class. Either way the rows keep the product order of
-    `enumerate_configurations` and their reference points are the cell centers.
+    of a class key, `_class_key`); the first row r of each class is
+    integrated, and row b's target is z0_b + P_b^T P_r (target_r - z0_r) in
+    integer arithmetic, where P_b is the signed permutation that takes row b
+    to its key (the identity but for the orbit key). A class whose reference
+    endpoint is marginal (`marginal_endpoints`) has its other rows integrated
+    too, each on its own, so ulp differences between translated, reflected or
+    reordered trajectories never change a target. The key is the only branch:
+    for a model declared ``translation_invariant`` the reference trajectory
+    from cell centers depends only on the neighbor offsets z_j - z0; if it is
+    also declared ``grid_symmetric``, the trajectories of two configurations
+    whose offsets share an orbit under the grid's symmetries (and neighbor
+    reorderings) are images of each other, so the key is the orbit's
+    canonical form. On the reference path network that gives 6 / 34 / 6
+    classes on a 3x3 window and 15 / 268 / 15 on 5x5. For any other model the
+    key is the whole configuration, so each row is its own class. Either way
+    the rows keep the product order of `enumerate_configurations` and their
+    reference points are the cell centers. The agent must be one of the
+    network's and the window must have the grid's dimension, else ValueError.
     """
     require_admissible(params)
-    cells = enumerate_configurations(window, model.network.degree(agent))
+    m = model.network.degree(agent)
+    _require_window_on_grid(window, grid)
+    cells = enumerate_configurations(window, m)
     refs = grid.cell_center(cells)
-    # the class key: the own cell's zero offset keeps it nonempty for an agent
-    # without neighbors, and it is freed before the integration
-    first, inverse = _distinct_rows(cells - cells[:, :1] if model.translation_invariant
-                                    else cells)
+    # the key is freed before the integration
+    key, turn = _class_key(model, cells)
+    first, inverse = _distinct_rows(key)
+    del key
     targets, marginal = _reference_targets(model, grid, params, agent, refs[first], substeps)
-    target_cells = cells[:, 0] + (targets - cells[first, 0])[inverse]
+    shift = targets - cells[first, 0]
+    if turn is None:
+        shift = shift[inverse]
+    else:
+        # P_r takes each class's target offset to the key's frame, P_b^T back to row b's
+        perms, signs = _signed_permutations(cells.shape[-1])
+        canonical = np.take_along_axis(shift, perms[turn[first]], axis=1) * signs[turn[first]]
+        shift = np.empty_like(cells[:, 0])
+        np.put_along_axis(shift, perms[turn], canonical[inverse] * signs[turn], axis=1)
+    target_cells = cells[:, 0] + shift
     # a class's first row would integrate to its first endpoint again, bit for bit
     redo = marginal[inverse]
     redo[first] = False
@@ -513,11 +622,14 @@ def certify_window_input_bound(model, grid, params, agent, window,
     reduced here in configuration order, so they are those of one
     `sample_feedback_bound` call per configuration, and the first failing
     configuration's error is raised. The worker thread ends with the call.
+    The agent must be one of the network's and the window must have the
+    grid's dimension, else ValueError.
     """
     if reference_policy not in ("center", "random"):
         raise ValueError("reference_policy must be 'center' or 'random'")
-    rng = np.random.default_rng(seed)
     m = model.network.degree(agent)
+    _require_window_on_grid(window, grid)
+    rng = np.random.default_rng(seed)
     n = model.network.dimension
     configs = enumerate_configurations(window, m)
 

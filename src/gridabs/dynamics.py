@@ -94,6 +94,10 @@ class AgentNetwork:
         return len(self.neighbors)
 
     def degree(self, agent) -> int:
+        """Neighbor count of ``agent``: the one check of an agent index, which must
+        lie in [0, N), else ValueError."""
+        if not 0 <= agent < self.agent_count:
+            raise ValueError(f"agent {agent} is not in [0, {self.agent_count})")
         return len(self.neighbors[agent])
 
     @property
@@ -110,12 +114,20 @@ class DynamicsModel:
     ``translation_invariant`` declares that every f_i depends on the states
     only through the differences x_j - x_i, so a common shift of all states
     leaves it unchanged. The abstraction then integrates each class of cell
-    configurations that differ by a common cell shift once;
-    ``validate_constants`` sample-tests the declaration.
+    configurations that differ by a common cell shift once.
+
+    ``grid_symmetric`` declares two more things of every f_i: it commutes with
+    each signed permutation P of the coordinates (the 2^n n! symmetries of the
+    square grid), f_i(P x, P y_1, ...) = P f_i(x, y_1, ...), and it does not
+    depend on the order of the neighbors. A model that declares both
+    invariances has the abstraction integrate one configuration per orbit of
+    the neighbor offsets under those symmetries. ``validate_constants``
+    sample-tests both declarations.
     """
 
     def __init__(self, network, evaluators, feedback_bound, neighbor_lipschitz,
-                 self_lipschitz, input_bound, translation_invariant=False):
+                 self_lipschitz, input_bound, translation_invariant=False,
+                 grid_symmetric=False):
         feedback_bound = float(feedback_bound)
         neighbor_lipschitz = float(neighbor_lipschitz)
         self_lipschitz = float(self_lipschitz)
@@ -137,6 +149,7 @@ class DynamicsModel:
         self.self_lipschitz = self_lipschitz
         self.input_bound = input_bound
         self.translation_invariant = bool(translation_invariant)
+        self.grid_symmetric = bool(grid_symmetric)
 
     def evaluator(self, agent):
         if self.evaluators is None:
@@ -186,8 +199,10 @@ def _consensus_model(name, network, evaluate, scale, gain, input_bound):
     """Model of ``scale`` times a neighbor sum of 1-Lipschitz terms bounded by ``gain``.
 
     The one home of the builtins' constants: feedback_bound = scale*gain*maxdeg,
-    neighbor_lipschitz = scale*sqrt(maxdeg), self_lipschitz = scale*maxdeg, and
-    translation invariance."""
+    neighbor_lipschitz = scale*sqrt(maxdeg), self_lipschitz = scale*maxdeg,
+    translation invariance and grid symmetry: a sum over the neighbors of one
+    radial term of each difference commutes with every signed permutation of
+    the coordinates and ignores the neighbors' order."""
     maxdeg = network.max_degree
     if maxdeg == 0:
         raise ValueError(f"{name} needs at least one edge")
@@ -195,7 +210,8 @@ def _consensus_model(name, network, evaluate, scale, gain, input_bound):
                          feedback_bound=scale * gain * maxdeg,
                          neighbor_lipschitz=scale * float(np.sqrt(maxdeg)),
                          self_lipschitz=scale * float(maxdeg),
-                         input_bound=input_bound, translation_invariant=True)
+                         input_bound=input_bound, translation_invariant=True,
+                         grid_symmetric=True)
 
 
 def saturated_consensus(network, gain, input_bound):
@@ -287,8 +303,11 @@ def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, seed=0) -> Valid
     scales, tracking |f_i| / feedback_bound and the two Lipschitz quotients.
     A model declared ``translation_invariant`` must then keep f_i, up to
     RATIO_EXCESS * feedback_bound, when all states move by one common shift
-    drawn at each scale; these draws come after all others, so the report of
-    the constants does not depend on the declaration.
+    drawn at each scale. A model declared ``grid_symmetric`` must then give
+    P f_i, to the same tolerance, when every state of a trial goes through one
+    random signed permutation P of the coordinates and agent i's neighbors are
+    listed in a random order. These draws come after all others, in that
+    order, so the report of the constants does not depend on the declarations.
     """
     rng = np.random.default_rng(seed)
     net = model.network
@@ -296,7 +315,7 @@ def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, seed=0) -> Valid
     scales = (1e-3, 1e-1, SAMPLE_RADIUS)
 
     worst = {"feedback_bound": 0.0, "neighbor_lipschitz": 0.0, "self_lipschitz": 0.0,
-             "translation_invariant": 0.0}
+             "translation_invariant": 0.0, "grid_symmetric": 0.0}
 
     def track(kind, ratios, agent, states, perturbed):
         k = int(np.argmax(ratios))
@@ -351,6 +370,23 @@ def validate_constants(model, trials=DEFAULT_VALIDATION_TRIALS, seed=0) -> Valid
                 track("translation_invariant",
                       row_norm(moved - base) / (RATIO_EXCESS * model.feedback_bound), i,
                       states, shifted)
+
+    if model.grid_symmetric:
+        rows = np.arange(trials)
+        for i, base in enumerate(bases):
+            ev = model.evaluator(i)
+            nbrs = np.array(net.neighbors[i], dtype=np.intp)
+            axes = rng.permuted(np.tile(np.arange(dim), (trials, 1)), axis=1)
+            signs = rng.choice((-1.0, 1.0), size=(trials, dim))
+            order = rng.permuted(np.tile(nbrs, (trials, 1)), axis=1)
+            # each trial's states in P's coordinates, agent i's neighbors reordered
+            turned = np.take_along_axis(states, axes[:, None, :], axis=2) * signs[:, None, :]
+            turned[:, nbrs] = turned[rows[:, None], order]
+            moved = ev(turned[:, i], turned[:, nbrs, :])
+            expected = np.take_along_axis(base, axes, axis=1) * signs
+            track("grid_symmetric",
+                  row_norm(moved - expected) / (RATIO_EXCESS * model.feedback_bound), i,
+                  states, turned)
 
     return ValidationReport(trials=trials,
                             worst_bound_ratio=worst["feedback_bound"],

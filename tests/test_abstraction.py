@@ -621,7 +621,7 @@ def record_batch_sizes(monkeypatch):
 
 
 def undeclared(model):
-    """``model`` without its translation-invariance declaration: full enumeration."""
+    """``model`` without its invariance declarations: full enumeration."""
     return ga.DynamicsModel(model.network, model.evaluators, model.feedback_bound,
                             model.neighbor_lipschitz, model.self_lipschitz,
                             model.input_bound)
@@ -631,17 +631,17 @@ def test_chunked_build_matches_one_bank(ref_model, ref_grid, ref_params, ref_win
                                         monkeypatch):
     sizes = record_batch_sizes(monkeypatch)
     default = abstraction.BUILD_ROWS
-    for model, one_bank, chunks in [
+    for model, one_bank, rows, chunks in [
             # 729 configurations: seven chunks of 100 and a partial one of 29
-            (undeclared(ref_model), [729], [100] * 7 + [29]),
-            # 361 offset classes: three chunks of 100 and a partial one of 61
-            (ref_model, [361], [100] * 3 + [61])]:
+            (undeclared(ref_model), [729], 100, [100] * 7 + [29]),
+            # 34 orbit classes: three chunks of 10 and a partial one of 4
+            (ref_model, [34], 10, [10] * 3 + [4])]:
         monkeypatch.setattr(abstraction, "BUILD_ROWS", default)
         sizes.clear()
         whole = build_transition_system(model, ref_grid, ref_params, 1, ref_window,
                                         substeps=16)
         assert sizes == one_bank
-        monkeypatch.setattr(abstraction, "BUILD_ROWS", 100)
+        monkeypatch.setattr(abstraction, "BUILD_ROWS", rows)
         sizes.clear()
         chunked = build_transition_system(model, ref_grid, ref_params, 1, ref_window,
                                           substeps=16)
@@ -652,7 +652,7 @@ def test_chunked_build_matches_one_bank(ref_model, ref_grid, ref_params, ref_win
 
 @pytest.mark.parametrize("builtin", [ga.saturated_consensus, ga.smooth_consensus])
 @pytest.mark.parametrize("origin", [(0.0, 0.0), (1e6, -1e6)])
-@pytest.mark.parametrize("width, classes", [(3, (25, 361, 25)), (5, (81, 3721, 81))])
+@pytest.mark.parametrize("width, classes", [(3, (6, 34, 6)), (5, (15, 268, 15))])
 def test_relative_build_equals_the_full_build(path_network, ref_grid, monkeypatch, builtin,
                                               origin, width, classes):
     model = builtin(path_network, gain=0.5, input_bound=0.5)
@@ -663,7 +663,7 @@ def test_relative_build_equals_the_full_build(path_network, ref_grid, monkeypatc
     for agent in range(3):
         sizes.clear()
         relative = build_transition_system(model, grid, params, agent, window, substeps=32)
-        # one batch of the offset classes, and no marginal class integrated again
+        # one batch of the orbit classes, and no marginal class integrated again
         assert sizes == [classes[agent]]
         full = build_transition_system(undeclared(model), grid, params, agent, window,
                                        substeps=32)
@@ -671,9 +671,11 @@ def test_relative_build_equals_the_full_build(path_network, ref_grid, monkeypatc
         assert relative == full
 
 
-def drifting(model, drift):
+def drifting(model, drift, grid_symmetric=False):
     """``model`` plus the constant field ``drift``: M grows by |drift|, L1 and L2
-    stay, and each field still depends on the state differences only."""
+    stay, and each field still depends on the state differences only. A
+    reflection or an axis swap moves the drift, so the field is not grid
+    symmetric, whatever ``grid_symmetric`` declares."""
     drift = np.asarray(drift, dtype=float)
 
     def shifted(evaluate):
@@ -682,7 +684,8 @@ def drifting(model, drift):
     return ga.DynamicsModel(model.network, [shifted(e) for e in model.evaluators],
                             model.feedback_bound + float(np.linalg.norm(drift)),
                             model.neighbor_lipschitz, model.self_lipschitz,
-                            model.input_bound, translation_invariant=True)
+                            model.input_bound, translation_invariant=True,
+                            grid_symmetric=grid_symmetric)
 
 
 @pytest.fixture(scope="module")
@@ -699,14 +702,26 @@ def test_drifting_model_is_admissible_and_keeps_its_constants(drift_setup):
     assert ga.validate_constants(model, trials=2000, seed=0).ok
 
 
+def test_a_drifting_model_declared_grid_symmetric_is_rejected(ref_model):
+    model = drifting(ref_model, (0.3, 0.0), grid_symmetric=True)
+    with pytest.raises(ga.ConstantsViolation) as info:
+        ga.validate_constants(model, trials=2000, seed=0)
+    assert info.value.kind == "grid_symmetric"
+
+
 @pytest.mark.parametrize("origin", [(0.0, 0.0), (1e6, -1e6)])
 def test_relative_build_equals_the_full_build_where_targets_move(drift_setup, ref_grid,
-                                                                 ref_window, origin):
+                                                                 ref_window, origin,
+                                                                 monkeypatch):
     model, params = drift_setup
     grid = ga.GridDecomposition(2, ref_grid.side, origin)
+    sizes = record_batch_sizes(monkeypatch)
     for agent in range(3):
+        sizes.clear()
         relative = build_transition_system(model, grid, params, agent, ref_window,
                                            substeps=32)
+        # not grid symmetric: one batch of the offset classes
+        assert sizes == [(25, 361, 25)[agent]]
         moves = relative.target_cells - relative.action_cells[:, 0]
         # targets leave their sources, so the comparison sees the class offsets
         assert np.any(moves != 0)
@@ -917,11 +932,11 @@ def test_marginal_classes_are_integrated_row_by_row(ref_model, ref_grid, ref_par
                                    ref_window, substeps=16)
     sizes = record_batch_sizes(monkeypatch)
     # every endpoint is within one side of a face: every class is marginal, and the
-    # 729 - 361 rows that are not a class's first are integrated again
+    # 729 - 34 rows that are not a class's first are integrated again
     monkeypatch.setattr(abstraction, "MARGINAL_REL", 1.0)
     relative = build_transition_system(ref_model, ref_grid, ref_params, 1, ref_window,
                                        substeps=16)
-    assert sizes == [361, 368]
+    assert sizes == [34, 695]
     assert relative == full
 
 
@@ -935,6 +950,64 @@ def test_an_agent_without_neighbors_is_one_class(ref_grid, ref_window, monkeypat
     assert sizes == [1]
     assert relative == build_transition_system(undeclared(model), ref_grid, params, 2,
                                                 ref_window, substeps=8)
+
+
+@pytest.mark.parametrize("builtin", [ga.saturated_consensus, ga.smooth_consensus])
+@pytest.mark.parametrize("far", [False, True], ids=["origin0", "origin1"])
+@pytest.mark.parametrize("ranges, classes", [
+    # orbit classes of the hub and of a leaf; the offset classes are 4,225 and 25
+    (((-1, 1), (-1, 1)), (134, 6)),
+    # and 3,375 and 27
+    (((-1, 0), (0, 1), (-1, 0)), (36, 4))], ids=["plane", "space"])
+def test_orbit_build_equals_the_full_build_on_a_star(monkeypatch, builtin, far, ranges,
+                                                     classes):
+    # a hub with three neighbors: reordering them reorders the float sum of its field
+    window = Window(ranges)
+    n = window.dimension
+    model = builtin(ga.AgentNetwork.from_edges(n, 4, [(0, 1), (0, 2), (0, 3)]), gain=0.5,
+                    input_bound=0.5)
+    origin = [1e6, -1e6, 1e6][:n] if far else None
+    grid = ga.GridDecomposition(n, 0.5 * ga.diameter_upper_bound(model) / np.sqrt(n), origin)
+    lo, hi = ga.admissible_period_interval(model, grid.diameter())
+    params = ga.check_discretization(model, grid.diameter(), 0.5 * (lo + hi))
+    sizes = record_batch_sizes(monkeypatch)
+    for agent in (0, 1):
+        sizes.clear()
+        orbit = build_transition_system(model, grid, params, agent, window, substeps=16)
+        full = build_transition_system(undeclared(model), grid, params, agent, window,
+                                       substeps=16)
+        assert sizes == [classes[agent], window.size ** (model.network.degree(agent) + 1)]
+        assert orbit == full
+
+
+@pytest.mark.parametrize("agent", [-1, 3])
+def test_an_agent_outside_the_network_is_rejected(ref_model, ref_grid, ref_params,
+                                                  ref_window, agent):
+    message = rf"agent {agent} is not in \[0, 3\)"
+    with pytest.raises(ValueError, match=message):
+        build_transition_system(ref_model, ref_grid, ref_params, agent, ref_window,
+                                substeps=4)
+    with pytest.raises(ValueError, match=message):
+        certify_window_input_bound(ref_model, ref_grid, ref_params, agent, ref_window,
+                                   samples=10, substeps=4)
+    with pytest.raises(ValueError, match=message):
+        ControllerBank(ref_model, ref_grid, ref_params, agent, [[(0, 0), (0, 0)]],
+                       substeps=4)
+
+
+@pytest.mark.parametrize("ranges", [((-1, 1),), ((-1, 1),) * 3], ids=["line", "space"])
+def test_a_window_of_another_dimension_is_rejected(ref_model, ref_grid, ref_params,
+                                                   monkeypatch, ranges):
+    sizes = record_batch_sizes(monkeypatch)
+    message = f"window of dimension {len(ranges)} on a grid of dimension 2"
+    with pytest.raises(ValueError, match=message):
+        build_transition_system(ref_model, ref_grid, ref_params, 1, Window(ranges),
+                                substeps=4)
+    with pytest.raises(ValueError, match=message):
+        certify_window_input_bound(ref_model, ref_grid, ref_params, 1, Window(ranges),
+                                   samples=10, substeps=4)
+    # rejected before any integration
+    assert sizes == []
 
 
 def test_verify_transition_of_an_agent_without_neighbors(ref_grid, ref_window):
@@ -969,8 +1042,8 @@ def test_neighbor_signals_stay_in_the_inflated_cells(ref_grid, ref_params, subst
 
 def test_build_memory_does_not_grow_with_substeps(ref_model, ref_grid, ref_params,
                                                   ref_window, monkeypatch):
-    # batches of 64 rows split the 361 offset classes at either count
-    monkeypatch.setattr(abstraction, "BUILD_ROWS", 64)
+    # batches of 8 rows split the 34 orbit classes at either count
+    monkeypatch.setattr(abstraction, "BUILD_ROWS", 8)
 
     def peak(substeps):
         tracemalloc.start()

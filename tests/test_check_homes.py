@@ -38,7 +38,9 @@ block. The builtin fields declare their constants in one constructor,
 cell per agent) is checked in one place, ``plan_controllers``. The times
 of an RK4 step's stages (``t + 0.5 * h``) are computed in one place,
 ``stage_times``, which both the RK4 loop and the closed loop's blocks of
-time-only values call.
+time-only values call. An agent index is checked in one place,
+``AgentNetwork.degree``, which the controller banks, the build and the
+certificate all call first.
 """
 
 import ast
@@ -280,6 +282,15 @@ def _plan_size_message(node):
 
 def test_the_plan_size_is_checked_in_one_place():
     assert _homes(_plan_size_message) == {"abstraction.plan_controllers"}
+
+
+def _agent_range_message(node):
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "is not in [0, " in node.value)
+
+
+def test_the_agent_index_is_checked_in_one_place():
+    assert _homes(_agent_range_message) == {"dynamics.AgentNetwork.degree"}
 
 
 def _half_step_time(node):

@@ -146,14 +146,16 @@ def test_validate_constants_catches_a_field_that_returns_nan():
     assert str(info.value).endswith("observed ratio is not a number")
 
 
-def declared_copy(model, evaluators, translation_invariant, **constants):
+def declared_copy(model, evaluators, translation_invariant, grid_symmetric=False,
+                  **constants):
     """``model``'s constants (overridden by ``constants``) on other evaluators."""
     kwargs = dict(feedback_bound=model.feedback_bound,
                   neighbor_lipschitz=model.neighbor_lipschitz,
                   self_lipschitz=model.self_lipschitz, input_bound=model.input_bound)
     kwargs.update(constants)
     return DynamicsModel(model.network, evaluators,
-                         translation_invariant=translation_invariant, **kwargs)
+                         translation_invariant=translation_invariant,
+                         grid_symmetric=grid_symmetric, **kwargs)
 
 
 @pytest.mark.parametrize("builtin", [saturated_consensus, smooth_consensus])
@@ -185,6 +187,52 @@ def test_validate_constants_catches_a_false_translation_invariance(path_network)
                            trials=500, seed=0)
     assert info.value.kind == "translation_invariant"
     assert info.value.agent == 0 and info.value.ratio > 1.0
+    witness = info.value.witness
+    assert witness["states"].shape == witness["perturbed"].shape == (3, 2)
+
+
+@pytest.mark.parametrize("builtin", [saturated_consensus, smooth_consensus])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_builtins_pass_their_grid_symmetry(builtin, dimension):
+    # a hub with three neighbors, whose reordering reorders the float sum, and
+    # agent 4 without neighbors
+    star = AgentNetwork.from_edges(dimension, 5, [(0, 1), (0, 2), (0, 3)])
+    model = builtin(star, gain=0.5, input_bound=0.5)
+    assert model.translation_invariant and model.grid_symmetric
+    report = validate_constants(model, trials=2000, seed=5)
+    assert report.ok
+    # the declaration adds draws after all others: the report does not move
+    translated = declared_copy(model, model.evaluators, True)
+    assert not translated.grid_symmetric
+    assert validate_constants(translated, trials=2000, seed=5) == report
+
+
+def _axis_weighted(ev):
+    # a weaker second axis: it commutes with the sign flips but not with the swap
+    return lambda own, nbrs: ev(own, nbrs) * np.array([1.0, 0.5])
+
+
+def _first_neighbor_pull(ev):
+    # a linear pull toward the first neighbor: it commutes with every signed
+    # permutation but depends on the neighbors' order, which agent 1 has
+    return lambda own, nbrs: ev(own, nbrs) + 1e-3 * (nbrs[..., 0, :] - own)
+
+
+@pytest.mark.parametrize("skew, agent", [(_axis_weighted, 0), (_first_neighbor_pull, 1)],
+                         ids=["axes", "order"])
+def test_validate_constants_catches_a_false_grid_symmetry(path_network, skew, agent):
+    good = saturated_consensus(path_network, gain=0.5, input_bound=0.5)
+    evaluators = [skew(ev) for ev in good.evaluators]
+    constants = dict(feedback_bound=2.0 * good.feedback_bound,
+                     neighbor_lipschitz=good.neighbor_lipschitz + 0.01,
+                     self_lipschitz=good.self_lipschitz + 0.01)
+    translated = declared_copy(good, evaluators, True, **constants)
+    assert validate_constants(translated, trials=500, seed=0).ok
+    with pytest.raises(ConstantsViolation) as info:
+        validate_constants(declared_copy(good, evaluators, True, grid_symmetric=True,
+                                         **constants), trials=500, seed=0)
+    assert info.value.kind == "grid_symmetric"
+    assert info.value.agent == agent and info.value.ratio > 1.0
     witness = info.value.witness
     assert witness["states"].shape == witness["perturbed"].shape == (3, 2)
 
